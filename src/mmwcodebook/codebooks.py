@@ -92,15 +92,10 @@ class SubArrayPlan:
     delta_theta: float
     omega: np.ndarray  # (m_rf, m_s) steering angles
     interval: AngleInterval
-    theta: np.ndarray | None = None  # (m_rf, m_s) phases, set by a solver
 
     @property
     def n_subarrays(self) -> int:
         return self.m_rf * self.m_s
-
-    def with_theta(self, theta: np.ndarray) -> "SubArrayPlan":
-        return SubArrayPlan(self.n_antennas, self.m_rf, self.m_s, self.n_s,
-                            self.delta_theta, self.omega, self.interval, theta)
 
 
 def _smallest_divisor_at_least(n: int, lo: int) -> int | None:
@@ -201,16 +196,16 @@ def assemble_codeword(plan: SubArrayPlan, theta: np.ndarray) -> tuple[np.ndarray
 
 def _combo_gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
                       interval: AngleInterval, cfg: GdpConfig,
-                      chunk: int = 128) -> np.ndarray:
+                      points_per_unit: int, chunk: int = 128) -> np.ndarray:
     """GDP of unit-normalized sum(coeffs[c] * u_cols[:, c]) per candidate.
 
-    Evaluates the same trapezoid quadrature as `metrics.gdp` but shares the
+    Evaluates the same trapezoid quadrature as `metrics.gdp`, at
+    `points_per_unit` samples per unit cosine angle, but shares the
     per-column gain matrix across all candidates, which keeps the grid
     search at a couple of matrix products per chunk.
     """
-    n = u_cols.shape[0]
-    psi = quadrature_grid(interval, cfg.points_for(n))
-    gain_basis = response_matrix(psi, n) @ u_cols
+    psi = quadrature_grid(interval, points_per_unit)
+    gain_basis = response_matrix(psi, u_cols.shape[0]) @ u_cols
     h = interval.width / (psi.size - 1)
     tw = np.full(psi.size, h)
     tw[0] = tw[-1] = h / 2.0
@@ -232,6 +227,36 @@ def _argmax_with_ties(values: np.ndarray) -> int:
     vmax = float(np.max(values))
     tol = _TIE_RTOL * max(1.0, abs(vmax))
     return int(np.argmax(values >= vmax - tol))
+
+
+def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
+                    interval: AngleInterval, cfg: GdpConfig) -> int:
+    """Index `_argmax_with_ties` picks over the full-resolution GDP values.
+
+    Every candidate is first scored on two coarse grids, 1/16 and 1/32 of
+    the full resolution; their largest disagreement `est` stands in for the
+    error of the finer screen (about three times it while the trapezoid
+    error falls with the square of the spacing).  With that error, only
+    candidates within 2*est plus twice the tie slack of the best screened
+    value can win or tie at full resolution, so only those are rescored.
+    Survivors keep their original order, so the lexicographic tie-break is
+    the exhaustive one.  Below 8*N points per unit the coarse grids no
+    longer resolve an N-antenna beam, and every candidate is scored at
+    full resolution instead.
+    """
+    n = u_cols.shape[0]
+    fine = cfg.points_for(n)
+    if fine // 32 < 8 * n:
+        return _argmax_with_ties(
+            _combo_gdp_values(u_cols, coeffs, interval, cfg, fine))
+    v16 = _combo_gdp_values(u_cols, coeffs, interval, cfg, fine // 16)
+    v32 = _combo_gdp_values(u_cols, coeffs, interval, cfg, fine // 32)
+    est = float(np.max(np.abs(v16 - v32)))
+    vmax = float(np.max(v16))
+    tol = _TIE_RTOL * max(1.0, abs(vmax))
+    keep = np.flatnonzero(v16 >= vmax - 2.0 * est - 2.0 * tol)
+    values = _combo_gdp_values(u_cols, coeffs[:, keep], interval, cfg, fine)
+    return int(keep[_argmax_with_ties(values)])
 
 
 def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
@@ -257,8 +282,7 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     exp_i = np.exp(1j * np.outer(i_idx, phis))  # (m_rf, g) phi2 factors
     coeff = (exp_i[:, None, None, :] * exp_m[None, :, :, None]).reshape(
         plan.n_subarrays, grid_size * grid_size)
-    values = _combo_gdp_values(u_cols, coeff, interval, cfg)
-    best = _argmax_with_ties(values)
+    best = _best_candidate(u_cols, coeff, interval, cfg)
     phi1 = float(phis[best // grid_size])
     phi2 = float(phis[best % grid_size])
     theta = m_idx[None, :] * phi1 + i_idx[:, None] * phi2
@@ -467,7 +491,6 @@ def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
             theta = cf_phases(plan)
         else:
             _, _, theta = lcs_phases(plan, interval, cfg, grid_size)
-        plan = plan.with_theta(theta)
         cols, _ = assemble_codeword(plan, theta)
         layers.append(_layer_composites(k, m_rf, cols))
     tag = SCHEME_BMW_CF if scheme == "cf" else SCHEME_BMW_LCS
@@ -500,8 +523,7 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
         steps = np.arange(1, m_k + 1)
         phis = 2.0 * np.pi * np.arange(grid_size) / grid_size
         coeff = np.exp(1j * np.outer(steps, phis))
-        values = _combo_gdp_values(chains, coeff, interval, cfg)
-        phi = float(phis[_argmax_with_ties(values)])
+        phi = float(phis[_best_candidate(chains, coeff, interval, cfg)])
         cols = chains * np.exp(1j * phi * steps)[None, :]
         scale = 1.0 / np.linalg.norm(cols.sum(axis=1))
         layers.append(_layer_composites(k, branching, cols, f_bb_scale=scale))

@@ -8,6 +8,7 @@ artifact version; identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +53,20 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_floats(text) -> list[float]:
     if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
+        return [_parse_float(v) for v in text]
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
+        return [_parse_float(tok) for tok in str(text).split(",") if tok.strip()]
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
@@ -86,7 +96,7 @@ COMMAND_KEYS = {
         "n": (int, 32),
         "m_rf": (int, 2),
         "grid_size": (int, 64),
-        "gamma_per_db": (float, 0.0),
+        "gamma_per_db": (_parse_float, 0.0),
         "out": (str, None),
     },
     "beampattern": {
@@ -109,7 +119,7 @@ COMMAND_KEYS = {
         "schemes": (_parse_schemes, list(SCHEMES)),
         "m_rf": (int, 2),
         "grid_size": (int, 64),
-        "gamma_per_db": (float, 0.0),
+        "gamma_per_db": (_parse_float, 0.0),
         "out": (str, None),
     },
     "simulate": {
@@ -128,14 +138,14 @@ COMMAND_KEYS = {
         "out": (str, None),
     },
     "linkbudget": {
-        "pa_dbm": (float, 15.0),
-        "wavelength_m": (float, 0.01),
-        "distance_m": (float, 100.0),
-        "bandwidth_hz": (float, 1.0e10),
-        "temp_k": (float, 300.0),
+        "pa_dbm": (_parse_float, 15.0),
+        "wavelength_m": (_parse_float, 0.01),
+        "distance_m": (_parse_float, 100.0),
+        "bandwidth_hz": (_parse_float, 1.0e10),
+        "temp_k": (_parse_float, 300.0),
         "l_s": (int, 128),
-        "excess_min_db": (float, 0.0),
-        "excess_max_db": (float, 15.0),
+        "excess_min_db": (_parse_float, 0.0),
+        "excess_max_db": (_parse_float, 15.0),
         "out": (str, None),
     },
 }

@@ -66,8 +66,9 @@ class GdpConfig:
     integration_points: int | None = None
 
     def __post_init__(self):
-        if not self.gamma_per > 0.0:
-            raise ValueError(f"gamma_per must be positive, got {self.gamma_per}")
+        if not (math.isfinite(self.gamma_per) and self.gamma_per > 0.0):
+            raise ValueError(
+                f"gamma_per must be finite and positive, got {self.gamma_per}")
         if self.threshold != 1.0:
             raise ValueError("the detection threshold is fixed at 1.0")
         if self.integration_points is not None and self.integration_points < 256:

@@ -282,7 +282,6 @@ def _trial_rates(schemes: list[tuple[str, HierarchicalCodebook, HierarchicalCode
             w_r = rx_cb.codeword(rx_cb.depth, res.i_r)
             ok = (w_t.coverage.contains(best_aod)
                   and w_r.coverage.contains(best_aoa))
-            res.success = ok
             success[si, ci] = 1.0 if ok else 0.0
             p_eff = (power / np.max(np.abs(w_t.unit_awv)) ** 2
                      if cfg.papc else power)

@@ -65,6 +65,13 @@ class TestDesignCommand:
     def test_rejects_non_power(self, capsys):
         assert run(["design", "--n", "12"]) == 2
 
+    def test_rejects_non_finite_gamma(self, tmp_path, capsys):
+        out = tmp_path / "cb.txt"
+        assert run(["design", "--n", "8", "--gamma-per-db=inf",
+                    "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         args = ["design", "--scheme", "bmw-ms-lcs", "--n", "8",
@@ -175,6 +182,13 @@ class TestSimulateCommand:
         assert header == ["snr_db", "scheme", "success_rate", "rate_bps_hz",
                           "trials", "stderr"]
         assert len(rows) == 1
+
+    def test_rejects_non_finite_snr(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["simulate", "--n", "8", "--trials", "1", "--l-s", "8",
+                    "--snr-db=-20,nan", "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLinkbudgetCommand:

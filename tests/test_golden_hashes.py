@@ -1,0 +1,35 @@
+"""sha256 of stored codebook files, pinned so that any change of bytes shows.
+
+The hashes were recorded before the coarse-to-fine candidate search
+replaced the exhaustive one; a speed change must leave them as they are.
+"""
+
+import hashlib
+
+import pytest
+
+from mmwcodebook import build_codebook, serialize
+
+GOLDEN_SHA256 = {
+    ("bmw-ms-cf", 16, 2):
+        "f609174501248c634e382d140cb557804bf368dfd99746c31e5d72c57ce9e126",
+    ("bmw-ms-cf", 32, 2):
+        "0dd21e489196a2c059b4d0137ecb10f57b9cf38db37b7a2264bae555cc965843",
+    ("bmw-ms-lcs", 16, 2):
+        "3e7f6a2f3c4c3ca78fab23b232cd4e132246035e5102d071502e217efed1e67f",
+    ("bmw-ms-lcs", 32, 2):
+        "6a3c58ca74d25cf97c04aba2e00d7d5c0f02eca596ed4b3942cf9aa738b3c765",
+    ("ps-dft", 16, 2):
+        "29c4e82641113431312ad1cd896e3f32bb4c6291eca513ea2197878dfe7571d1",
+    ("ps-dft", 32, 2):
+        "b53906b9c00c9d063071105abc08b19082467074054d97daace39a10a85f9a60",
+    ("bmw-ms-lcs", 64, 4):
+        "0893f8e9928312bb212ce8a59a3ea5c7bdfc51de5e4360c62bebf2b8169690a6",
+}
+
+
+@pytest.mark.parametrize("scheme, n, m_rf", sorted(GOLDEN_SHA256))
+def test_codebook_file_hash(scheme, n, m_rf):
+    text = serialize(build_codebook(scheme, n, m_rf))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GOLDEN_SHA256[(scheme, n, m_rf)]

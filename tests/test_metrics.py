@@ -96,6 +96,11 @@ class TestGdp:
         with pytest.raises(ValueError):
             GdpConfig(threshold=2.0)
 
+    def test_non_finite_gamma_rejected(self):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                GdpConfig(gamma_per=value)
+
 
 class TestIntegrandMonotonicity:
     def test_smaller_c_dominates_pointwise(self):
