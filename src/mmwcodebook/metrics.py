@@ -40,7 +40,13 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    try:
+        value = 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{x_db} dB is outside the float range")
+    return value
 
 
 def linear_to_db(x: float) -> float:

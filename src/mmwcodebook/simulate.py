@@ -19,19 +19,22 @@ antenna exceeds the PA limit.
 `hierarchical_search` walks the codebook layers top-down, measuring one
 Tx/Rx composite pair per layer and descending into the winning pair's
 children; `run_monte_carlo` wraps it into a seeded, trial-parallel sweep
-whose results are bit-reproducible for any worker count.
+whose results are bit-reproducible for any worker count.  Sweeps run the
+same search over blocks of (trial, snr) cells at once, one layer at a time
+as stacked matrix products, and write the same bytes as a search per cell.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arraymath import steering_vector
 from .codebooks import CompositeCodeword, HierarchicalCodebook
+from .metrics import db_to_linear
 
 __all__ = [
     "ChannelRealization",
@@ -64,6 +67,10 @@ class SimConfig:
             raise ValueError("l_paths must be >= 1")
         if self.l_s < 1:
             raise ValueError("l_s must be >= 1")
+        for name in ("n0", "p_per", "p_total"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n0 < 0.0:
             raise ValueError("n0 must be >= 0")
         if self.p_per <= 0.0 or self.p_total <= 0.0:
@@ -110,20 +117,40 @@ def sample_channel(l_paths: int, m_an: int, n_an: int,
     return ChannelRealization(gains, aoa, aod, m_an, n_an)
 
 
-def _measure_arrays(f_units: np.ndarray, f_inf: np.ndarray,
-                    w_units: np.ndarray, h: np.ndarray, p: float, n0: float,
-                    l_s: int, rng: np.random.Generator | None,
-                    papc: bool) -> np.ndarray:
-    """Correlator outputs for stacked unit-norm codeword columns."""
-    amps = math.sqrt(p) / f_inf if papc else math.sqrt(p) * np.ones(f_units.shape[1])
-    signal = l_s * (w_units.conj().T @ h @ f_units) * amps[None, :]
-    if n0 > 0.0:
-        if rng is None:
-            raise ValueError("a random generator is required when n0 > 0")
-        sigma = math.sqrt(l_s * n0 / 2.0)
-        signal = signal + sigma * (rng.standard_normal(signal.shape)
-                                   + 1j * rng.standard_normal(signal.shape))
-    return signal
+def _rx_product(w_units: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """w_i^H H for the Rx member columns; stacks broadcast as matmul does."""
+    return w_units.conj().swapaxes(-1, -2) @ h
+
+
+def _correlate(wh: np.ndarray, f_units: np.ndarray, f_inf: np.ndarray,
+               sqrt_p, l_s: int, papc: bool) -> np.ndarray:
+    """Noise-free correlator outputs l_s * sqrt(p_j) * (w_i^H H) f_j.
+
+    Takes one composite pair (2-D matrices, scalar sqrt_p) or a stack of
+    cells: (..., M_r, N_t) Rx products, (..., N_t, M_t) Tx members and
+    sqrt_p of the cells' shape.  Each cell's products run in the same
+    order as the one-pair case, so the bits agree.
+    """
+    sqrt_p = np.asarray(sqrt_p)[..., None]
+    amps = sqrt_p / f_inf if papc else sqrt_p
+    return l_s * (wh @ f_units) * amps[..., None, :]
+
+
+def _add_noise(rho: np.ndarray, re: np.ndarray, im: np.ndarray, l_s: int,
+               n0: float) -> np.ndarray:
+    """rho plus CN(0, l_s * n0) noise built from standard normal draws."""
+    return rho + math.sqrt(l_s * n0 / 2.0) * (re + 1j * im)
+
+
+def _best_flat(rho: np.ndarray) -> np.ndarray:
+    """Flat index j * rows + i of the largest |rho[..., i, j]|^2 per cell.
+
+    argmax keeps the first maximum, so ties go to the smallest (j, i) pair
+    in lexicographic order.
+    """
+    power = np.abs(rho) ** 2
+    flat = power.swapaxes(-1, -2).reshape(power.shape[:-2] + (-1,))
+    return flat.argmax(axis=-1)
 
 
 def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
@@ -140,8 +167,15 @@ def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
         raise ValueError(
             f"channel shape {h.shape} does not match Rx {rx.f_rf.shape[0]} x "
             f"Tx {tx.f_rf.shape[0]} antennas")
-    return _measure_arrays(tx.member_matrix, tx.member_inf_norms,
-                           rx.member_matrix, h, p, n0, l_s, rng, papc)
+    rho = _correlate(_rx_product(rx.member_matrix, h), tx.member_matrix,
+                     tx.member_inf_norms, math.sqrt(p), l_s, papc)
+    if n0 > 0.0:
+        if rng is None:
+            raise ValueError("a random generator is required when n0 > 0")
+        re = rng.standard_normal(rho.shape)
+        im = rng.standard_normal(rho.shape)
+        rho = _add_noise(rho, re, im, l_s, n0)
+    return rho
 
 
 def select_best(rho: np.ndarray) -> tuple[int, int]:
@@ -152,8 +186,7 @@ def select_best(rho: np.ndarray) -> tuple[int, int]:
     rho = np.asarray(rho)
     if rho.size == 0:
         raise ValueError("empty measurement matrix")
-    power = np.abs(rho) ** 2
-    j, i = np.unravel_index(int(np.argmax(power.T)), power.T.shape)
+    j, i = divmod(int(_best_flat(rho)), rho.shape[0])
     return j + 1, i + 1
 
 
@@ -180,10 +213,139 @@ class SearchResult:
             steering_vector(m_an, self.tx_angle).conj())
 
 
-def _held_bottom(cb: HierarchicalCodebook, index: int) -> tuple[np.ndarray, np.ndarray]:
-    cw = cb.codeword(cb.depth, index)
-    u = cw.unit_awv[:, None]
-    return u, np.array([np.max(np.abs(cw.unit_awv))])
+def _members(side, k: int) -> int:
+    """Members a side measures at search layer k (1 once it holds its bottom)."""
+    return side.branching if k <= side.depth else 1
+
+
+class _LayerStacks:
+    """One codebook's search matrices, stacked per layer for gathering.
+
+    `units[k - 1]` (composites, N, M) and `infs[k - 1]` (composites, M) hold
+    the member columns and inf-norms of layer k = 1..depth.  A last entry
+    holds the bottom codewords as (N, 1) columns, one per codeword, for a
+    side that has run out of layers and keeps its bottom codeword.
+    """
+
+    def __init__(self, cb: HierarchicalCodebook):
+        self.depth, self.branching = cb.depth, cb.branching
+        self.bottom = cb.layer_codewords(cb.depth)
+        layers = cb.layers[1:]
+        self.units = [np.stack([c.member_matrix for c in layer])
+                      for layer in layers]
+        self.infs = [np.stack([c.member_inf_norms for c in layer])
+                     for layer in layers]
+        self.units.append(self.units[-1].swapaxes(1, 2).reshape(
+            -1, cb.n_antennas, 1))
+        self.infs.append(self.infs[-1].reshape(-1, 1))
+
+    def gather(self, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Member columns (..., N, M) and inf-norms (..., M) at search layer
+        k of the composites (or held bottom codewords) at 0-based idx."""
+        s = min(k, self.depth + 1) - 1
+        return self.units[s][idx], self.infs[s][idx]
+
+    def rx_product(self, k: int, idx: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """w^H H (..., M, N_t) at search layer k for Rx entries idx (trials,
+        snrs) and channels h (trials, N_r, N_t), formed once per distinct
+        entry of a trial."""
+        values, pos = _distinct_per_row(idx)
+        wh = _rx_product(self.gather(k, values)[0], h[:, None])
+        return wh[np.arange(idx.shape[0])[:, None], pos]
+
+
+class _PathLayers:
+    """The matrices one search reads, taken from the codebook as it descends.
+
+    A single search visits one composite per layer, so it reads those
+    directly instead of stacking every layer as `_LayerStacks` does.
+    """
+
+    def __init__(self, cb: HierarchicalCodebook):
+        self.cb, self.depth, self.branching = cb, cb.depth, cb.branching
+
+    def gather(self, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_LayerStacks.gather` for a one-cell idx."""
+        index = int(idx.item())
+        if k <= self.depth:
+            comp = self.cb.layers[k][index]
+            units, infs = comp.member_matrix, comp.member_inf_norms
+        else:
+            c, m = divmod(index, self.branching)
+            comp = self.cb.layers[self.depth][c]
+            units = comp.members[m].unit_awv[:, None]
+            infs = comp.member_inf_norms[m:m + 1]
+        return (units.reshape(idx.shape + units.shape),
+                infs.reshape(idx.shape + infs.shape))
+
+    def rx_product(self, k: int, idx: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """`_LayerStacks.rx_product` for a one-cell idx."""
+        return _rx_product(self.gather(k, idx)[0], h[:, None])
+
+
+def _noise_size(tx, rx) -> int:
+    """Standard normals one search draws: re and im of every layer."""
+    return sum(2 * _members(tx, k) * _members(rx, k)
+               for k in range(1, max(tx.depth, rx.depth) + 1))
+
+
+def _distinct_per_row(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of each row of `idx` and where each entry sits.
+
+    Returns (values, pos): values (rows, width) lists each row's distinct
+    values, padded with repeats to the widest row, and
+    values[r, pos[r, c]] == idx[r, c].
+    """
+    rows = np.arange(idx.shape[0])[:, None]
+    order = np.argsort(idx, axis=1)
+    ranked = idx[rows, order]
+    starts = np.ones(ranked.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    rank = np.cumsum(starts, axis=1) - 1
+    pos = np.empty_like(rank)
+    pos[rows, order] = rank
+    values = np.repeat(ranked[:, :1], rank[:, -1].max() + 1, axis=1)
+    values[np.nonzero(starts)[0], rank[starts]] = ranked[starts]
+    return values, pos
+
+
+def _search_cells(tx, rx, h: np.ndarray,
+                  sqrt_p: np.ndarray, cfg: SimConfig,
+                  noise: np.ndarray | None):
+    """Layer-by-layer beam search of a block of (trial, snr) cells at once.
+
+    `h` (trials, N_r, N_t) holds each trial's channel and `sqrt_p` (trials,
+    snrs) each cell's stream amplitude; `noise` (trials, snrs, total) holds
+    each cell's standard normals laid out re, im of layer 1, re, im of
+    layer 2, ... (None when n0 = 0).  Each layer gathers the cells'
+    composites, forms w^H H once per distinct Rx composite of a trial,
+    measures all cells as stacked matrix products and descends into the
+    winners.  Returns each cell's final 0-based Tx and Rx bottom codeword
+    positions, and the last layer's rho and `_best_flat` winner.
+    """
+    shape = sqrt_p.shape
+    j = np.zeros(shape, dtype=np.intp)
+    i = np.zeros(shape, dtype=np.intp)
+    offset = 0
+    for k in range(1, max(tx.depth, rx.depth) + 1):
+        f_units, f_inf = tx.gather(k, j)
+        rho = _correlate(rx.rx_product(k, i, h), f_units, f_inf, sqrt_p,
+                         cfg.l_s, cfg.papc)
+        rows, cols = rho.shape[-2:]
+        if noise is not None:
+            size = rows * cols
+            draws = noise[..., offset:offset + 2 * size]
+            rho = _add_noise(rho, draws[..., :size].reshape(rho.shape),
+                             draws[..., size:].reshape(rho.shape),
+                             cfg.l_s, cfg.n0)
+            offset += 2 * size
+        best = _best_flat(rho)
+        j_star, i_star = np.divmod(best, rows)
+        if k <= tx.depth:
+            j = tx.branching * j + j_star
+        if k <= rx.depth:
+            i = rx.branching * i + i_star
+    return j, i, rho, best
 
 
 def hierarchical_search(tx_cb: HierarchicalCodebook,
@@ -196,43 +358,30 @@ def hierarchical_search(tx_cb: HierarchicalCodebook,
     are measured jointly and both sides descend into the winning member's
     children.  A side that exhausts its layers first keeps its bottom
     codeword fixed while the other side continues.  Total training overhead
-    is l_s per layer.
+    is l_s per layer.  This is the one-cell case of the batched search
+    that `run_monte_carlo` runs.
     """
     branchings = {tx_cb.branching, rx_cb.branching}
     if cfg.l_s < max(branchings):
         raise ValueError(
             f"l_s={cfg.l_s} cannot keep {max(branchings)} training "
             f"sequences orthogonal")
-    k_max = max(tx_cb.depth, rx_cb.depth)
+    tx, rx = _PathLayers(tx_cb), _PathLayers(rx_cb)
     p = cfg.p_per if cfg.papc else cfg.p_total
-    j_t = i_r = 1
-    rho_star = 0.0 + 0.0j
-    for k in range(1, k_max + 1):
-        tx_active = k <= tx_cb.depth
-        rx_active = k <= rx_cb.depth
-        if tx_active:
-            tx = tx_cb.composite(k, j_t)
-            f_units, f_inf = tx.member_matrix, tx.member_inf_norms
-        else:
-            f_units, f_inf = _held_bottom(tx_cb, j_t)
-        if rx_active:
-            rx = rx_cb.composite(k, i_r)
-            w_units = rx.member_matrix
-        else:
-            w_units, _ = _held_bottom(rx_cb, i_r)
-        rho = _measure_arrays(f_units, f_inf, w_units, h, p, cfg.n0,
-                              cfg.l_s, rng, cfg.papc)
-        j_star, i_star = select_best(rho)
-        rho_star = complex(rho[i_star - 1, j_star - 1])
-        if tx_active:
-            j_t = tx_cb.branching * (j_t - 1) + j_star
-        if rx_active:
-            i_r = rx_cb.branching * (i_r - 1) + i_star
+    noise = None
+    if cfg.n0 > 0.0:
+        if rng is None:
+            raise ValueError("a random generator is required when n0 > 0")
+        noise = rng.standard_normal((1, 1, _noise_size(tx, rx)))
+    j, i, rho, best = _search_cells(tx, rx, h[None],
+                                    np.full((1, 1), math.sqrt(p)), cfg, noise)
+    j_t, i_r = int(j[0, 0]) + 1, int(i[0, 0]) + 1
+    j_star, i_star = divmod(int(best[0, 0]), rho.shape[-2])
     return SearchResult(
-        j_t=j_t, i_r=i_r, rho_star=rho_star,
+        j_t=j_t, i_r=i_r, rho_star=complex(rho[0, 0, i_star, j_star]),
         tx_angle=-1.0 + (2.0 * j_t - 1.0) / tx_cb.n_antennas,
         rx_angle=-1.0 + (2.0 * i_r - 1.0) / rx_cb.n_antennas,
-        overhead=cfg.l_s * k_max)
+        overhead=cfg.l_s * max(tx_cb.depth, rx_cb.depth))
 
 
 def element_power_cdf(codebooks) -> tuple[np.ndarray, np.ndarray]:
@@ -255,49 +404,94 @@ def element_power_cdf(codebooks) -> tuple[np.ndarray, np.ndarray]:
     return powers, cdf
 
 
-def _trial_rates(schemes: list[tuple[str, HierarchicalCodebook, HierarchicalCodebook]],
-                 snr_db: list[float], cfg: SimConfig,
-                 trial: int) -> tuple[np.ndarray, np.ndarray]:
-    """(success, rate) for one trial over the (snr, scheme) grid.
-
-    All randomness derives from (seed, trial) for the channel and
-    (seed, trial, snr index, scheme index) for measurement noise, making
-    each cell independent of scheduling and worker partitioning.
-    """
-    m_an = schemes[0][1].n_antennas
-    n_an = schemes[0][2].n_antennas
-    chan_rng = np.random.default_rng([cfg.seed, trial])
-    chan = sample_channel(cfg.l_paths, m_an, n_an, chan_rng)
-    h = chan.matrix()
-    _, best_aoa, best_aod = chan.strongest_path()
-    success = np.zeros((len(snr_db), len(schemes)))
-    rate = np.zeros((len(snr_db), len(schemes)))
-    for si, snr in enumerate(snr_db):
-        power = cfg.n0 * 10.0 ** (snr / 10.0) if cfg.n0 > 0 else 10.0 ** (snr / 10.0)
-        run_cfg = replace(cfg, p_per=power, p_total=power)
-        for ci, (_, tx_cb, rx_cb) in enumerate(schemes):
-            rng = np.random.default_rng([cfg.seed, trial, si, ci])
-            res = hierarchical_search(tx_cb, rx_cb, h, run_cfg, rng)
-            w_t = tx_cb.codeword(tx_cb.depth, res.j_t)
-            w_r = rx_cb.codeword(rx_cb.depth, res.i_r)
-            ok = (w_t.coverage.contains(best_aod)
-                  and w_r.coverage.contains(best_aoa))
-            success[si, ci] = 1.0 if ok else 0.0
-            p_eff = (power / np.max(np.abs(w_t.unit_awv)) ** 2
-                     if cfg.papc else power)
-            link = abs(w_r.unit_awv.conj() @ h @ w_t.unit_awv) ** 2
-            rate[si, ci] = (math.log2(1.0 + p_eff * link / cfg.n0)
-                            if cfg.n0 > 0 else math.inf)
-    return success, rate
+# trials per sub-block are capped so that their stacked channel matrices
+# stay under this many bytes
+_SUB_BLOCK_BYTES = 1 << 20
 
 
 def _trial_block(args) -> tuple[int, np.ndarray, np.ndarray]:
-    schemes, snr_db, cfg, start, stop = args
-    succ = np.zeros((stop - start, len(snr_db), len(schemes)))
+    """(start, success, rate) of trials start..stop-1 over (snr, scheme).
+
+    All randomness derives from (seed, trial) for the channel and
+    (seed, trial, snr index, scheme index) for measurement noise, making
+    each cell independent of scheduling and worker partitioning.  Trials
+    run in sub-blocks, and each scheme's cells of a sub-block are searched
+    together.
+    """
+    schemes, powers, cfg, start, stop = args
+    m_an = schemes[0][1].n_antennas
+    n_an = schemes[0][2].n_antennas
+    stacks = {}
+    for _, tx_cb, rx_cb in schemes:
+        for cb in (tx_cb, rx_cb):
+            if id(cb) not in stacks:
+                stacks[id(cb)] = _LayerStacks(cb)
+    sqrt_p = np.array([math.sqrt(p) for p in powers])
+    succ = np.zeros((stop - start, len(powers), len(schemes)))
     rate = np.zeros_like(succ)
-    for t in range(start, stop):
-        succ[t - start], rate[t - start] = _trial_rates(schemes, snr_db, cfg, t)
+    step = max(1, _SUB_BLOCK_BYTES // (16 * m_an * n_an))
+    for first in range(start, stop, step):
+        trials = range(first, min(first + step, stop))
+        chans = [sample_channel(cfg.l_paths, m_an, n_an,
+                                np.random.default_rng([cfg.seed, t]))
+                 for t in trials]
+        h = np.stack([chan.matrix() for chan in chans])
+        cells = (len(trials), len(powers))
+        rows = slice(first - start, first - start + len(trials))
+        for ci, (_, tx_cb, rx_cb) in enumerate(schemes):
+            tx, rx = stacks[id(tx_cb)], stacks[id(rx_cb)]
+            noise = None
+            if cfg.n0 > 0.0:
+                size = _noise_size(tx, rx)
+                noise = np.stack([
+                    np.random.default_rng([cfg.seed, t, si, ci])
+                    .standard_normal(size)
+                    for t in trials for si in range(len(powers))
+                ]).reshape(cells + (size,))
+            j_t, i_r, _, _ = _search_cells(tx, rx, h,
+                                           np.broadcast_to(sqrt_p, cells),
+                                           cfg, noise)
+            succ[rows, :, ci], rate[rows, :, ci] = _score_cells(
+                tx, rx, chans, h, j_t, i_r, powers, cfg)
     return start, succ, rate
+
+
+def _score_cells(tx: _LayerStacks, rx: _LayerStacks, chans, h: np.ndarray,
+                 j_t: np.ndarray, i_r: np.ndarray, powers: list[float],
+                 cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Success flags and rates (trials, snrs) of searches that ended at the
+    0-based bottom codewords (j_t, i_r).
+
+    Each distinct (trial, j_t, i_r) gets its coverage check and link gain
+    once; every rate is the scalar log2 a search per cell computes.
+    """
+    succ = np.zeros(j_t.shape)
+    rate = np.zeros(j_t.shape)
+    outcomes = {}
+    for a, (js, is_) in enumerate(zip(j_t.tolist(), i_r.tolist())):
+        _, best_aoa, best_aod = chans[a].strongest_path()
+        for si, (power, j, i) in enumerate(zip(powers, js, is_)):
+            w_t, w_r = tx.bottom[j], rx.bottom[i]
+            if (a, j, i) not in outcomes:
+                outcomes[a, j, i] = (
+                    w_t.coverage.contains(best_aod)
+                    and w_r.coverage.contains(best_aoa),
+                    abs(w_r.unit_awv.conj() @ h[a] @ w_t.unit_awv) ** 2)
+            ok, link = outcomes[a, j, i]
+            succ[a, si] = 1.0 if ok else 0.0
+            p_eff = power / tx.infs[-1][j, 0] ** 2 if cfg.papc else power
+            rate[a, si] = (math.log2(1.0 + p_eff * link / cfg.n0)
+                           if cfg.n0 > 0 else math.inf)
+    return succ, rate
+
+
+def _snr_power(snr_db: float, n0: float) -> float:
+    """Per-stream power n0 * 10^(snr/10) of one SNR point (10^(snr/10) at n0 = 0)."""
+    power = n0 * db_to_linear(snr_db) if n0 > 0 else db_to_linear(snr_db)
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"snr_db={snr_db!r} gives the per-stream power "
+                         f"{power!r}, outside the positive float range")
+    return power
 
 
 def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
@@ -318,14 +512,15 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
         raise ValueError(
             f"all schemes in one sweep must share the array sizes, got {sizes}")
     snr_db = [float(x) for x in snr_db]
+    powers = [_snr_power(snr, cfg.n0) for snr in snr_db]
     succ = np.zeros((cfg.trials, len(snr_db), len(schemes)))
     rate = np.zeros_like(succ)
     if workers <= 1 or cfg.trials == 1:
-        blocks = [(schemes, snr_db, cfg, 0, cfg.trials)]
+        blocks = [(schemes, powers, cfg, 0, cfg.trials)]
         results = map(_trial_block, blocks)
     else:
         step = max(1, math.ceil(cfg.trials / (workers * 4)))
-        blocks = [(schemes, snr_db, cfg, s, min(s + step, cfg.trials))
+        blocks = [(schemes, powers, cfg, s, min(s + step, cfg.trials))
                   for s in range(0, cfg.trials, step)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_block, blocks))

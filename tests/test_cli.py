@@ -72,6 +72,13 @@ class TestDesignCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rejects_overflowing_gamma(self, tmp_path, capsys):
+        out = tmp_path / "cb.txt"
+        assert run(["design", "--n", "8", "--gamma-per-db=4000",
+                    "--out", str(out)]) == 2
+        assert "4000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         args = ["design", "--scheme", "bmw-ms-lcs", "--n", "8",
@@ -188,6 +195,14 @@ class TestSimulateCommand:
         assert run(["simulate", "--n", "8", "--trials", "1", "--l-s", "8",
                     "--snr-db=-20,nan", "--out", str(out)]) == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    def test_rejects_out_of_range_snr(self, tmp_path, capsys, snr):
+        out = tmp_path / "sweep.csv"
+        assert run(["simulate", "--n", "8", "--trials", "1", "--l-s", "8",
+                    f"--snr-db=-20,{snr}", "--out", str(out)]) == 2
+        assert "4000" in capsys.readouterr().err
         assert not out.exists()
 
 

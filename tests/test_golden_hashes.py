@@ -1,7 +1,9 @@
-"""sha256 of stored codebook files, pinned so that any change of bytes shows.
+"""sha256 of stored codebook files and CSVs, pinned so that any change of bytes shows.
 
-The hashes were recorded before the coarse-to-fine candidate search
-replaced the exhaustive one; a speed change must leave them as they are.
+The codebook hashes were recorded before the coarse-to-fine candidate
+search replaced the exhaustive one, and the simulate and beampattern
+hashes before the trial-batched search replaced the search per cell; a
+speed change must leave them as they are.
 """
 
 import hashlib
@@ -9,6 +11,7 @@ import hashlib
 import pytest
 
 from mmwcodebook import build_codebook, serialize
+from mmwcodebook.cli import main
 
 GOLDEN_SHA256 = {
     ("bmw-ms-cf", 16, 2):
@@ -33,3 +36,30 @@ def test_codebook_file_hash(scheme, n, m_rf):
     text = serialize(build_codebook(scheme, n, m_rf))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_SHA256[(scheme, n, m_rf)]
+
+
+SIMULATE_SHA256 = \
+    "5ff59ce4ab0928f4ff75fa289759942c3c0e16d47e3394acf6f63671196250f8"
+BEAMPATTERN_SHA256 = \
+    "22c3779e916ecd050ecd9cff9f188a1616072b3969f4555f921e50c042d0826e"
+
+
+def file_sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_simulate_csv_hash(tmp_path, workers):
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--n", "16", "--trials", "60", "--seed", "31337",
+                 "--workers", str(workers), "--out", str(out)]) == 0
+    assert file_sha256(out) == SIMULATE_SHA256
+
+
+def test_beampattern_csv_hash(tmp_path, monkeypatch):
+    # the CSV's config comment records the codebook path, so keep it relative
+    monkeypatch.chdir(tmp_path)
+    assert main(["design", "--scheme", "bmw-ms-cf", "--n", "16",
+                 "--out", "cb.txt"]) == 0
+    assert main(["beampattern", "--codebook", "cb.txt", "--out", "bp.csv"]) == 0
+    assert file_sha256(tmp_path / "bp.csv") == BEAMPATTERN_SHA256

@@ -199,3 +199,9 @@ def test_db_roundtrip():
         assert linear_to_db(db_to_linear(x)) == pytest.approx(x, abs=1e-12)
     for p in (1e-9, 1.0, 123.456):
         assert db_to_linear(linear_to_db(p)) == pytest.approx(p, rel=1e-12)
+
+
+@pytest.mark.parametrize("x_db", [4000.0, math.inf, math.nan])
+def test_db_to_linear_rejects_values_outside_float_range(x_db):
+    with pytest.raises(ValueError, match=str(x_db)):
+        db_to_linear(x_db)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmwcodebook import (
+    CompositeCodeword,
     SimConfig,
     build_bmw_ms,
     build_ps_dft,
@@ -247,6 +248,14 @@ class TestHierarchicalSearch:
         assert h1.shape == (16, 16)
         assert np.linalg.matrix_rank(h1) == 1
 
+    def test_zero_channel_ties_to_first_pair(self):
+        # every measurement is exactly 0, so each layer keeps member (1, 1)
+        tx_cb, rx_cb = build_bmw_ms(16, 2, "cf"), build_bmw_ms(8, 2, "cf")
+        res = hierarchical_search(tx_cb, rx_cb,
+                                  np.zeros((8, 16), dtype=complex),
+                                  SimConfig(l_s=8, n0=0.0))
+        assert (res.j_t, res.i_r) == (1, 1)
+
     def test_l_s_too_short_rejected(self):
         cb = build_bmw_ms(8, 2, "cf")
         with pytest.raises(ValueError):
@@ -322,6 +331,138 @@ class TestMonteCarlo:
             SimConfig(n0=-1.0)
         with pytest.raises(ValueError):
             SimConfig(l_paths=0)
+
+    @pytest.mark.parametrize("field", ["n0", "p_per", "p_total"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
+    def test_out_of_range_snr_rejected_before_trials(self, snr_db,
+                                                     monkeypatch):
+        cb = build_bmw_ms(8, 2, "cf")
+        calls = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="4000"):
+            run_monte_carlo([("a", cb, cb)], [-10.0, snr_db],
+                            SimConfig(l_s=8, trials=3))
+        assert calls == []
+
+
+def held_bottom(cb, index):
+    """A one-member composite holding bottom codeword `index` fixed."""
+    cw = cb.codeword(cb.depth, index)
+    n = cb.n_antennas
+    return CompositeCodeword(cb.depth, index, np.zeros((n, 1)),
+                             np.zeros((1, 1)), [cw])
+
+
+def oracle_search(tx_cb, rx_cb, h, power, cfg, rng):
+    """(j_t, i_r, rho*) of a search from measure + select_best, layer by layer."""
+    j_t = i_r = 1
+    for k in range(1, max(tx_cb.depth, rx_cb.depth) + 1):
+        tx_on, rx_on = k <= tx_cb.depth, k <= rx_cb.depth
+        tx = tx_cb.composite(k, j_t) if tx_on else held_bottom(tx_cb, j_t)
+        rx = rx_cb.composite(k, i_r) if rx_on else held_bottom(rx_cb, i_r)
+        rho = measure(tx, rx, h, power, cfg.n0, cfg.l_s, rng, papc=cfg.papc)
+        j_s, i_s = select_best(rho)
+        if tx_on:
+            j_t = tx_cb.branching * (j_t - 1) + j_s
+        if rx_on:
+            i_r = rx_cb.branching * (i_r - 1) + i_s
+    return j_t, i_r, complex(rho[i_s - 1, j_s - 1])
+
+
+def oracle_sweep(schemes, snr_db, cfg):
+    """run_monte_carlo rows from measure + select_best, one cell at a time."""
+    m_an, n_an = schemes[0][1].n_antennas, schemes[0][2].n_antennas
+    succ = np.zeros((cfg.trials, len(snr_db), len(schemes)))
+    rate = np.zeros_like(succ)
+    for t in range(cfg.trials):
+        chan = sample_channel(cfg.l_paths, m_an, n_an,
+                              np.random.default_rng([cfg.seed, t]))
+        h = chan.matrix()
+        _, aoa, aod = chan.strongest_path()
+        for si, snr in enumerate(snr_db):
+            power = 10.0 ** (snr / 10.0) * (cfg.n0 if cfg.n0 > 0 else 1.0)
+            for ci, (_, tx_cb, rx_cb) in enumerate(schemes):
+                rng = np.random.default_rng([cfg.seed, t, si, ci])
+                j_t, i_r, _ = oracle_search(tx_cb, rx_cb, h, power, cfg, rng)
+                w_t = tx_cb.codeword(tx_cb.depth, j_t).unit_awv
+                w_r = rx_cb.codeword(rx_cb.depth, i_r).unit_awv
+                succ[t, si, ci] = float(
+                    tx_cb.codeword(tx_cb.depth, j_t).coverage.contains(aod)
+                    and rx_cb.codeword(rx_cb.depth, i_r).coverage.contains(aoa))
+                p_eff = power / np.max(np.abs(w_t)) ** 2 if cfg.papc else power
+                link = abs(w_r.conj() @ h @ w_t) ** 2
+                rate[t, si, ci] = (math.log2(1.0 + p_eff * link / cfg.n0)
+                                   if cfg.n0 > 0 else math.inf)
+    return [(snr, name, float(np.sum(succ[:, si, ci]) / cfg.trials),
+             float(np.sum(rate[:, si, ci]) / cfg.trials))
+            for si, snr in enumerate(snr_db)
+            for ci, (name, _, _) in enumerate(schemes)]
+
+
+class TestBatchedSweep:
+    """The trial-batched sweep against a search per cell, bit for bit."""
+
+    SNR_DB = [-35.0, -20.0, -5.0]
+
+    @pytest.mark.parametrize("case", [
+        # Tx deeper than Rx, then Rx deeper than Tx, with three paths
+        dict(sizes=(32, 8), m_rf=2, l_paths=3, trials=9),
+        dict(sizes=(8, 32), m_rf=2, l_paths=1, trials=9),
+        dict(sizes=(16, 16), m_rf=2, papc=False, trials=12),
+        dict(sizes=(16, 16), m_rf=2, n0=0.0, trials=6),
+        # 16 trials per sub-block at N = 64, so 37 trials end mid-block
+        dict(sizes=(64, 64), m_rf=4, l_paths=3, trials=37),
+    ])
+    def test_matches_per_cell_oracle(self, case):
+        n_tx, n_rx = case["sizes"]
+        m_rf = case["m_rf"]
+        tx_cf, rx_cf = build_bmw_ms(n_tx, m_rf, "cf"), build_bmw_ms(n_rx, m_rf, "cf")
+        tx_ps = build_ps_dft(n_tx, m_rf, grid_size=16)
+        rx_ps = rx_cf if n_rx != n_tx else tx_ps
+        schemes = [("cf", tx_cf, rx_cf), ("mixed", tx_ps, rx_ps)]
+        cfg = SimConfig(l_paths=case.get("l_paths", 1), l_s=16,
+                        n0=case.get("n0", 1.0), papc=case.get("papc", True),
+                        seed=29, trials=case["trials"])
+        rows = run_monte_carlo(schemes, self.SNR_DB, cfg)
+        got = [(r["snr_db"], r["scheme"], r["success_rate"], r["rate_bps_hz"])
+               for r in rows]
+        assert got == oracle_sweep(schemes, self.SNR_DB, cfg)
+        assert run_monte_carlo(schemes, self.SNR_DB, cfg, workers=3) == rows
+
+    @pytest.mark.parametrize("sizes", [(32, 8), (8, 32)])
+    @pytest.mark.parametrize("papc", [True, False])
+    def test_single_search_matches_oracle(self, sizes, papc):
+        tx_cb = build_bmw_ms(sizes[0], 2, "cf")
+        rx_cb = build_ps_dft(sizes[1], 2, grid_size=16)
+        cfg = SimConfig(l_paths=2, l_s=8, n0=1.0, papc=papc, p_per=30.0,
+                        p_total=30.0)
+        for seed in range(8):
+            h = sample_channel(2, *sizes, np.random.default_rng(seed)).matrix()
+            res = hierarchical_search(tx_cb, rx_cb, h, cfg,
+                                      np.random.default_rng([seed, 1]))
+            assert (res.j_t, res.i_r, res.rho_star) == oracle_search(
+                tx_cb, rx_cb, h, 30.0, cfg, np.random.default_rng([seed, 1]))
+
+    def test_one_generator_per_trial_and_cell(self, monkeypatch):
+        cb = build_bmw_ms(16, 2, "cf")
+        ps = build_ps_dft(16, 2, grid_size=16)
+        original = np.random.default_rng
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        cfg = SimConfig(l_s=16, n0=1.0, seed=4, trials=11)
+        run_monte_carlo([("a", cb, cb), ("b", ps, cb)], self.SNR_DB, cfg)
+        assert len(calls) == cfg.trials * (1 + len(self.SNR_DB) * 2)
 
 
 class TestElementPowerCdf:
