@@ -194,32 +194,63 @@ def assemble_codeword(plan: SubArrayPlan, theta: np.ndarray) -> tuple[np.ndarray
     return v, awv
 
 
+# each (rows x max(N, columns, chunk)) complex array of one quadrature block
+# of `_combo_gdp_values` stays under this many bytes
+_BLOCK_BYTES = 1 << 22
+
+
 def _combo_gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
                       interval: AngleInterval, cfg: GdpConfig,
                       points_per_unit: int, chunk: int = 128) -> np.ndarray:
     """GDP of unit-normalized sum(coeffs[c] * u_cols[:, c]) per candidate.
 
     Evaluates the same trapezoid quadrature as `metrics.gdp`, at
-    `points_per_unit` samples per unit cosine angle, but shares the
-    per-column gain matrix across all candidates, which keeps the grid
-    search at a couple of matrix products per chunk.
+    `points_per_unit` samples per unit cosine angle; the only array as long
+    as the grid is the grid itself.  The grid is walked in row blocks sized
+    by `_BLOCK_BYTES`, and candidates in chunks within each block; each
+    chunk's weighted integrand sums are accumulated per candidate.
+
+    The grid is uniform, so the response rows of a block starting at psi_s
+    are one table of the first block's offsets times r(psi_s) =
+    exp(-j*pi*k*psi_s).  The table is built once per call, and each block
+    scales the rows of its narrow operand by r(psi_s) instead.  Which
+    operand that is follows from the shapes alone: when N * candidates is
+    at most columns * (N + candidates), the block is contracted against
+    the combined weights w = u_cols @ coeffs directly (few candidates over
+    many columns); otherwise the block's per-column gain basis is formed
+    once and every candidate chunk is applied to it.
     """
-    psi = quadrature_grid(interval, points_per_unit)
-    gain_basis = response_matrix(psi, u_cols.shape[0]) @ u_cols
-    h = interval.width / (psi.size - 1)
-    tw = np.full(psi.size, h)
-    tw[0] = tw[-1] = h / 2.0
+    n, n_cols = u_cols.shape
     n_cand = coeffs.shape[1]
-    values = np.empty(n_cand)
-    for s in range(0, n_cand, chunk):
-        c = coeffs[:, s:s + chunk]
-        w = u_cols @ c
-        norm_sq = np.sum(np.abs(w) ** 2, axis=0)
-        c_inf = np.max(np.abs(w) ** 2, axis=0) / norm_sq
-        g2 = np.abs(gain_basis @ c) ** 2 / norm_sq
-        integ = gdp_integrand(c_inf, g2, cfg.gamma_per)
-        values[s:s + chunk] = (tw @ integ) / interval.width
-    return values
+    psi = quadrature_grid(interval, points_per_unit)
+    h = interval.width / (psi.size - 1)
+    w = u_cols @ coeffs
+    w_sq = w.real ** 2 + w.imag ** 2
+    norm_sq = np.sum(w_sq, axis=0)
+    c_inf = np.max(w_sq, axis=0) / norm_sq
+    direct = n * n_cand <= n_cols * (n + n_cand)
+    rows = min(psi.size, max(1, _BLOCK_BYTES // (16 * max(n, n_cols, chunk))))
+    table = response_matrix(psi[:rows] - psi[0], n)
+    ramp = -1j * np.pi * np.arange(n)
+    acc = np.zeros(n_cand)
+    for b in range(0, psi.size, rows):
+        r = min(rows, psi.size - b)
+        tw = np.full(r, h)
+        if b == 0:
+            tw[0] = h / 2.0
+        if b + r == psi.size:
+            tw[-1] = h / 2.0
+        shift = np.exp(ramp * psi[b])[:, None]
+        if direct:
+            left, right = table[:r], shift * w
+        else:
+            left, right = table[:r] @ (shift * u_cols), coeffs
+        for s in range(0, n_cand, chunk):
+            cut = slice(s, s + chunk)
+            g = left @ right[:, cut]
+            g2 = (g.real ** 2 + g.imag ** 2) / norm_sq[cut]
+            acc[cut] += tw @ gdp_integrand(c_inf[cut], g2, cfg.gamma_per)
+    return acc / interval.width
 
 
 def _argmax_with_ties(values: np.ndarray) -> int:

@@ -24,7 +24,12 @@ from .codebooks import (
     subarray_plan,
 )
 from .metrics import GdpConfig, LinkBudget, db_to_linear, gdp, link_budget_report
-from .simulate import SimConfig, element_power_cdf, run_monte_carlo
+from .simulate import (
+    SimConfig,
+    element_power_cdf,
+    run_monte_carlo,
+    snr_powers,
+)
 from .storage import deserialize, serialize
 
 __all__ = [
@@ -379,14 +384,15 @@ def cmd_cdf(cfg: dict, echo=print) -> None:
 
 def cmd_simulate(cfg: dict, echo=print) -> None:
     """Monte Carlo success-rate / achievable-rate sweep over SNR."""
+    sim = SimConfig(l_paths=cfg["l_paths"], l_s=cfg["l_s"], n0=1.0,
+                    papc=cfg["papc"], seed=cfg["seed"], trials=cfg["trials"])
+    snr_powers(cfg["snr_db"], sim.n0)
     design_cfg = GdpConfig()
     schemes = []
     for scheme in cfg["schemes"]:
         cb = build_codebook(scheme, cfg["n"], cfg["m_rf"], cfg["grid_size"],
                             design_cfg)
         schemes.append((scheme, cb, cb))
-    sim = SimConfig(l_paths=cfg["l_paths"], l_s=cfg["l_s"], n0=1.0,
-                    papc=cfg["papc"], seed=cfg["seed"], trials=cfg["trials"])
     rows_dicts = run_monte_carlo(schemes, cfg["snr_db"], sim,
                                  workers=cfg["workers"])
     header = ["snr_db", "scheme", "success_rate", "rate_bps_hz", "trials",

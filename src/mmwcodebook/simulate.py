@@ -46,6 +46,7 @@ __all__ = [
     "run_monte_carlo",
     "sample_channel",
     "select_best",
+    "snr_powers",
 ]
 
 
@@ -485,13 +486,20 @@ def _score_cells(tx: _LayerStacks, rx: _LayerStacks, chans, h: np.ndarray,
     return succ, rate
 
 
-def _snr_power(snr_db: float, n0: float) -> float:
-    """Per-stream power n0 * 10^(snr/10) of one SNR point (10^(snr/10) at n0 = 0)."""
-    power = n0 * db_to_linear(snr_db) if n0 > 0 else db_to_linear(snr_db)
-    if not 0.0 < power < math.inf:
-        raise ValueError(f"snr_db={snr_db!r} gives the per-stream power "
-                         f"{power!r}, outside the positive float range")
-    return power
+def snr_powers(snr_db, n0: float) -> list[float]:
+    """Per-stream power n0 * 10^(snr/10) of each SNR (10^(snr/10) at n0 = 0).
+
+    Raises ValueError naming the SNR whose power is not a positive finite
+    float, so a sweep can be refused before any work is done for it.
+    """
+    powers = []
+    for snr in snr_db:
+        power = n0 * db_to_linear(snr) if n0 > 0 else db_to_linear(snr)
+        if not 0.0 < power < math.inf:
+            raise ValueError(f"snr_db={snr!r} gives the per-stream power "
+                             f"{power!r}, outside the positive float range")
+        powers.append(power)
+    return powers
 
 
 def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
@@ -512,7 +520,7 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
         raise ValueError(
             f"all schemes in one sweep must share the array sizes, got {sizes}")
     snr_db = [float(x) for x in snr_db]
-    powers = [_snr_power(snr, cfg.n0) for snr in snr_db]
+    powers = snr_powers(snr_db, cfg.n0)
     succ = np.zeros((cfg.trials, len(snr_db), len(schemes)))
     rate = np.zeros_like(succ)
     if workers <= 1 or cfg.trials == 1:

@@ -147,6 +147,9 @@ def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
                 or not all(isinstance(v, (int, float)) for v in pair)):
             raise CodebookFormatError(f"{path}[{p}] must be a [re, im] pair")
         out[p] = complex(float(pair[0]), float(pair[1]))
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise CodebookFormatError(f"{path}[{bad[0]}] must be finite")
     return out
 
 
@@ -175,6 +178,14 @@ def deserialize(text: str) -> HierarchicalCodebook:
     grid_size = _expect(doc, "grid_size", int, "$")
     gamma_per = _expect(doc, "gamma_per", float, "$")
     raw_layers = _expect(doc, "layers", list, "$")
+    if n < 1:
+        raise CodebookFormatError(f"field $.n_antennas must be >= 1, got {n}")
+    if branching < 2:
+        raise CodebookFormatError(
+            f"field $.branching must be >= 2, got {branching}")
+    if not (np.isfinite(gamma_per) and gamma_per > 0.0):
+        raise CodebookFormatError(
+            f"field $.gamma_per must be finite and positive, got {gamma_per}")
 
     layers: list[list[CompositeCodeword]] = []
     ca_modulus = 1.0 / np.sqrt(n)
@@ -217,6 +228,18 @@ def deserialize(text: str) -> HierarchicalCodebook:
                 [_parse_complex_vector(col, f_rf.shape[1],
                                        f"{cpath}.digital_columns[{j}]")
                  for j, col in enumerate(dcols)], axis=1)
+            for j in range(f_bb.shape[1]):
+                if not np.any(f_bb[:, j]):
+                    raise CodebookFormatError(
+                        f"{cpath}.digital_columns[{j}] is all zero")
+            # members derive from column 0; entries too large for float64
+            # products must fail here, not as nan weights downstream
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = np.linalg.norm(f_rf @ f_bb[:, 0])
+            if not 0.0 < norm < np.inf:
+                raise CodebookFormatError(
+                    f"{cpath}.digital_columns[0] gives member weights of "
+                    f"2-norm {norm}")
             members = derive_members(k, c, f_rf, f_bb, branching)
             raw_members = _expect(raw_comp, "members", list, cpath)
             if len(raw_members) != len(members):

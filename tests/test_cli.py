@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmwcodebook import deserialize
+from mmwcodebook import deserialize, experiments
 from mmwcodebook.cli import main
 from mmwcodebook.experiments import ConfigError, load_config_file, resolve_config
 
@@ -204,6 +204,18 @@ class TestSimulateCommand:
                     f"--snr-db=-20,{snr}", "--out", str(out)]) == 2
         assert "4000" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_rejects_snr_before_any_design(self, tmp_path, capsys,
+                                           monkeypatch):
+        def no_design(*args, **kwargs):
+            pytest.fail("a codebook was designed for a sweep with a bad SNR")
+
+        monkeypatch.setattr(experiments, "build_codebook", no_design)
+        out = tmp_path / "sweep.csv"
+        assert run(["simulate", "--n", "64", "--schemes", "bmw-ms-lcs",
+                    "--snr-db=4000", "--out", str(out)]) == 2
+        assert "4000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLinkbudgetCommand:

@@ -1,7 +1,11 @@
+import copy
+import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmwcodebook import (
     CodebookFormatError,
@@ -87,6 +91,130 @@ class TestParseErrors:
     def test_non_json(self):
         with pytest.raises(CodebookFormatError, match="line 1"):
             deserialize("scheme: bmw-ms-cf\n")
+
+
+class TestBoundaryChecks:
+    """Bad values are refused with a CodebookFormatError naming the field."""
+
+    @staticmethod
+    def mutated(cb, edit):
+        doc = json.loads(serialize(cb))
+        edit(doc)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_gamma_per(self, books, value):
+        text = self.mutated(books[("bmw-ms-cf", 8)],
+                            lambda d: d.__setitem__("gamma_per", value))
+        with pytest.raises(CodebookFormatError, match=r"\$\.gamma_per"):
+            deserialize(text)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [0, -8])
+    def test_n_antennas(self, books, value):
+        text = self.mutated(books[("bmw-ms-cf", 8)],
+                            lambda d: d.__setitem__("n_antennas", value))
+        with pytest.raises(CodebookFormatError, match=r"\$\.n_antennas"):
+            deserialize(text)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1, 0, -2])
+    def test_branching(self, books, value):
+        text = self.mutated(books[("bmw-ms-cf", 8)],
+                            lambda d: d.__setitem__("branching", value))
+        with pytest.raises(CodebookFormatError, match=r"\$\.branching"):
+            deserialize(text)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_non_finite_analog_entry(self, books, value, part):
+        def edit(d):
+            d["layers"][1]["composites"][0]["analog_columns"][1][2][part] = value
+
+        text = self.mutated(books[("ps-dft", 8)], edit)
+        path = r"\$\.layers\[1\]\.composites\[0\]\.analog_columns\[1\]\[2\]"
+        with pytest.raises(CodebookFormatError, match=path + " must be finite"):
+            deserialize(text)
+
+    def test_non_finite_digital_entry(self, books):
+        def edit(d):
+            d["layers"][2]["composites"][1]["digital_columns"][1][0][1] = (
+                float("-inf"))
+
+        text = self.mutated(books[("bmw-ms-cf", 8)], edit)
+        with pytest.raises(CodebookFormatError,
+                           match=r"composites\[1\]\.digital_columns\[1\]\[0\]"):
+            deserialize(text)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_all_zero_digital_column(self, books, column):
+        def edit(d):
+            cols = d["layers"][1]["composites"][0]["digital_columns"]
+            cols[column] = [[0.0, 0.0] for _ in cols[column]]
+
+        text = self.mutated(books[("bmw-ms-cf", 8)], edit)
+        with pytest.raises(CodebookFormatError,
+                           match=rf"digital_columns\[{column}\] is all zero"):
+            deserialize(text)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_digital_column_overflowing_the_weights(self, books):
+        def edit(d):
+            cols = d["layers"][1]["composites"][0]["digital_columns"]
+            cols[0] = [[1.7e308, 1.7e308] for _ in cols[0]]
+
+        text = self.mutated(books[("bmw-ms-cf", 8)], edit)
+        with pytest.raises(CodebookFormatError,
+                           match=r"digital_columns\[0\] gives member weights"):
+            deserialize(text)
+
+
+def _node_paths(node, prefix=()):
+    """Every (container path, key) under a JSON value, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix, key
+        yield from _node_paths(child, prefix + (key,))
+
+
+_REPLACEMENTS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -1.0,
+                 "x", None, True, [], {}]
+
+
+@pytest.fixture(scope="module")
+def small_docs():
+    return [json.loads(serialize(build_codebook(scheme, 4, 2, grid_size=8)))
+            for scheme in ("bmw-ms-cf", "bmw-ms-lcs", "ps-dft")]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_documents_fail_only_with_format_error(small_docs, data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(small_docs)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_node_paths(doc))
+        prefix, key = data.draw(st.sampled_from(paths))
+        parent = doc
+        for step in prefix:
+            parent = parent[step]
+        kind = data.draw(st.sampled_from(["drop", "negate", "replace"]))
+        if kind == "drop":
+            del parent[key]
+        elif (kind == "negate" and isinstance(parent[key], (int, float))
+              and not isinstance(parent[key], bool)):
+            parent[key] = -parent[key]
+        else:
+            parent[key] = data.draw(st.sampled_from(_REPLACEMENTS))
+    try:
+        cb = deserialize(json.dumps(doc))
+    except CodebookFormatError:
+        return
+    for k in range(cb.depth + 1):
+        for cw in cb.layer_codewords(k):
+            assert np.all(np.isfinite(cw.unit_awv))
 
 
 def test_ps_dft_roundtrip_preserves_unit_norm(books):
