@@ -11,8 +11,13 @@ import argparse
 import sys
 
 from .codebooks import GeometryError
-from .experiments import COMMANDS, ConfigError, load_config_file, resolve_config
-from .storage import CodebookFormatError
+from .experiments import (
+    COMMAND_KEYS,
+    COMMANDS,
+    _parse_bool,
+    load_config_file,
+    resolve_config,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -20,97 +25,48 @@ EXIT_GEOMETRY = 3
 EXIT_IO = 4
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="PATH",
-                     help="flat key = value configuration file")
-    sub.add_argument("--out", metavar="PATH", help="output file")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command with one flag per COMMAND_KEYS row.
+
+    Key `k` becomes `--k-with-dashes` (dest `k`), read as a string and
+    parsed by `resolve_config` like a config-file value; a boolean key also
+    gets `--no-k`.
+    """
     parser = argparse.ArgumentParser(
         prog="mmwcodebook",
         description="Hierarchical mmWave codebook design and beam-search "
                     "experiments (CSV outputs).")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("design", help="build and store a codebook")
-    _add_common(p)
-    p.add_argument("--scheme", choices=("bmw-ms-cf", "bmw-ms-lcs", "ps-dft"))
-    p.add_argument("--n", type=int, help="antenna count (power of m_rf)")
-    p.add_argument("--m-rf", dest="m_rf", type=int, help="RF chains / branching")
-    p.add_argument("--grid-size", dest="grid_size", type=int,
-                   help="phase search grid size")
-    p.add_argument("--gamma-per-db", dest="gamma_per_db", type=float,
-                   help="design-time per-antenna SNR in dB")
-
-    p = subs.add_parser("beampattern", help="sample codeword beam patterns")
-    _add_common(p)
-    p.add_argument("--codebook", metavar="PATH", help="stored codebook file")
-    p.add_argument("--layers", help="comma-separated layer indices (default all)")
-    p.add_argument("--indices", help="comma-separated in-layer indices (default 1)")
-    p.add_argument("--points", type=int, help="angle grid size over [-1, 1]")
-
-    p = subs.add_parser("gdp", help="layer-1 GDP sweep across schemes")
-    _add_common(p)
-    p.add_argument("--n", help="comma-separated antenna counts")
-    p.add_argument("--schemes", help="comma-separated scheme tags")
-    p.add_argument("--m-rf", dest="m_rf", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--gamma-per-db", dest="gamma_per_db",
-                   help="comma-separated evaluation SNRs in dB")
-
-    p = subs.add_parser("cdf", help="element-power CDF per scheme")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--schemes")
-    p.add_argument("--m-rf", dest="m_rf", type=int)
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--gamma-per-db", dest="gamma_per_db", type=float)
-
-    p = subs.add_parser("simulate", help="Monte Carlo success/rate sweep")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m-rf", dest="m_rf", type=int)
-    p.add_argument("--schemes")
-    p.add_argument("--grid-size", dest="grid_size", type=int)
-    p.add_argument("--snr-db", dest="snr_db", help="comma-separated SNR grid in dB")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    papc = p.add_mutually_exclusive_group()
-    papc.add_argument("--papc", dest="papc", action="store_true", default=None,
-                      help="per-antenna power constraint on (default)")
-    papc.add_argument("--no-papc", dest="papc", action="store_false",
-                      default=None, help="fixed total power instead")
-    p.add_argument("--l-s", dest="l_s", type=int, help="training length")
-    p.add_argument("--l-paths", dest="l_paths", type=int, help="multipath count")
-    p.add_argument("--workers", type=int, help="parallel trial workers")
-
-    p = subs.add_parser("linkbudget", help="per-antenna SNR budget chain")
-    _add_common(p)
-    p.add_argument("--pa-dbm", dest="pa_dbm", type=float)
-    p.add_argument("--wavelength-m", dest="wavelength_m", type=float)
-    p.add_argument("--distance-m", dest="distance_m", type=float)
-    p.add_argument("--bandwidth-hz", dest="bandwidth_hz", type=float)
-    p.add_argument("--temp-k", dest="temp_k", type=float)
-    p.add_argument("--l-s", dest="l_s", type=int)
-    p.add_argument("--excess-min-db", dest="excess_min_db", type=float)
-    p.add_argument("--excess-max-db", dest="excess_max_db", type=float)
+    for command, spec in COMMAND_KEYS.items():
+        p = subs.add_parser(command,
+                            help=COMMANDS[command].__doc__.splitlines()[0])
+        p.add_argument("--config", metavar="PATH",
+                       help="flat key = value configuration file")
+        for key, (parse, default, text) in spec.items():
+            flag = "--" + key.replace("_", "-")
+            if parse is _parse_bool:
+                pair = p.add_mutually_exclusive_group()
+                pair.add_argument(flag, dest=key, action="store_const",
+                                  const="true", help=text)
+                pair.add_argument("--no-" + flag[2:], dest=key,
+                                  action="store_const", const="false")
+            else:
+                p.add_argument(flag, dest=key, help=text)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.command
     overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config") and v is not None}
+                 if k not in ("command", "config")}
     try:
         file_values = load_config_file(args.config) if args.config else {}
-        cfg = resolve_config(command, file_values, overrides)
-        COMMANDS[command](cfg)
+        cfg = resolve_config(args.command, file_values, overrides)
+        COMMANDS[args.command](cfg)
     except GeometryError as exc:
         print(f"error: infeasible geometry: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    except (ConfigError, CodebookFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -52,6 +52,7 @@ __all__ = [
     "build_codebook",
     "build_ps_dft",
     "cf_phases",
+    "check_design",
     "lcs_phases",
     "subarray_plan",
 ]
@@ -300,8 +301,7 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     over the uniform grid {0, 2*pi/grid_size, ...}; near-ties resolve to the
     lexicographically smallest (phi1, phi2).
     """
-    if grid_size < 8:
-        raise ValueError(f"grid_size must be >= 8, got {grid_size}")
+    _check_grid_size(grid_size)
     cfg = cfg or GdpConfig()
     u_cols = _subarray_columns(plan)
     phis = 2.0 * np.pi * np.arange(grid_size) / grid_size
@@ -464,14 +464,33 @@ class HierarchicalCodebook:
                 and self.layers == other.layers)
 
 
-def _integer_log(n: int, base: int) -> int:
-    k, v = 0, 1
-    while v < n:
-        v *= base
-        k += 1
-    if v != n:
-        raise ValueError(f"{n} is not a power of {base}")
-    return k
+def _check_grid_size(grid_size: int) -> None:
+    # lcs_phases takes any sub-array plan, so it checks only its grid
+    if grid_size < 8:
+        raise ValueError(f"grid_size must be >= 8, got {grid_size}")
+
+
+def check_design(scheme: str, n: int, m_rf: int, grid_size: int) -> int:
+    """Depth log_m_rf(n) of a design request every builder accepts.
+
+    Raises ValueError for an unknown scheme tag, m_rf < 2, an n that is not
+    a power of m_rf at least m_rf, or grid_size < 8.  The builders call it
+    before they design anything; callers can call it to refuse a request
+    up front.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if m_rf < 2:
+        raise ValueError(f"m_rf must be >= 2, got {m_rf}")
+    depth, size = 1, m_rf
+    while size < n:
+        size *= m_rf
+        depth += 1
+    if size != n:
+        raise ValueError(f"n must be a power of m_rf={m_rf} with n >= m_rf, "
+                         f"got {n}")
+    _check_grid_size(grid_size)
+    return depth
 
 
 def _layer_composites(layer: int, branching: int, cols: np.ndarray,
@@ -510,9 +529,8 @@ def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
     """
     if scheme not in ("cf", "lcs"):
         raise ValueError(f"phase solver must be 'cf' or 'lcs', got {scheme!r}")
-    if m_rf < 2:
-        raise ValueError(f"m_rf must be >= 2, got {m_rf}")
-    depth = _integer_log(n, m_rf)
+    tag = SCHEME_BMW_CF if scheme == "cf" else SCHEME_BMW_LCS
+    depth = check_design(tag, n, m_rf, grid_size)
     cfg = cfg or GdpConfig()
     layers = []
     for k in range(depth + 1):
@@ -524,7 +542,6 @@ def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
             _, _, theta = lcs_phases(plan, interval, cfg, grid_size)
         cols, _ = assemble_codeword(plan, theta)
         layers.append(_layer_composites(k, m_rf, cols))
-    tag = SCHEME_BMW_CF if scheme == "cf" else SCHEME_BMW_LCS
     return HierarchicalCodebook(tag, n, m_rf, layers,
                                 params={"grid_size": grid_size,
                                         "gamma_per": cfg.gamma_per})
@@ -540,9 +557,7 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
     unit-normalized sum over the layer coverage.  The bottom layer reduces
     to pure steering vectors.
     """
-    if grid_size < 8:
-        raise ValueError(f"grid_size must be >= 8, got {grid_size}")
-    depth = _integer_log(n, branching)
+    depth = check_design(SCHEME_PS_DFT, n, branching, grid_size)
     cfg = cfg or GdpConfig()
     layers = []
     for k in range(depth + 1):
@@ -567,10 +582,8 @@ def build_codebook(scheme: str, n: int, m_rf: int = 2,
                    grid_size: int = 64,
                    cfg: GdpConfig | None = None) -> HierarchicalCodebook:
     """Build any of the supported schemes from its public tag."""
-    if scheme == SCHEME_BMW_CF:
-        return build_bmw_ms(n, m_rf, "cf", cfg, grid_size)
-    if scheme == SCHEME_BMW_LCS:
-        return build_bmw_ms(n, m_rf, "lcs", cfg, grid_size)
+    check_design(scheme, n, m_rf, grid_size)
     if scheme == SCHEME_PS_DFT:
         return build_ps_dft(n, m_rf, grid_size, cfg)
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    solver = "cf" if scheme == SCHEME_BMW_CF else "lcs"
+    return build_bmw_ms(n, m_rf, solver, cfg, grid_size)

@@ -21,11 +21,13 @@ from .codebooks import (
     SCHEMES,
     HierarchicalCodebook,
     build_codebook,
+    check_design,
     subarray_plan,
 )
 from .metrics import GdpConfig, LinkBudget, db_to_linear, gdp, link_budget_report
 from .simulate import (
     SimConfig,
+    check_search,
     element_power_cdf,
     run_monte_carlo,
     snr_powers,
@@ -77,7 +79,10 @@ def _parse_floats(text) -> list[float]:
 
 
 def _parse_ints(text) -> list[int]:
-    return [int(v) for v in _parse_floats(text)]
+    values = _parse_floats(text)
+    if not all(v.is_integer() for v in values):
+        raise ConfigError(f"expected comma-separated integers, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _parse_schemes(text) -> list[str]:
@@ -93,65 +98,78 @@ def _parse_schemes(text) -> list[str]:
     return names
 
 
-# key -> (parser, default); one table per subcommand so unknown keys are
-# rejected before any computation starts
+# rows several commands share
+_N = (int, 32, "antenna count per side, a power of m_rf")
+_M_RF = (int, 2, "RF chains per side, also the codebook branching")
+_GRID = (int, 64, "phase search grid size")
+_GAMMA = (_parse_float, 0.0, "design-time per-antenna SNR in dB")
+_TAGS = "comma-separated scheme tags"
+_OUT = (str, None, "output file")
+
+# key -> (parser, default, help), one table per subcommand.  It is the
+# whole interface: every key is a config-file key and the CLI flag
+# --key-with-dashes, and both are parsed here, so unknown keys are rejected
+# before any computation starts.
 COMMAND_KEYS = {
     "design": {
-        "scheme": (str, SCHEME_BMW_CF),
-        "n": (int, 32),
-        "m_rf": (int, 2),
-        "grid_size": (int, 64),
-        "gamma_per_db": (_parse_float, 0.0),
-        "out": (str, None),
+        "scheme": (str, SCHEME_BMW_CF, f"one of {', '.join(SCHEMES)}"),
+        "n": _N,
+        "m_rf": _M_RF,
+        "grid_size": _GRID,
+        "gamma_per_db": _GAMMA,
+        "out": _OUT,
     },
     "beampattern": {
-        "codebook": (str, None),
-        "layers": (_parse_ints, None),
-        "indices": (_parse_ints, [1]),
-        "points": (int, 2048),
-        "out": (str, None),
+        "codebook": (str, None, "stored codebook file (required)"),
+        "layers": (_parse_ints, None,
+                   "comma-separated layer indices (default all)"),
+        "indices": (_parse_ints, [1], "comma-separated in-layer indices"),
+        "points": (int, 2048, "angle grid size over [-1, 1]"),
+        "out": _OUT,
     },
     "gdp": {
-        "n": (_parse_ints, [16, 32, 64]),
-        "schemes": (_parse_schemes, list(SCHEMES)),
-        "m_rf": (int, 2),
-        "grid_size": (int, 64),
-        "gamma_per_db": (_parse_floats, [0.0, 2.0]),
-        "out": (str, None),
+        "n": (_parse_ints, [16, 32, 64], "comma-separated antenna counts"),
+        "schemes": (_parse_schemes, list(SCHEMES), _TAGS),
+        "m_rf": _M_RF,
+        "grid_size": _GRID,
+        "gamma_per_db": (_parse_floats, [0.0, 2.0],
+                         "comma-separated evaluation SNRs in dB"),
+        "out": _OUT,
     },
     "cdf": {
-        "n": (int, 32),
-        "schemes": (_parse_schemes, list(SCHEMES)),
-        "m_rf": (int, 2),
-        "grid_size": (int, 64),
-        "gamma_per_db": (_parse_float, 0.0),
-        "out": (str, None),
+        "n": _N,
+        "schemes": (_parse_schemes, list(SCHEMES), _TAGS),
+        "m_rf": _M_RF,
+        "grid_size": _GRID,
+        "gamma_per_db": _GAMMA,
+        "out": _OUT,
     },
     "simulate": {
-        "n": (int, 32),
-        "m_rf": (int, 2),
-        "schemes": (_parse_schemes, [SCHEME_BMW_CF, SCHEME_PS_DFT]),
-        "grid_size": (int, 64),
+        "n": _N,
+        "m_rf": _M_RF,
+        "schemes": (_parse_schemes, [SCHEME_BMW_CF, SCHEME_PS_DFT], _TAGS),
+        "grid_size": _GRID,
         "snr_db": (_parse_floats, [-40.0, -35.0, -30.0, -25.0, -20.0, -15.0,
-                                   -10.0]),
-        "trials": (int, 500),
-        "seed": (int, 0),
-        "papc": (_parse_bool, True),
-        "l_s": (int, 32),
-        "l_paths": (int, 1),
-        "workers": (int, 1),
-        "out": (str, None),
+                                   -10.0], "comma-separated SNR grid in dB"),
+        "trials": (int, 500, "Monte Carlo trials"),
+        "seed": (int, 0, "random seed in [0, 2**64 - 1]"),
+        "papc": (_parse_bool, True, "per-antenna power constraint (default);"
+                 " --no-papc fixes the total power instead"),
+        "l_s": (int, 32, "training length, at least m_rf"),
+        "l_paths": (int, 1, "multipath count"),
+        "workers": (int, 1, "parallel trial workers"),
+        "out": _OUT,
     },
     "linkbudget": {
-        "pa_dbm": (_parse_float, 15.0),
-        "wavelength_m": (_parse_float, 0.01),
-        "distance_m": (_parse_float, 100.0),
-        "bandwidth_hz": (_parse_float, 1.0e10),
-        "temp_k": (_parse_float, 300.0),
-        "l_s": (int, 128),
-        "excess_min_db": (_parse_float, 0.0),
-        "excess_max_db": (_parse_float, 15.0),
-        "out": (str, None),
+        "pa_dbm": (_parse_float, 15.0, "PA saturation power in dBm"),
+        "wavelength_m": (_parse_float, 0.01, "carrier wavelength in m"),
+        "distance_m": (_parse_float, 100.0, "link distance in m"),
+        "bandwidth_hz": (_parse_float, 1.0e10, "noise bandwidth in Hz"),
+        "temp_k": (_parse_float, 300.0, "ambient temperature in K"),
+        "l_s": (int, 128, "training length"),
+        "excess_min_db": (_parse_float, 0.0, "smallest excess loss in dB"),
+        "excess_max_db": (_parse_float, 15.0, "largest excess loss in dB"),
+        "out": _OUT,
     },
 }
 
@@ -175,7 +193,7 @@ def resolve_config(command: str, file_values: dict[str, str] | None = None,
                    overrides: dict | None = None) -> dict:
     """Merge defaults <- config file <- CLI overrides, validating keys."""
     spec = COMMAND_KEYS[command]
-    cfg = {key: default for key, (_, default) in spec.items()}
+    cfg = {key: row[1] for key, row in spec.items()}
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():
             if value is None:
@@ -194,64 +212,57 @@ def resolve_config(command: str, file_values: dict[str, str] | None = None,
     return cfg
 
 
-def _require_power(n: int, base: int, what: str) -> None:
-    v = base
-    while v < n:
-        v *= base
-    if v != n or n < base:
-        raise ConfigError(f"{what}: {n} is not a power of {base}")
+def _sim_config(cfg: dict) -> SimConfig:
+    return SimConfig(l_paths=cfg["l_paths"], l_s=cfg["l_s"], n0=1.0,
+                     papc=cfg["papc"], seed=cfg["seed"], trials=cfg["trials"])
+
+
+def _link_budget(cfg: dict) -> LinkBudget:
+    return LinkBudget(
+        pa_saturation_dbm=cfg["pa_dbm"],
+        carrier_wavelength_m=cfg["wavelength_m"],
+        distance_m=cfg["distance_m"],
+        bandwidth_hz=cfg["bandwidth_hz"],
+        ambient_temp_k=cfg["temp_k"],
+        training_length=cfg["l_s"],
+    )
 
 
 def _validate(command: str, cfg: dict) -> None:
-    if command == "design":
-        if cfg["scheme"] not in SCHEMES:
-            raise ConfigError(f"unknown scheme {cfg['scheme']!r}")
-        if cfg["m_rf"] < 2:
-            raise ConfigError("m_rf must be >= 2")
-        _require_power(cfg["n"], cfg["m_rf"], "n")
-        if cfg["grid_size"] < 8:
-            raise ConfigError("grid_size must be >= 8")
-    elif command == "beampattern":
+    """Refuse a configuration before any codebook is designed.
+
+    Ranges the library owns are checked by calling their owners
+    (`check_design` for every design a command makes, `SimConfig`,
+    `check_search`, `LinkBudget`), whose ValueError becomes a ConfigError;
+    only what no library call sees is checked here.
+    """
+    try:
+        if command == "design":
+            check_design(cfg["scheme"], cfg["n"], cfg["m_rf"],
+                         cfg["grid_size"])
+        elif command in ("gdp", "cdf", "simulate"):
+            for n in cfg["n"] if command == "gdp" else [cfg["n"]]:
+                for scheme in cfg["schemes"]:
+                    check_design(scheme, n, cfg["m_rf"], cfg["grid_size"])
+        if command == "simulate":
+            _sim_config(cfg)
+            check_search(cfg["l_s"], [cfg["m_rf"]], cfg["workers"])
+        elif command == "linkbudget":
+            _link_budget(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if command == "beampattern":
         if cfg["codebook"] is None:
             raise ConfigError("a codebook file is required (--codebook)")
         if cfg["points"] < 2:
             raise ConfigError("points must be >= 2")
         if not cfg["indices"]:
             raise ConfigError("indices must be non-empty")
-    elif command in ("gdp", "cdf"):
-        ns = cfg["n"] if command == "gdp" else [cfg["n"]]
-        if cfg["m_rf"] < 2:
-            raise ConfigError("m_rf must be >= 2")
-        for n in ns:
-            _require_power(n, cfg["m_rf"], "n")
-        if cfg["grid_size"] < 8:
-            raise ConfigError("grid_size must be >= 8")
-    elif command == "simulate":
-        if cfg["m_rf"] < 2:
-            raise ConfigError("m_rf must be >= 2")
-        _require_power(cfg["n"], cfg["m_rf"], "n")
-        if cfg["trials"] < 1:
-            raise ConfigError("trials must be >= 1")
-        if cfg["l_s"] < cfg["m_rf"]:
-            raise ConfigError("l_s must be >= m_rf to keep training "
-                              "sequences orthogonal")
-        if cfg["l_paths"] < 1:
-            raise ConfigError("l_paths must be >= 1")
-        if cfg["workers"] < 1:
-            raise ConfigError("workers must be >= 1")
-        if cfg["seed"] < 0 or cfg["seed"] > 2 ** 64 - 1:
-            raise ConfigError("seed must fit in 64 bits")
-        if not cfg["snr_db"]:
-            raise ConfigError("snr_db must be non-empty")
-    elif command == "linkbudget":
-        if cfg["wavelength_m"] <= 0 or cfg["distance_m"] <= 0:
-            raise ConfigError("wavelength and distance must be positive")
-        if cfg["bandwidth_hz"] <= 0 or cfg["temp_k"] <= 0:
-            raise ConfigError("bandwidth and temperature must be positive")
-        if cfg["l_s"] < 1:
-            raise ConfigError("l_s must be >= 1")
-        if cfg["excess_min_db"] < 0 or cfg["excess_max_db"] < cfg["excess_min_db"]:
-            raise ConfigError("excess loss range must be 0 <= min <= max")
+    elif command == "simulate" and not cfg["snr_db"]:
+        raise ConfigError("snr_db must be non-empty")
+    elif command == "linkbudget" and not (
+            0 <= cfg["excess_min_db"] <= cfg["excess_max_db"]):
+        raise ConfigError("excess loss range must be 0 <= min <= max")
 
 
 # keys that cannot change results and would break byte-identity across
@@ -384,8 +395,7 @@ def cmd_cdf(cfg: dict, echo=print) -> None:
 
 def cmd_simulate(cfg: dict, echo=print) -> None:
     """Monte Carlo success-rate / achievable-rate sweep over SNR."""
-    sim = SimConfig(l_paths=cfg["l_paths"], l_s=cfg["l_s"], n0=1.0,
-                    papc=cfg["papc"], seed=cfg["seed"], trials=cfg["trials"])
+    sim = _sim_config(cfg)
     snr_powers(cfg["snr_db"], sim.n0)
     design_cfg = GdpConfig()
     schemes = []
@@ -408,16 +418,8 @@ def cmd_simulate(cfg: dict, echo=print) -> None:
 
 def cmd_linkbudget(cfg: dict, echo=print) -> None:
     """Per-antenna SNR budget chain with the published-example notes."""
-    lb = LinkBudget(
-        pa_saturation_dbm=cfg["pa_dbm"],
-        carrier_wavelength_m=cfg["wavelength_m"],
-        distance_m=cfg["distance_m"],
-        bandwidth_hz=cfg["bandwidth_hz"],
-        ambient_temp_k=cfg["temp_k"],
-        training_length=cfg["l_s"],
-    )
     report = link_budget_report(
-        lb, (cfg["excess_min_db"], cfg["excess_max_db"]))
+        _link_budget(cfg), (cfg["excess_min_db"], cfg["excess_max_db"]))
     echo(f"PA saturation power:      {report['pa_saturation_dbm']:.2f} dBm")
     echo(f"free-space path loss:     {report['path_loss_db']:.2f} dB")
     echo(f"received power:           {report['received_dbm']:.2f} dBm")

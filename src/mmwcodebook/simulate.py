@@ -40,6 +40,7 @@ __all__ = [
     "ChannelRealization",
     "SearchResult",
     "SimConfig",
+    "check_search",
     "element_power_cdf",
     "hierarchical_search",
     "measure",
@@ -64,10 +65,9 @@ class SimConfig:
     trials: int = 1
 
     def __post_init__(self):
-        if self.l_paths < 1:
-            raise ValueError("l_paths must be >= 1")
-        if self.l_s < 1:
-            raise ValueError("l_s must be >= 1")
+        for name in ("l_paths", "l_s", "trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("n0", "p_per", "p_total"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -76,8 +76,8 @@ class SimConfig:
             raise ValueError("n0 must be >= 0")
         if self.p_per <= 0.0 or self.p_total <= 0.0:
             raise ValueError("powers must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not 0 <= self.seed <= 2 ** 64 - 1:
+            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -349,6 +349,16 @@ def _search_cells(tx, rx, h: np.ndarray,
     return j, i, rho, best
 
 
+def check_search(l_s: int, branchings, workers: int = 1) -> None:
+    """Raise ValueError unless l_s training symbols keep the sequences of
+    every branching orthogonal and at least one worker is asked for."""
+    if l_s < max(branchings):
+        raise ValueError(f"l_s={l_s} cannot keep {max(branchings)} training "
+                         f"sequences orthogonal")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def hierarchical_search(tx_cb: HierarchicalCodebook,
                         rx_cb: HierarchicalCodebook, h: np.ndarray,
                         cfg: SimConfig,
@@ -362,11 +372,7 @@ def hierarchical_search(tx_cb: HierarchicalCodebook,
     is l_s per layer.  This is the one-cell case of the batched search
     that `run_monte_carlo` runs.
     """
-    branchings = {tx_cb.branching, rx_cb.branching}
-    if cfg.l_s < max(branchings):
-        raise ValueError(
-            f"l_s={cfg.l_s} cannot keep {max(branchings)} training "
-            f"sequences orthogonal")
+    check_search(cfg.l_s, (tx_cb.branching, rx_cb.branching))
     tx, rx = _PathLayers(tx_cb), _PathLayers(rx_cb)
     p = cfg.p_per if cfg.papc else cfg.p_total
     noise = None
@@ -510,7 +516,9 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
     maps to the per-antenna power p_per = n0 * 10^(snr/10) under the PAPC
     (total power otherwise).  Trials are partitioned across processes with
     per-trial substreams, so the output is identical for any worker count.
-    Returns one row dict per (snr, scheme) in sweep order.
+    Returns one row dict per (snr, scheme) in sweep order.  Raises
+    ValueError before any trial runs for an l_s below a codebook's
+    branching or workers < 1 (`check_search`).
     """
     schemes = [tuple(s) for s in schemes]
     if not schemes:
@@ -519,6 +527,8 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
     if len(sizes) != 1:
         raise ValueError(
             f"all schemes in one sweep must share the array sizes, got {sizes}")
+    check_search(cfg.l_s, [cb.branching for _, tx, rx in schemes
+                           for cb in (tx, rx)], workers)
     snr_db = [float(x) for x in snr_db]
     powers = snr_powers(snr_db, cfg.n0)
     succ = np.zeros((cfg.trials, len(snr_db), len(schemes)))

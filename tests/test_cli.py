@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from mmwcodebook import deserialize, experiments
-from mmwcodebook.cli import main
-from mmwcodebook.experiments import ConfigError, load_config_file, resolve_config
+from mmwcodebook.cli import build_parser, main
+from mmwcodebook.experiments import (
+    COMMAND_KEYS,
+    ConfigError,
+    load_config_file,
+    resolve_config,
+)
 
 
 def run(argv):
@@ -230,3 +235,126 @@ class TestLinkbudgetCommand:
         assert values["spreading_gain_db"] == pytest.approx(21.0, abs=0.1)
         assert values["received_dbm"] == pytest.approx(-87.0, abs=0.5)
         assert values["noise_dbm"] == pytest.approx(-74.0, abs=0.5)
+
+
+# one valid, non-default text value per configuration key
+SAMPLES = {
+    "scheme": "ps-dft", "n": "16", "m_rf": "4", "grid_size": "16",
+    "gamma_per_db": "1.5", "codebook": "cb.txt", "layers": "1,2",
+    "indices": "2", "points": "5", "schemes": "ps-dft,bmw-ms-cf",
+    "snr_db": "-5,-3", "trials": "3", "seed": "7", "papc": "false",
+    "l_s": "8", "l_paths": "2", "workers": "2", "pa_dbm": "10",
+    "wavelength_m": "0.02", "distance_m": "50", "bandwidth_hz": "1e9",
+    "temp_k": "290", "excess_min_db": "1", "excess_max_db": "2",
+    "out": "o.csv",
+}
+# keys a command cannot run without, and keys a sample value needs
+REQUIRED = {"beampattern": {"codebook": "cb.txt"}}
+COMPANIONS = {"m_rf": {"n": "16"}}
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    subs = next(a for a in parser._actions if a.dest == "command")
+    return subs.choices
+
+
+def flag_argv(values):
+    argv = []
+    for key, text in values.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "papc":
+            argv.append(flag if text == "true" else "--no-papc")
+        else:
+            argv.append(f"{flag}={text}")
+    return argv
+
+
+class TestGeneratedFlags:
+    @pytest.fixture()
+    def captured(self, monkeypatch):
+        """Resolved cfg per run of `main`, with every command stubbed."""
+        seen = []
+        for command, func in list(experiments.COMMANDS.items()):
+            def stub(cfg):
+                seen.append(cfg)
+            stub.__doc__ = func.__doc__
+            monkeypatch.setitem(experiments.COMMANDS, command, stub)
+        return seen
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+    def test_flags_are_the_table_plus_config(self, command):
+        sub = subcommand_parsers()[command]
+        flags = {opt for action in sub._actions for opt in action.option_strings
+                 if opt not in ("-h", "--help")}
+        expected = {"--config"} | {"--" + key.replace("_", "-")
+                                   for key in COMMAND_KEYS[command]}
+        if "papc" in COMMAND_KEYS[command]:
+            expected.add("--no-papc")
+        assert flags == expected
+        assert set(SAMPLES) >= set(COMMAND_KEYS[command])
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in sorted(COMMAND_KEYS)
+        for key in COMMAND_KEYS[command]])
+    def test_flag_and_config_file_resolve_alike(self, command, key, tmp_path,
+                                                captured):
+        values = {**REQUIRED.get(command, {}), **COMPANIONS.get(key, {}),
+                  key: SAMPLES[key]}
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert main([command] + flag_argv(values)) == 0
+        assert main([command, "--config", str(cfgfile)]) == 0
+        by_flag, by_file = captured
+        assert by_flag == by_file
+        assert by_flag[key] != COMMAND_KEYS[command][key][1]
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_papc_pair(self, captured):
+        assert main(["simulate", "--no-papc"]) == 0
+        assert main(["simulate", "--papc"]) == 0
+        assert main(["simulate"]) == 0
+        assert [cfg["papc"] for cfg in captured] == [False, True, True]
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--scheme", "foo"],
+        ["design", "--m-rf", "1"],
+        ["design", "--grid-size", "4"],
+        ["simulate", "--trials", "0"],
+        ["simulate", "--l-s", "1"],
+        ["simulate", "--seed=-1"],
+        ["simulate", "--seed", "18446744073709551616"],
+        ["simulate", "--workers", "0"],
+    ])
+    def test_bad_value_exits_2_and_writes_nothing(self, argv, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestIntegerLists:
+    @pytest.mark.parametrize("command, key, text", [
+        ("gdp", "n", "16.9"),
+        ("beampattern", "layers", "1.5"),
+        ("beampattern", "indices", "2.9"),
+    ])
+    def test_non_integral_value_rejected(self, command, key, text, tmp_path,
+                                         capsys):
+        values = {**REQUIRED.get(command, {}), key: text}
+        with pytest.raises(ConfigError, match="integers"):
+            resolve_config(command, values)
+        out = tmp_path / "out.csv"
+        assert main([command, "--out", str(out)] + flag_argv(values)) == 2
+        assert "integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_values_still_accepted(self):
+        assert resolve_config("gdp", {"n": "16.0, 32"})["n"] == [16, 32]

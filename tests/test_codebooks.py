@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmwcodebook
 from mmwcodebook import (
     AngleInterval,
     GdpConfig,
@@ -20,7 +24,7 @@ from mmwcodebook import (
     steering_vector,
     subarray_plan,
 )
-from mmwcodebook.codebooks import GeometryError
+from mmwcodebook.codebooks import GeometryError, check_design
 
 TWO_PI = 2.0 * math.pi
 
@@ -349,6 +353,42 @@ class TestPsDftCodebook:
             assert cb.scheme == scheme
         with pytest.raises(ValueError):
             build_codebook("sparse", 8, 2)
+
+
+class TestDesignChecks:
+    """`check_design` refuses a request before any layer is designed."""
+
+    @pytest.mark.parametrize("m_rf", [1, 0, -2])
+    def test_branching_below_two_raises_without_hanging(self, m_rf):
+        # run in a child: a power-of-m_rf loop with m_rf < 2 never ends
+        code = ("from mmwcodebook import build_codebook\n"
+                "try:\n"
+                f"    build_codebook('ps-dft', 32, m_rf={m_rf})\n"
+                "except ValueError as exc:\n"
+                "    print('refused:', exc)\n")
+        src = str(Path(mmwcodebook.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-c", code], cwd=src,
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("refused: m_rf must be >= 2")
+
+    @pytest.mark.parametrize("scheme", ["bmw-ms-cf", "bmw-ms-lcs", "ps-dft"])
+    @pytest.mark.parametrize("n, m_rf", [(1, 2), (2, 4), (12, 2)])
+    def test_n_must_be_a_power_at_least_m_rf(self, scheme, n, m_rf):
+        with pytest.raises(ValueError, match="power of m_rf"):
+            build_codebook(scheme, n, m_rf, grid_size=16)
+
+    @pytest.mark.parametrize("scheme", ["bmw-ms-cf", "bmw-ms-lcs", "ps-dft"])
+    def test_grid_size_below_eight_rejected_for_every_scheme(self, scheme):
+        with pytest.raises(ValueError, match="grid_size"):
+            build_codebook(scheme, 32, grid_size=4)
+        assert build_codebook(scheme, 8, grid_size=8).params["grid_size"] == 8
+
+    def test_depth(self):
+        assert check_design("ps-dft", 2, 2, 8) == 1
+        assert check_design("bmw-ms-cf", 64, 4, 64) == 3
+        with pytest.raises(ValueError, match="unknown scheme"):
+            check_design("cf", 8, 2, 64)
 
 
 class TestCodebookAccessors:

@@ -332,6 +332,38 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             SimConfig(l_paths=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        cb = build_bmw_ms(8, 2, "cf")
+        for seed in (0, 2 ** 64 - 1):
+            rows = run_monte_carlo([("a", cb, cb)], [-10.0],
+                                   SimConfig(l_s=8, seed=seed, trials=2))
+            assert rows[0]["trials"] == 2
+
+    @pytest.mark.parametrize("tx_m, rx_m", [(2, 2), (4, 2), (2, 4)])
+    def test_l_s_below_a_branching_rejected_before_trials(self, tx_m, rx_m,
+                                                          monkeypatch):
+        tx, rx = build_bmw_ms(16, tx_m, "cf"), build_bmw_ms(16, rx_m, "cf")
+        calls = []
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: calls.append(a))
+        l_s = max(tx_m, rx_m) - 1
+        with pytest.raises(ValueError, match="orthogonal"):
+            run_monte_carlo([("a", tx, rx)], [-10.0],
+                            SimConfig(l_s=l_s, trials=3))
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        cb = build_bmw_ms(8, 2, "cf")
+        with pytest.raises(ValueError, match="workers"):
+            run_monte_carlo([("a", cb, cb)], [-10.0],
+                            SimConfig(l_s=8, trials=3), workers=workers)
+
     @pytest.mark.parametrize("field", ["n0", "p_per", "p_total"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, field, value):
