@@ -157,7 +157,8 @@ COMMAND_KEYS = {
                  " --no-papc fixes the total power instead"),
         "l_s": (int, 32, "training length, at least m_rf"),
         "l_paths": (int, 1, "multipath count"),
-        "workers": (int, 1, "parallel trial workers"),
+        "workers": (int, 1, "accepted (>= 1) and has no effect: sweeps run "
+                    "in one process"),
         "out": _OUT,
     },
     "linkbudget": {
@@ -228,6 +229,11 @@ def _link_budget(cfg: dict) -> LinkBudget:
     )
 
 
+# list keys that must hold at least one value
+_NON_EMPTY = {"beampattern": ("indices",), "gdp": ("n", "gamma_per_db"),
+              "simulate": ("snr_db",)}
+
+
 def _validate(command: str, cfg: dict) -> None:
     """Refuse a configuration before any codebook is designed.
 
@@ -256,17 +262,16 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError("a codebook file is required (--codebook)")
         if cfg["points"] < 2:
             raise ConfigError("points must be >= 2")
-        if not cfg["indices"]:
-            raise ConfigError("indices must be non-empty")
-    elif command == "simulate" and not cfg["snr_db"]:
-        raise ConfigError("snr_db must be non-empty")
     elif command == "linkbudget" and not (
             0 <= cfg["excess_min_db"] <= cfg["excess_max_db"]):
         raise ConfigError("excess loss range must be 0 <= min <= max")
+    for key in _NON_EMPTY.get(command, ()):
+        if not cfg[key]:
+            raise ConfigError(f"{key} must be non-empty")
 
 
-# keys that cannot change results and would break byte-identity across
-# reruns (output location) or worker counts (scheduling only)
+# keys that cannot change results: the output location, which would break
+# byte-identity across reruns, and `workers`, which has no effect
 _PROVENANCE_SKIP = {"out", "workers"}
 
 

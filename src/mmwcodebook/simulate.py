@@ -18,16 +18,15 @@ antenna exceeds the PA limit.
 
 `hierarchical_search` walks the codebook layers top-down, measuring one
 Tx/Rx composite pair per layer and descending into the winning pair's
-children; `run_monte_carlo` wraps it into a seeded, trial-parallel sweep
-whose results are bit-reproducible for any worker count.  Sweeps run the
-same search over blocks of (trial, snr) cells at once, one layer at a time
-as stacked matrix products, and write the same bytes as a search per cell.
+children; `run_monte_carlo` wraps it into a seeded, bit-reproducible
+sweep.  Sweeps run the same search over blocks of (trial, snr) cells at
+once, one layer at a time as stacked matrix products, and write the same
+bytes as a search per cell.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +200,6 @@ class SearchResult:
     tx_angle: float       # estimated cos(AoD): bin center of j_t
     rx_angle: float       # estimated cos(AoA): bin center of i_r
     overhead: int         # training symbols spent, l_s per layer
-    success: bool | None = None  # set by the caller against the truth
 
     def h1_matrix(self, m_an: int, n_an: int) -> np.ndarray:
         """Rank-one estimate rho* a(n,rx_angle) a(m,tx_angle)^H.
@@ -416,16 +414,16 @@ def element_power_cdf(codebooks) -> tuple[np.ndarray, np.ndarray]:
 _SUB_BLOCK_BYTES = 1 << 20
 
 
-def _trial_block(args) -> tuple[int, np.ndarray, np.ndarray]:
-    """(start, success, rate) of trials start..stop-1 over (snr, scheme).
+def _trial_block(schemes, powers: list[float],
+                 cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Success flags and rates (trials, snrs, schemes) of a whole sweep.
 
     All randomness derives from (seed, trial) for the channel and
     (seed, trial, snr index, scheme index) for measurement noise, making
-    each cell independent of scheduling and worker partitioning.  Trials
-    run in sub-blocks, and each scheme's cells of a sub-block are searched
+    each cell independent of how trials are grouped.  Trials run in
+    sub-blocks, and each scheme's cells of a sub-block are searched
     together.
     """
-    schemes, powers, cfg, start, stop = args
     m_an = schemes[0][1].n_antennas
     n_an = schemes[0][2].n_antennas
     stacks = {}
@@ -434,17 +432,17 @@ def _trial_block(args) -> tuple[int, np.ndarray, np.ndarray]:
             if id(cb) not in stacks:
                 stacks[id(cb)] = _LayerStacks(cb)
     sqrt_p = np.array([math.sqrt(p) for p in powers])
-    succ = np.zeros((stop - start, len(powers), len(schemes)))
+    succ = np.zeros((cfg.trials, len(powers), len(schemes)))
     rate = np.zeros_like(succ)
     step = max(1, _SUB_BLOCK_BYTES // (16 * m_an * n_an))
-    for first in range(start, stop, step):
-        trials = range(first, min(first + step, stop))
+    for first in range(0, cfg.trials, step):
+        trials = range(first, min(first + step, cfg.trials))
         chans = [sample_channel(cfg.l_paths, m_an, n_an,
                                 np.random.default_rng([cfg.seed, t]))
                  for t in trials]
         h = np.stack([chan.matrix() for chan in chans])
         cells = (len(trials), len(powers))
-        rows = slice(first - start, first - start + len(trials))
+        rows = slice(trials.start, trials.stop)
         for ci, (_, tx_cb, rx_cb) in enumerate(schemes):
             tx, rx = stacks[id(tx_cb)], stacks[id(rx_cb)]
             noise = None
@@ -460,7 +458,7 @@ def _trial_block(args) -> tuple[int, np.ndarray, np.ndarray]:
                                            cfg, noise)
             succ[rows, :, ci], rate[rows, :, ci] = _score_cells(
                 tx, rx, chans, h, j_t, i_r, powers, cfg)
-    return start, succ, rate
+    return succ, rate
 
 
 def _score_cells(tx: _LayerStacks, rx: _LayerStacks, chans, h: np.ndarray,
@@ -514,11 +512,10 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
 
     `schemes` is a sequence of (name, tx_codebook, rx_codebook); `snr_db`
     maps to the per-antenna power p_per = n0 * 10^(snr/10) under the PAPC
-    (total power otherwise).  Trials are partitioned across processes with
-    per-trial substreams, so the output is identical for any worker count.
-    Returns one row dict per (snr, scheme) in sweep order.  Raises
-    ValueError before any trial runs for an l_s below a codebook's
-    branching or workers < 1 (`check_search`).
+    (total power otherwise).  Every sweep runs in this process; `workers`
+    is validated and has no effect.  Returns one row dict per (snr,
+    scheme) in sweep order.  Raises ValueError before any trial runs for
+    an l_s below a codebook's branching or workers < 1 (`check_search`).
     """
     schemes = [tuple(s) for s in schemes]
     if not schemes:
@@ -530,21 +527,7 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
     check_search(cfg.l_s, [cb.branching for _, tx, rx in schemes
                            for cb in (tx, rx)], workers)
     snr_db = [float(x) for x in snr_db]
-    powers = snr_powers(snr_db, cfg.n0)
-    succ = np.zeros((cfg.trials, len(snr_db), len(schemes)))
-    rate = np.zeros_like(succ)
-    if workers <= 1 or cfg.trials == 1:
-        blocks = [(schemes, powers, cfg, 0, cfg.trials)]
-        results = map(_trial_block, blocks)
-    else:
-        step = max(1, math.ceil(cfg.trials / (workers * 4)))
-        blocks = [(schemes, powers, cfg, s, min(s + step, cfg.trials))
-                  for s in range(0, cfg.trials, step)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_block, blocks))
-    for start, s_blk, r_blk in results:
-        succ[start:start + s_blk.shape[0]] = s_blk
-        rate[start:start + r_blk.shape[0]] = r_blk
+    succ, rate = _trial_block(schemes, snr_powers(snr_db, cfg.n0), cfg)
     rows = []
     for si, snr in enumerate(snr_db):
         for ci, (name, _, _) in enumerate(schemes):

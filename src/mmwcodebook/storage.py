@@ -20,6 +20,7 @@ from .codebooks import (
     SCHEMES,
     CompositeCodeword,
     HierarchicalCodebook,
+    _check_grid_size,
     derive_members,
 )
 
@@ -183,6 +184,10 @@ def deserialize(text: str) -> HierarchicalCodebook:
     if branching < 2:
         raise CodebookFormatError(
             f"field $.branching must be >= 2, got {branching}")
+    try:
+        _check_grid_size(grid_size)
+    except ValueError as exc:
+        raise CodebookFormatError(f"field $.{exc}") from None
     if not (np.isfinite(gamma_per) and gamma_per > 0.0):
         raise CodebookFormatError(
             f"field $.gamma_per must be finite and positive, got {gamma_per}")

@@ -331,6 +331,8 @@ class TestGeneratedFlags:
         ["simulate", "--seed=-1"],
         ["simulate", "--seed", "18446744073709551616"],
         ["simulate", "--workers", "0"],
+        ["gdp", "--n", ""],
+        ["gdp", "--gamma-per-db", ""],
     ])
     def test_bad_value_exits_2_and_writes_nothing(self, argv, tmp_path,
                                                   capsys):

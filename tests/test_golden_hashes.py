@@ -2,7 +2,8 @@
 
 The codebook hashes were recorded before the coarse-to-fine candidate
 search replaced the exhaustive one, and the simulate and beampattern
-hashes before the trial-batched search replaced the search per cell; a
+hashes before the trial-batched search replaced the search per cell; the
+gdp and cdf hashes were recorded before the process pool was removed.  A
 speed change must leave them as they are.
 """
 
@@ -42,6 +43,11 @@ SIMULATE_SHA256 = \
     "5ff59ce4ab0928f4ff75fa289759942c3c0e16d47e3394acf6f63671196250f8"
 BEAMPATTERN_SHA256 = \
     "22c3779e916ecd050ecd9cff9f188a1616072b3969f4555f921e50c042d0826e"
+# `gdp --n 16` and `cdf --n 16`, every scheme and the other keys at default
+COMMAND_SHA256 = {
+    "gdp": "714a554d2abcceeb058e4b523b09720fcb3c1a0159e23352b9125c1b780071b9",
+    "cdf": "6d001a8fb4e49b216e69422c34bb2795c09c72228d37bc01a57661d8060fb81a",
+}
 
 
 def file_sha256(path):
@@ -63,3 +69,10 @@ def test_beampattern_csv_hash(tmp_path, monkeypatch):
                  "--out", "cb.txt"]) == 0
     assert main(["beampattern", "--codebook", "cb.txt", "--out", "bp.csv"]) == 0
     assert file_sha256(tmp_path / "bp.csv") == BEAMPATTERN_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SHA256))
+def test_small_command_csv_hash(tmp_path, command):
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--n", "16", "--out", str(out)]) == 0
+    assert file_sha256(out) == COMMAND_SHA256[command]

@@ -1,4 +1,5 @@
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -182,7 +183,6 @@ class TestHierarchicalSearch:
                 h = rank_one_channel(16, 16, aod, aoa)
                 res = hierarchical_search(cb, cb, h, cfg)
                 assert (res.j_t, res.i_r) == (j_true, i_true)
-                assert res.success is None
 
     def test_overhead_accounting(self):
         cb = build_bmw_ms(32, 2, "cf")
@@ -281,6 +281,17 @@ class TestMonteCarlo:
         rows4 = run_monte_carlo([("bmw-ms-cf", cb, cb)], [-20.0, -10.0], cfg,
                                 workers=4)
         assert rows1 == rows4
+
+    def test_sweep_starts_no_child_process(self):
+        cb = build_bmw_ms(16, 2, "cf")
+        cfg = SimConfig(l_paths=2, l_s=8, n0=1.0, seed=11, trials=24)
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        run_monte_carlo([("bmw-ms-cf", cb, cb)], [-20.0, -10.0], cfg,
+                        workers=3)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        # finished children add their CPU time here once they are reaped
+        assert (after.ru_utime, after.ru_stime) == (before.ru_utime,
+                                                    before.ru_stime)
 
     def test_deterministic_given_seed(self):
         cb = build_ps_dft(8, 2, grid_size=16)

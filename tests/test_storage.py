@@ -125,6 +125,13 @@ class TestBoundaryChecks:
         with pytest.raises(CodebookFormatError, match=r"\$\.branching"):
             deserialize(text)
 
+    @pytest.mark.parametrize("value", [4, 7, 0, -7])
+    def test_grid_size(self, books, value):
+        text = self.mutated(books[("bmw-ms-cf", 8)],
+                            lambda d: d.__setitem__("grid_size", value))
+        with pytest.raises(CodebookFormatError, match=r"\$\.grid_size"):
+            deserialize(text)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("part", [0, 1])
     def test_non_finite_analog_entry(self, books, value, part):
