@@ -229,9 +229,10 @@ def _link_budget(cfg: dict) -> LinkBudget:
     )
 
 
-# list keys that must hold at least one value
-_NON_EMPTY = {"beampattern": ("indices",), "gdp": ("n", "gamma_per_db"),
-              "simulate": ("snr_db",)}
+# list keys that must hold at least one value when given; `layers` is None
+# by default, for every layer
+_NON_EMPTY = {"beampattern": ("layers", "indices"),
+              "gdp": ("n", "gamma_per_db"), "simulate": ("snr_db",)}
 
 
 def _validate(command: str, cfg: dict) -> None:
@@ -266,7 +267,7 @@ def _validate(command: str, cfg: dict) -> None:
             0 <= cfg["excess_min_db"] <= cfg["excess_max_db"]):
         raise ConfigError("excess loss range must be 0 <= min <= max")
     for key in _NON_EMPTY.get(command, ()):
-        if not cfg[key]:
+        if cfg[key] is not None and not cfg[key]:
             raise ConfigError(f"{key} must be non-empty")
 
 

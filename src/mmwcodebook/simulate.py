@@ -21,7 +21,11 @@ Tx/Rx composite pair per layer and descending into the winning pair's
 children; `run_monte_carlo` wraps it into a seeded, bit-reproducible
 sweep.  Sweeps run the same search over blocks of (trial, snr) cells at
 once, one layer at a time as stacked matrix products, and write the same
-bytes as a search per cell.
+bytes as a search per cell.  Their substreams are seeded in bulk: each
+block's SeedSequence mixing runs as one numpy pass over its keys, and one
+reused PCG64 takes each key's state in turn, so every cell draws the same
+bytes as `np.random.default_rng([seed, trial, snr, scheme])` (the channel
+as `default_rng([seed, trial])`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymath import steering_vector
+from .arraymath import steering_vector, wrap_angle
 from .codebooks import CompositeCodeword, HierarchicalCodebook
 from .metrics import db_to_linear
 
@@ -77,6 +81,9 @@ class SimConfig:
             raise ValueError("powers must be positive")
         if not 0 <= self.seed <= 2 ** 64 - 1:
             raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
+        # each trial index is one 32-bit word of its substream keys
+        if self.trials > 2 ** 32:
+            raise ValueError(f"trials must be <= 2**32, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -223,12 +230,15 @@ class _LayerStacks:
     `units[k - 1]` (composites, N, M) and `infs[k - 1]` (composites, M) hold
     the member columns and inf-norms of layer k = 1..depth.  A last entry
     holds the bottom codewords as (N, 1) columns, one per codeword, for a
-    side that has run out of layers and keeps its bottom codeword.
+    side that has run out of layers and keeps its bottom codeword.  The
+    bottom codewords' coverage ends and squared inf-norms serve scoring.
     """
 
     def __init__(self, cb: HierarchicalCodebook):
         self.depth, self.branching = cb.depth, cb.branching
-        self.bottom = cb.layer_codewords(cb.depth)
+        coverages = [cw.coverage for cw in cb.layer_codewords(cb.depth)]
+        self.starts = np.array([c.start for c in coverages])
+        self.ends = np.array([c.end for c in coverages])
         layers = cb.layers[1:]
         self.units = [np.stack([c.member_matrix for c in layer])
                       for layer in layers]
@@ -237,6 +247,8 @@ class _LayerStacks:
         self.units.append(self.units[-1].swapaxes(1, 2).reshape(
             -1, cb.n_antennas, 1))
         self.infs.append(self.infs[-1].reshape(-1, 1))
+        # squared one numpy scalar at a time, as a search per cell does
+        self.inf_sq = np.array([x ** 2 for x in self.infs[-1][:, 0]])
 
     def gather(self, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Member columns (..., N, M) and inf-norms (..., M) at search layer
@@ -409,6 +421,137 @@ def element_power_cdf(codebooks) -> tuple[np.ndarray, np.ndarray]:
     return powers, cdf
 
 
+# SeedSequence's hash constants (numpy.random.bit_generator) and the
+# PCG64 multiplier, for `_substreams`
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pool_states(seed: int, keys: list[np.ndarray]) -> list[np.ndarray]:
+    """The four uint64 words SeedSequence([seed, *key]).generate_state(4,
+    np.uint64) gives, as four arrays over the keys.
+
+    `keys` holds one uint32 array per trailing key element.  This is
+    SeedSequence's entropy mixing run on every key at once: the seed's
+    32-bit words, least significant first, then one word per key element.
+    """
+    words = [np.full(keys[0].shape, seed >> s & _MASK32, dtype=np.uint32)
+             for s in range(0, max(seed.bit_length(), 1), 32)] + keys
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros_like(words[0])
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    return [state[2 * i] | state[2 * i + 1] << 32 for i in range(4)]
+
+
+# about this many keys get their seeding states from one numpy pass, which
+# costs some hundred numpy calls whatever its size
+_SEED_KEYS = 4096
+
+
+def _substreams(seed: int, *parts):
+    """Yield, for each key of the broadcast `parts` in C order, a Generator
+    in the state `np.random.default_rng([seed, *key])` starts from.
+
+    Every key element must lie in [0, 2**32).  Seeding states come from
+    one numpy pass (`_pool_states`) per run of whole rows of the first
+    axis, about `_SEED_KEYS` keys at a time; one PCG64 is then set to each
+    key's state in turn, as PCG64 seeds itself from those words: inc =
+    (w2:w3 << 1) | 1 and state = ((inc + w0:w1) * MULT + inc) mod 2**128.
+    The same Generator object is yielded every time, so finish drawing
+    from it before asking for the next key.
+    """
+    parts = np.broadcast_arrays(*(np.atleast_1d(p) for p in parts))
+    rows = max(1, _SEED_KEYS * parts[0].shape[0] // parts[0].size)
+    gen = np.random.Generator(np.random.PCG64(0))
+    words = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0,
+             "uinteger": 0}
+    for first in range(0, parts[0].shape[0], rows):
+        keys = [p[first:first + rows].ravel().astype(np.uint32)
+                for p in parts]
+        for w0, w1, w2, w3 in zip(*(w.tolist()
+                                    for w in _pool_states(seed, keys))):
+            inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
+            words["inc"] = inc
+            words["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT
+                              + inc) & _MASK128
+            gen.bit_generator.state = state
+            yield gen
+
+
+def _channel_block(cfg: SimConfig, streams,
+                   h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fill h (trials, n_an, m_an) with the channel matrices of the next
+    trials of `streams`; return the cos(AoA), cos(AoD) of each one's
+    strongest path.
+
+    Each trial draws from its (seed, trial) stream in `sample_channel`'s
+    order and builds its matrix with `ChannelRealization.matrix`'s
+    per-path sum, so each matrix has the same bits as the per-trial
+    objects.
+    """
+    trials, n_an, m_an = h.shape
+    draws = np.empty((trials, 4, cfg.l_paths))
+    # zip stops at the last row before it takes another stream
+    for row, gen in zip(draws, streams):
+        gen.standard_normal(out=row[:2])
+        gen.random(out=row[2:])
+    gains = math.sqrt(1.0 / (2.0 * cfg.l_paths)) * (draws[:, 0]
+                                                     + 1j * draws[:, 1])
+    # uniform(-1, 1) is -1 + 2 u of the same u
+    aoa, aod = -1.0 + 2.0 * draws[:, 2], -1.0 + 2.0 * draws[:, 3]
+    a_r = _steering_rows(n_an, aoa)
+    a_t = _steering_rows(m_an, aod).conj()
+    # numpy's complex products need not commute bit for bit, so every
+    # product keeps `matrix`'s operand order
+    h.fill(0.0)
+    term = np.empty_like(h)
+    for path in range(cfg.l_paths):
+        np.multiply(a_r[:, path, :, None], a_t[:, path, None, :], out=term)
+        np.multiply(gains[:, path, None, None], term, out=term)
+        h += term
+    np.multiply(math.sqrt(m_an * n_an), h, out=h)
+    strongest = np.argmax(np.abs(gains), axis=1)[:, None]
+    return (np.take_along_axis(aoa, strongest, axis=1)[:, 0],
+            np.take_along_axis(aod, strongest, axis=1)[:, 0])
+
+
+def _steering_rows(n: int, omegas: np.ndarray) -> np.ndarray:
+    """`steering_vector(n, omega)` along a new last axis, per angle."""
+    om = wrap_angle(omegas)[..., None]
+    return np.exp(1j * np.pi * np.arange(n) * om) / math.sqrt(n)
+
+
 # trials per sub-block are capped so that their stacked channel matrices
 # stay under this many bytes
 _SUB_BLOCK_BYTES = 1 << 20
@@ -431,63 +574,72 @@ def _trial_block(schemes, powers: list[float],
         for cb in (tx_cb, rx_cb):
             if id(cb) not in stacks:
                 stacks[id(cb)] = _LayerStacks(cb)
+    snrs = len(powers)
     sqrt_p = np.array([math.sqrt(p) for p in powers])
-    succ = np.zeros((cfg.trials, len(powers), len(schemes)))
+    succ = np.zeros((cfg.trials, snrs, len(schemes)))
     rate = np.zeros_like(succ)
-    step = max(1, _SUB_BLOCK_BYTES // (16 * m_an * n_an))
+    step = min(cfg.trials, max(1, _SUB_BLOCK_BYTES // (16 * m_an * n_an)))
+    # every sub-block takes its trials' keys from these streams in turn
+    # and fills the channel buffer and each scheme's noise buffer anew
+    trial_keys = np.arange(cfg.trials)
+    channels = _substreams(cfg.seed, trial_keys)
+    h_buf = np.empty((step, n_an, m_an), dtype=np.complex128)
+    noise_draws = []
+    if cfg.n0 > 0.0:
+        for ci, (_, tx, rx) in enumerate(schemes):
+            size = _noise_size(stacks[id(tx)], stacks[id(rx)])
+            noise_draws.append((np.empty((step, snrs, size)), _substreams(
+                cfg.seed, trial_keys[:, None], np.arange(snrs), ci)))
     for first in range(0, cfg.trials, step):
         trials = range(first, min(first + step, cfg.trials))
-        chans = [sample_channel(cfg.l_paths, m_an, n_an,
-                                np.random.default_rng([cfg.seed, t]))
-                 for t in trials]
-        h = np.stack([chan.matrix() for chan in chans])
-        cells = (len(trials), len(powers))
+        h = h_buf[:len(trials)]
+        aoa, aod = _channel_block(cfg, channels, h)
+        cells = (len(trials), snrs)
         rows = slice(trials.start, trials.stop)
         for ci, (_, tx_cb, rx_cb) in enumerate(schemes):
             tx, rx = stacks[id(tx_cb)], stacks[id(rx_cb)]
             noise = None
-            if cfg.n0 > 0.0:
-                size = _noise_size(tx, rx)
-                noise = np.stack([
-                    np.random.default_rng([cfg.seed, t, si, ci])
-                    .standard_normal(size)
-                    for t in trials for si in range(len(powers))
-                ]).reshape(cells + (size,))
+            if noise_draws:
+                buf, streams = noise_draws[ci]
+                noise = buf[:len(trials)]
+                for draws, gen in zip(noise.reshape(-1, noise.shape[-1]),
+                                      streams):
+                    gen.standard_normal(out=draws)
             j_t, i_r, _, _ = _search_cells(tx, rx, h,
                                            np.broadcast_to(sqrt_p, cells),
                                            cfg, noise)
             succ[rows, :, ci], rate[rows, :, ci] = _score_cells(
-                tx, rx, chans, h, j_t, i_r, powers, cfg)
+                tx, rx, h, aoa, aod, j_t, i_r, powers, cfg)
     return succ, rate
 
 
-def _score_cells(tx: _LayerStacks, rx: _LayerStacks, chans, h: np.ndarray,
-                 j_t: np.ndarray, i_r: np.ndarray, powers: list[float],
+def _score_cells(tx: _LayerStacks, rx: _LayerStacks, h: np.ndarray,
+                 aoa: np.ndarray, aod: np.ndarray, j_t: np.ndarray,
+                 i_r: np.ndarray, powers: list[float],
                  cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Success flags and rates (trials, snrs) of searches that ended at the
-    0-based bottom codewords (j_t, i_r).
+    0-based bottom codewords (j_t, i_r), for trials whose strongest paths
+    lie at cos(AoA) `aoa` and cos(AoD) `aod`.
 
-    Each distinct (trial, j_t, i_r) gets its coverage check and link gain
-    once; every rate is the scalar log2 a search per cell computes.
+    A search succeeds when both bottom codewords cover that path.  The
+    link gain |w_r^H H w_t|^2 is formed with the same products and scalar
+    squaring as a search per cell, and every rate is that search's scalar
+    log2.
     """
-    succ = np.zeros(j_t.shape)
-    rate = np.zeros(j_t.shape)
-    outcomes = {}
-    for a, (js, is_) in enumerate(zip(j_t.tolist(), i_r.tolist())):
-        _, best_aoa, best_aod = chans[a].strongest_path()
-        for si, (power, j, i) in enumerate(zip(powers, js, is_)):
-            w_t, w_r = tx.bottom[j], rx.bottom[i]
-            if (a, j, i) not in outcomes:
-                outcomes[a, j, i] = (
-                    w_t.coverage.contains(best_aod)
-                    and w_r.coverage.contains(best_aoa),
-                    abs(w_r.unit_awv.conj() @ h[a] @ w_t.unit_awv) ** 2)
-            ok, link = outcomes[a, j, i]
-            succ[a, si] = 1.0 if ok else 0.0
-            p_eff = power / tx.infs[-1][j, 0] ** 2 if cfg.papc else power
-            rate[a, si] = (math.log2(1.0 + p_eff * link / cfg.n0)
-                           if cfg.n0 > 0 else math.inf)
-    return succ, rate
+    succ = ((tx.starts[j_t] <= aod[:, None]) & (aod[:, None] <= tx.ends[j_t])
+            & (rx.starts[i_r] <= aoa[:, None])
+            & (aoa[:, None] <= rx.ends[i_r])).astype(float)
+    if cfg.n0 == 0.0:
+        return succ, np.full(succ.shape, math.inf)
+    amp = (rx.rx_product(rx.depth + 1, i_r, h)
+           @ tx.gather(tx.depth + 1, j_t)[0])
+    link = np.array([abs(x) ** 2 for x in amp.ravel()]).reshape(succ.shape)
+    p_eff = np.asarray(powers)
+    if cfg.papc:
+        p_eff = p_eff / tx.inf_sq[j_t]
+    gain = 1.0 + p_eff * link / cfg.n0
+    rate = np.array([math.log2(x) for x in gain.ravel().tolist()])
+    return succ, rate.reshape(succ.shape)
 
 
 def snr_powers(snr_db, n0: float) -> list[float]:

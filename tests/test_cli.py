@@ -333,6 +333,8 @@ class TestGeneratedFlags:
         ["simulate", "--workers", "0"],
         ["gdp", "--n", ""],
         ["gdp", "--gamma-per-db", ""],
+        # checked before the file is read, which would exit 4 here
+        ["beampattern", "--codebook", "cb.txt", "--layers", ""],
     ])
     def test_bad_value_exits_2_and_writes_nothing(self, argv, tmp_path,
                                                   capsys):

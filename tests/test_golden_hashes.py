@@ -3,8 +3,9 @@
 The codebook hashes were recorded before the coarse-to-fine candidate
 search replaced the exhaustive one, and the simulate and beampattern
 hashes before the trial-batched search replaced the search per cell; the
-gdp and cdf hashes were recorded before the process pool was removed.  A
-speed change must leave them as they are.
+gdp and cdf hashes were recorded before the process pool was removed, and
+the simulate hashes at two-word seeds before the sweep's generators were
+seeded in bulk.  A speed change must leave them as they are.
 """
 
 import hashlib
@@ -41,6 +42,14 @@ def test_codebook_file_hash(scheme, n, m_rf):
 
 SIMULATE_SHA256 = \
     "5ff59ce4ab0928f4ff75fa289759942c3c0e16d47e3394acf6f63671196250f8"
+# `simulate --n 16 --trials 60` at (seed, l_paths): the largest seed, and
+# a two-word seed with multipath channels
+SIMULATE_SEED_SHA256 = {
+    (2 ** 64 - 1, 1):
+        "1a108b19eb00041fefe154785420944ec7ad60374d0de1997a86fdbc158c5384",
+    (2 ** 32 + 1, 3):
+        "705db6d19d25dfd5a83833e1dd3319334e9af9b07bc902d8ab55f47e28891f14",
+}
 BEAMPATTERN_SHA256 = \
     "22c3779e916ecd050ecd9cff9f188a1616072b3969f4555f921e50c042d0826e"
 # `gdp --n 16` and `cdf --n 16`, every scheme and the other keys at default
@@ -60,6 +69,15 @@ def test_simulate_csv_hash(tmp_path, workers):
     assert main(["simulate", "--n", "16", "--trials", "60", "--seed", "31337",
                  "--workers", str(workers), "--out", str(out)]) == 0
     assert file_sha256(out) == SIMULATE_SHA256
+
+
+@pytest.mark.parametrize("seed, l_paths", sorted(SIMULATE_SEED_SHA256))
+def test_simulate_csv_hash_at_wide_seed(tmp_path, seed, l_paths):
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--n", "16", "--trials", "60",
+                 "--seed", str(seed), "--l-paths", str(l_paths),
+                 "--out", str(out)]) == 0
+    assert file_sha256(out) == SIMULATE_SEED_SHA256[(seed, l_paths)]
 
 
 def test_beampattern_csv_hash(tmp_path, monkeypatch):

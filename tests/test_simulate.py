@@ -3,7 +3,10 @@ import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mmwcodebook import simulate
 from mmwcodebook import (
     CompositeCodeword,
     SimConfig,
@@ -17,6 +20,19 @@ from mmwcodebook import (
     select_best,
     steering_vector,
 )
+
+
+def substream_keys(monkeypatch):
+    """A list that receives the key count of every `_substreams` call."""
+    original = simulate._substreams
+    counts = []
+
+    def counting(seed, *parts):
+        counts.append(np.broadcast(*parts).size)
+        return original(seed, *parts)
+
+    monkeypatch.setattr(simulate, "_substreams", counting)
+    return counts
 
 
 def rank_one_channel(m_an, n_an, aod, aoa, gain=1.0):
@@ -342,6 +358,8 @@ class TestMonteCarlo:
             SimConfig(n0=-1.0)
         with pytest.raises(ValueError):
             SimConfig(l_paths=0)
+        with pytest.raises(ValueError, match="trials"):
+            SimConfig(trials=2 ** 32 + 1)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -359,14 +377,12 @@ class TestMonteCarlo:
     def test_l_s_below_a_branching_rejected_before_trials(self, tx_m, rx_m,
                                                           monkeypatch):
         tx, rx = build_bmw_ms(16, tx_m, "cf"), build_bmw_ms(16, rx_m, "cf")
-        calls = []
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda *a: calls.append(a))
+        keys = substream_keys(monkeypatch)
         l_s = max(tx_m, rx_m) - 1
         with pytest.raises(ValueError, match="orthogonal"):
             run_monte_carlo([("a", tx, rx)], [-10.0],
                             SimConfig(l_s=l_s, trials=3))
-        assert calls == []
+        assert keys == []
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_rejected(self, workers):
@@ -385,13 +401,11 @@ class TestMonteCarlo:
     def test_out_of_range_snr_rejected_before_trials(self, snr_db,
                                                      monkeypatch):
         cb = build_bmw_ms(8, 2, "cf")
-        calls = []
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda *a: calls.append(a))
+        keys = substream_keys(monkeypatch)
         with pytest.raises(ValueError, match="4000"):
             run_monte_carlo([("a", cb, cb)], [-10.0, snr_db],
                             SimConfig(l_s=8, trials=3))
-        assert calls == []
+        assert keys == []
 
 
 def held_bottom(cb, index):
@@ -461,6 +475,8 @@ class TestBatchedSweep:
         dict(sizes=(16, 16), m_rf=2, n0=0.0, trials=6),
         # 16 trials per sub-block at N = 64, so 37 trials end mid-block
         dict(sizes=(64, 64), m_rf=4, l_paths=3, trials=37),
+        # a two-word seed: three-word channel keys, five-word noise keys
+        dict(sizes=(16, 16), m_rf=2, l_paths=2, trials=10, seed=2 ** 32 + 7),
     ])
     def test_matches_per_cell_oracle(self, case):
         n_tx, n_rx = case["sizes"]
@@ -471,7 +487,7 @@ class TestBatchedSweep:
         schemes = [("cf", tx_cf, rx_cf), ("mixed", tx_ps, rx_ps)]
         cfg = SimConfig(l_paths=case.get("l_paths", 1), l_s=16,
                         n0=case.get("n0", 1.0), papc=case.get("papc", True),
-                        seed=29, trials=case["trials"])
+                        seed=case.get("seed", 29), trials=case["trials"])
         rows = run_monte_carlo(schemes, self.SNR_DB, cfg)
         got = [(r["snr_db"], r["scheme"], r["success_rate"], r["rate_bps_hz"])
                for r in rows]
@@ -495,17 +511,78 @@ class TestBatchedSweep:
     def test_one_generator_per_trial_and_cell(self, monkeypatch):
         cb = build_bmw_ms(16, 2, "cf")
         ps = build_ps_dft(16, 2, grid_size=16)
-        original = np.random.default_rng
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", counting)
+        keys = substream_keys(monkeypatch)
         cfg = SimConfig(l_s=16, n0=1.0, seed=4, trials=11)
         run_monte_carlo([("a", cb, cb), ("b", ps, cb)], self.SNR_DB, cfg)
-        assert len(calls) == cfg.trials * (1 + len(self.SNR_DB) * 2)
+        assert sum(keys) == cfg.trials * (1 + len(self.SNR_DB) * 2)
+
+    @pytest.mark.parametrize("l_paths", [1, 3])
+    @pytest.mark.parametrize("sizes", [(16, 8), (8, 32)])
+    @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 - 1])
+    def test_channel_block_matches_sample_channel(self, l_paths, sizes, seed):
+        cfg = SimConfig(l_paths=l_paths, seed=seed, trials=9)
+        streams = simulate._substreams(seed, np.arange(2, 9))
+        # a reused buffer holds the last sub-block's matrices
+        h = np.full((7, sizes[1], sizes[0]), np.nan + 0j)
+        aoa, aod = simulate._channel_block(cfg, streams, h)
+        for row, t in enumerate(range(2, 9)):
+            chan = sample_channel(l_paths, *sizes,
+                                  np.random.default_rng([seed, t]))
+            assert np.array_equal(h[row], chan.matrix())
+            assert (aoa[row], aod[row]) == chan.strongest_path()[1:]
+
+
+# a key is (seed, trial) for a channel and (seed, trial, snr, scheme) for
+# noise; seeds of one and two 32-bit words
+SEEDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]),
+                  st.integers(0, 2 ** 64 - 1))
+WORDS = st.integers(0, 2 ** 32 - 1)
+TAILS = st.one_of(st.lists(st.tuples(WORDS), min_size=1, max_size=4),
+                  st.lists(st.tuples(WORDS, WORDS, WORDS), min_size=1,
+                           max_size=4))
+
+
+class TestSubstreams:
+    """Bulk-seeded generators against np.random.default_rng, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, tails=TAILS, sizes=st.lists(
+        st.integers(1, 96), min_size=1, max_size=3))
+    def test_noise_draws_match_default_rng(self, seed, tails, sizes):
+        streams = simulate._substreams(seed, *np.array(tails).T)
+        for tail, gen in zip(tails, streams):
+            ref = np.random.default_rng([seed, *tail])
+            for size in sizes:
+                out = np.empty(size)
+                gen.standard_normal(out=out)
+                assert np.array_equal(out, ref.standard_normal(size))
+        assert next(streams, None) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, tails=TAILS, l_paths=st.integers(1, 5))
+    def test_channel_draws_match_default_rng(self, seed, tails, l_paths):
+        streams = simulate._substreams(seed, *np.array(tails).T)
+        for tail, gen in zip(tails, streams):
+            ref = np.random.default_rng([seed, *tail])
+            for draw in ("standard_normal", "standard_normal"):
+                assert np.array_equal(getattr(gen, draw)(l_paths),
+                                      getattr(ref, draw)(l_paths))
+            for _ in range(2):
+                assert np.array_equal(gen.uniform(-1.0, 1.0, l_paths),
+                                      ref.uniform(-1.0, 1.0, l_paths))
+
+    @pytest.mark.parametrize("seed_keys", [4096, 5, 1])
+    def test_keys_broadcast_in_c_order(self, seed_keys, monkeypatch):
+        # a small pass size splits the keys over several passes
+        monkeypatch.setattr(simulate, "_SEED_KEYS", seed_keys)
+        trials = np.arange(3, 6)[:, None]
+        draws = [gen.standard_normal(4) for gen in
+                 simulate._substreams(2 ** 64 - 1, trials, np.arange(2), 1)]
+        assert len(draws) == 6
+        for (t, si), got in zip([(t, si) for t in range(3, 6)
+                                 for si in range(2)], draws):
+            ref = np.random.default_rng([2 ** 64 - 1, t, si, 1])
+            assert np.array_equal(got, ref.standard_normal(4))
 
 
 class TestElementPowerCdf:
