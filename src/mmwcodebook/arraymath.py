@@ -53,15 +53,16 @@ def wrap_angle(omega):
     return np.mod(om + 1.0, 2.0) - 1.0
 
 
-def steering_vector(n: int, omega: float) -> np.ndarray:
+def steering_vector(n: int, omega) -> np.ndarray:
     """Unit-norm steering vector: entry n is exp(j*pi*(n-1)*omega)/sqrt(N).
 
+    An array of angles gives one vector per angle along a new last axis.
     `omega` outside [-1, 1) is wrapped rather than rejected; the response is
     2-periodic so the wrapped vector is the same vector.
     """
     if n < 1:
         raise ValueError(f"antenna count must be >= 1, got {n}")
-    om = float(wrap_angle(omega))
+    om = wrap_angle(omega)[..., None]
     v = np.exp(1j * np.pi * np.arange(n) * om) / math.sqrt(n)
     return _freeze(v)
 
@@ -69,8 +70,7 @@ def steering_vector(n: int, omega: float) -> np.ndarray:
 def response_matrix(omegas, n: int) -> np.ndarray:
     """exp(-j*pi*k*omega) for k = 0..n-1, one row per angle.
 
-    Row g is the conjugated (unnormalized) array response at omegas[g], so
-    `response_matrix(grid, n) @ w` evaluates the beam gain over a grid.
+    Row g is the conjugated (unnormalized) array response at omegas[g].
     Built by cumulative products: one exponential per angle instead of one
     per matrix entry, which matters on the dense quadrature grids.
     """
@@ -88,13 +88,11 @@ def beam_gains(w, omegas) -> np.ndarray:
     """Complex beam gain of `w` toward each cosine angle in `omegas`.
 
     A(w, omega) = sum_n [w]_n exp(-j*pi*(n-1)*omega) = sqrt(N) a(N,omega)^H w
+
+    The phase ramp runs in place, so no (grid x antennas) array is formed.
     """
     w = as_weights(w)
     om = np.atleast_1d(wrap_angle(omegas)).ravel()
-    if om.size * w.size <= (1 << 14):
-        return _freeze(response_matrix(om, w.size) @ w)
-    # dense grids: run the phase ramp in place instead of materializing the
-    # (grid x antennas) response matrix
     z = np.exp(-1j * np.pi * om)
     acc = np.ones_like(z)
     out = np.full(om.size, w[0], dtype=np.complex128)

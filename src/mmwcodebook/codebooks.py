@@ -29,13 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraymath import (
-    AngleInterval,
-    phase_rotate,
-    response_matrix,
-    steering_vector,
-)
-from .metrics import GdpConfig, gdp_integrand, quadrature_grid
+from .arraymath import AngleInterval, phase_rotate, steering_vector
+from .metrics import GdpConfig, _gdp_values
 
 __all__ = [
     "GeometryError",
@@ -153,28 +148,12 @@ def cf_phases(plan: SubArrayPlan) -> np.ndarray:
     return theta
 
 
-def _subarray_columns(plan: SubArrayPlan) -> np.ndarray:
-    """Zero-padded per-sub-array weight columns, one per (i, m) pair.
+def _subarray_blocks(plan: SubArrayPlan, theta) -> np.ndarray:
+    """Zero-padded sub-array weight blocks, shape (N, m_rf, m_s).
 
-    Column order is i-major: (i, m) -> i * m_s + m (0-based).  Summing
-    columns scaled by exp(j*theta[i, m]) yields the combined codeword.
-    """
-    n, n_s = plan.n_antennas, plan.n_s
-    cols = np.zeros((n, plan.n_subarrays), dtype=np.complex128)
-    amp = math.sqrt(n_s / n)
-    for i in range(plan.m_rf):
-        for m in range(plan.m_s):
-            blk = amp * steering_vector(n_s, plan.omega[i, m])
-            cols[m * n_s:(m + 1) * n_s, i * plan.m_s + m] = blk
-    return cols
-
-
-def assemble_codeword(plan: SubArrayPlan, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Build analog columns and the combined weight vector from phases.
-
-    Returns (v, w): v has one column per RF chain with block m equal to
-    sqrt(n_s/N) * exp(j*theta[i, m]) * a(n_s, omega[i, m]), so every entry
-    has modulus 1/sqrt(N); w = sum of the columns.
+    Block (i, m) is sqrt(n_s/N) * exp(j*theta[i, m]) * a(n_s, omega[i, m])
+    on antennas m*n_s .. (m+1)*n_s - 1 (0-based) and zero elsewhere, so
+    every block entry has modulus 1/sqrt(N).
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (plan.m_rf, plan.m_s):
@@ -183,75 +162,28 @@ def assemble_codeword(plan: SubArrayPlan, theta: np.ndarray) -> tuple[np.ndarray
             f"({plan.m_rf}, {plan.m_s})"
         )
     n, n_s = plan.n_antennas, plan.n_s
-    v = np.zeros((n, plan.m_rf), dtype=np.complex128)
+    blocks = np.zeros((n, plan.m_rf, plan.m_s), dtype=np.complex128)
     amp = math.sqrt(n_s / n)
     for i in range(plan.m_rf):
         for m in range(plan.m_s):
-            blk = amp * np.exp(1j * theta[i, m]) * steering_vector(n_s, plan.omega[i, m])
-            v[m * n_s:(m + 1) * n_s, i] = blk
+            blocks[m * n_s:(m + 1) * n_s, i, m] = (
+                amp * np.exp(1j * theta[i, m])
+                * steering_vector(n_s, plan.omega[i, m]))
+    return blocks
+
+
+def assemble_codeword(plan: SubArrayPlan, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Build analog columns and the combined weight vector from phases.
+
+    Returns (v, w): v has one column per RF chain, the sum of that chain's
+    sub-array blocks (see `_subarray_blocks`), so every entry has modulus
+    1/sqrt(N); w = sum of the columns.
+    """
+    v = _subarray_blocks(plan, theta).sum(axis=2)
     v.setflags(write=False)
     awv = v.sum(axis=1)
     awv.setflags(write=False)
     return v, awv
-
-
-# each (rows x max(N, columns, chunk)) complex array of one quadrature block
-# of `_combo_gdp_values` stays under this many bytes
-_BLOCK_BYTES = 1 << 22
-
-
-def _combo_gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
-                      interval: AngleInterval, cfg: GdpConfig,
-                      points_per_unit: int, chunk: int = 128) -> np.ndarray:
-    """GDP of unit-normalized sum(coeffs[c] * u_cols[:, c]) per candidate.
-
-    Evaluates the same trapezoid quadrature as `metrics.gdp`, at
-    `points_per_unit` samples per unit cosine angle; the only array as long
-    as the grid is the grid itself.  The grid is walked in row blocks sized
-    by `_BLOCK_BYTES`, and candidates in chunks within each block; each
-    chunk's weighted integrand sums are accumulated per candidate.
-
-    The grid is uniform, so the response rows of a block starting at psi_s
-    are one table of the first block's offsets times r(psi_s) =
-    exp(-j*pi*k*psi_s).  The table is built once per call, and each block
-    scales the rows of its narrow operand by r(psi_s) instead.  Which
-    operand that is follows from the shapes alone: when N * candidates is
-    at most columns * (N + candidates), the block is contracted against
-    the combined weights w = u_cols @ coeffs directly (few candidates over
-    many columns); otherwise the block's per-column gain basis is formed
-    once and every candidate chunk is applied to it.
-    """
-    n, n_cols = u_cols.shape
-    n_cand = coeffs.shape[1]
-    psi = quadrature_grid(interval, points_per_unit)
-    h = interval.width / (psi.size - 1)
-    w = u_cols @ coeffs
-    w_sq = w.real ** 2 + w.imag ** 2
-    norm_sq = np.sum(w_sq, axis=0)
-    c_inf = np.max(w_sq, axis=0) / norm_sq
-    direct = n * n_cand <= n_cols * (n + n_cand)
-    rows = min(psi.size, max(1, _BLOCK_BYTES // (16 * max(n, n_cols, chunk))))
-    table = response_matrix(psi[:rows] - psi[0], n)
-    ramp = -1j * np.pi * np.arange(n)
-    acc = np.zeros(n_cand)
-    for b in range(0, psi.size, rows):
-        r = min(rows, psi.size - b)
-        tw = np.full(r, h)
-        if b == 0:
-            tw[0] = h / 2.0
-        if b + r == psi.size:
-            tw[-1] = h / 2.0
-        shift = np.exp(ramp * psi[b])[:, None]
-        if direct:
-            left, right = table[:r], shift * w
-        else:
-            left, right = table[:r] @ (shift * u_cols), coeffs
-        for s in range(0, n_cand, chunk):
-            cut = slice(s, s + chunk)
-            g = left @ right[:, cut]
-            g2 = (g.real ** 2 + g.imag ** 2) / norm_sq[cut]
-            acc[cut] += tw @ gdp_integrand(c_inf[cut], g2, cfg.gamma_per)
-    return acc / interval.width
 
 
 def _argmax_with_ties(values: np.ndarray) -> int:
@@ -280,14 +212,14 @@ def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
     fine = cfg.points_for(n)
     if fine // 32 < 8 * n:
         return _argmax_with_ties(
-            _combo_gdp_values(u_cols, coeffs, interval, cfg, fine))
-    v16 = _combo_gdp_values(u_cols, coeffs, interval, cfg, fine // 16)
-    v32 = _combo_gdp_values(u_cols, coeffs, interval, cfg, fine // 32)
+            _gdp_values(u_cols, coeffs, interval, cfg, fine))
+    v16 = _gdp_values(u_cols, coeffs, interval, cfg, fine // 16)
+    v32 = _gdp_values(u_cols, coeffs, interval, cfg, fine // 32)
     est = float(np.max(np.abs(v16 - v32)))
     vmax = float(np.max(v16))
     tol = _TIE_RTOL * max(1.0, abs(vmax))
     keep = np.flatnonzero(v16 >= vmax - 2.0 * est - 2.0 * tol)
-    values = _combo_gdp_values(u_cols, coeffs[:, keep], interval, cfg, fine)
+    values = _gdp_values(u_cols, coeffs[:, keep], interval, cfg, fine)
     return int(keep[_argmax_with_ties(values)])
 
 
@@ -303,12 +235,14 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     """
     _check_grid_size(grid_size)
     cfg = cfg or GdpConfig()
-    u_cols = _subarray_columns(plan)
+    # sub-array (i, m) -> column i * m_s + m (0-based, i-major)
+    u_cols = _subarray_blocks(plan, np.zeros((plan.m_rf, plan.m_s))).reshape(
+        plan.n_antennas, plan.n_subarrays)
     phis = 2.0 * np.pi * np.arange(grid_size) / grid_size
     m_idx = np.arange(1, plan.m_s + 1)
     i_idx = np.arange(1, plan.m_rf + 1)
     # candidate (a, b) -> flat index a * grid_size + b; coefficient rows
-    # follow the i-major column order of _subarray_columns
+    # follow the i-major column order of u_cols
     exp_m = np.exp(1j * np.outer(m_idx, phis))  # (m_s, g) phi1 factors
     exp_i = np.exp(1j * np.outer(i_idx, phis))  # (m_rf, g) phi2 factors
     coeff = (exp_i[:, None, None, :] * exp_m[None, :, :, None]).reshape(

@@ -6,7 +6,9 @@ unit-norm codeword w with target coverage [psi0, psi0 + B]:
     xi(w) = (1/B) * integral over the coverage of
             exp( -C / (C + gamma_per * |A(w, psi)|^2) ) dpsi,   C = ||w||_inf^2
 
-evaluated by composite trapezoid quadrature.  At gamma_per = 1 (0 dB) this
+evaluated by composite trapezoid quadrature.  `gdp` scores one codeword and
+the codebook phase searches score many candidates; both run the one
+streamed kernel `_gdp_values`.  At gamma_per = 1 (0 dB) this
 is the plain detection-probability form; the explicit gamma_per factor lets
 the same integral be scored at other per-antenna SNR operating points.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymath import AngleInterval, as_weights, beam_gains, inf_norm_sq
+from .arraymath import AngleInterval, as_weights, inf_norm_sq, response_matrix
 
 __all__ = [
     "GdpConfig",
@@ -98,6 +100,65 @@ def gdp_integrand(c: float, gain_sq, gamma_per: float = 1.0) -> np.ndarray:
     return np.exp(-c / (c + gamma_per * g2))
 
 
+# each (rows x max(N, columns, chunk)) complex array of one quadrature block
+# of `_gdp_values` stays under this many bytes
+_BLOCK_BYTES = 1 << 22
+
+
+def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
+                interval: AngleInterval, cfg: GdpConfig,
+                points_per_unit: int, chunk: int = 128) -> np.ndarray:
+    """GDP of unit-normalized sum(coeffs[c] * u_cols[:, c]) per candidate.
+
+    The trapezoid quadrature of the module docstring at `points_per_unit`
+    samples per unit cosine angle; the only array as long as the grid is
+    the grid itself.  The grid is walked in row blocks sized by
+    `_BLOCK_BYTES`, and candidates in chunks within each block; each
+    chunk's weighted integrand sums are accumulated per candidate.
+
+    The grid is uniform, so the response rows of a block starting at psi_s
+    are one table of the first block's offsets times r(psi_s) =
+    exp(-j*pi*k*psi_s).  The table is built once per call, and each block
+    scales the rows of its narrow operand by r(psi_s) instead.  Which
+    operand that is follows from the shapes alone: when N * candidates is
+    at most columns * (N + candidates), the block is contracted against
+    the combined weights w = u_cols @ coeffs directly (few candidates over
+    many columns); otherwise the block's per-column gain basis is formed
+    once and every candidate chunk is applied to it.
+    """
+    n, n_cols = u_cols.shape
+    n_cand = coeffs.shape[1]
+    psi = quadrature_grid(interval, points_per_unit)
+    h = interval.width / (psi.size - 1)
+    w = u_cols @ coeffs
+    w_sq = w.real ** 2 + w.imag ** 2
+    norm_sq = np.sum(w_sq, axis=0)
+    c_inf = np.max(w_sq, axis=0) / norm_sq
+    direct = n * n_cand <= n_cols * (n + n_cand)
+    rows = min(psi.size, max(1, _BLOCK_BYTES // (16 * max(n, n_cols, chunk))))
+    table = response_matrix(psi[:rows] - psi[0], n)
+    ramp = -1j * np.pi * np.arange(n)
+    acc = np.zeros(n_cand)
+    for b in range(0, psi.size, rows):
+        r = min(rows, psi.size - b)
+        tw = np.full(r, h)
+        if b == 0:
+            tw[0] = h / 2.0
+        if b + r == psi.size:
+            tw[-1] = h / 2.0
+        shift = np.exp(ramp * psi[b])[:, None]
+        if direct:
+            left, right = table[:r], shift * w
+        else:
+            left, right = table[:r] @ (shift * u_cols), coeffs
+        for s in range(0, n_cand, chunk):
+            cut = slice(s, s + chunk)
+            g = left @ right[:, cut]
+            g2 = (g.real ** 2 + g.imag ** 2) / norm_sq[cut]
+            acc[cut] += tw @ gdp_integrand(c_inf[cut], g2, cfg.gamma_per)
+    return acc / interval.width
+
+
 def gdp(w, interval: AngleInterval, cfg: GdpConfig | None = None) -> float:
     """Generalized detection probability of a unit-norm codeword.
 
@@ -108,12 +169,8 @@ def gdp(w, interval: AngleInterval, cfg: GdpConfig | None = None) -> float:
     cfg = cfg or GdpConfig()
     if abs(np.linalg.norm(w) - 1.0) > 1e-9:
         raise ValueError("gdp requires a unit 2-norm codeword")
-    psi = quadrature_grid(interval, cfg.points_for(w.size))
-    g2 = np.abs(beam_gains(w, psi)) ** 2
-    c = inf_norm_sq(w)
-    y = gdp_integrand(c, g2, cfg.gamma_per)
-    h = interval.width / (psi.size - 1)
-    return float(np.trapezoid(y, dx=h) / interval.width)
+    return float(_gdp_values(w[:, None], np.ones((1, 1)), interval, cfg,
+                             cfg.points_for(w.size))[0])
 
 
 def mtp(w, p_per: float) -> float:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymath import steering_vector, wrap_angle
+from .arraymath import steering_vector
 from .codebooks import CompositeCodeword, HierarchicalCodebook
 from .metrics import db_to_linear
 
@@ -530,8 +530,8 @@ def _channel_block(cfg: SimConfig, streams,
                                                      + 1j * draws[:, 1])
     # uniform(-1, 1) is -1 + 2 u of the same u
     aoa, aod = -1.0 + 2.0 * draws[:, 2], -1.0 + 2.0 * draws[:, 3]
-    a_r = _steering_rows(n_an, aoa)
-    a_t = _steering_rows(m_an, aod).conj()
+    a_r = steering_vector(n_an, aoa)
+    a_t = steering_vector(m_an, aod).conj()
     # numpy's complex products need not commute bit for bit, so every
     # product keeps `matrix`'s operand order
     h.fill(0.0)
@@ -544,12 +544,6 @@ def _channel_block(cfg: SimConfig, streams,
     strongest = np.argmax(np.abs(gains), axis=1)[:, None]
     return (np.take_along_axis(aoa, strongest, axis=1)[:, 0],
             np.take_along_axis(aod, strongest, axis=1)[:, 0])
-
-
-def _steering_rows(n: int, omegas: np.ndarray) -> np.ndarray:
-    """`steering_vector(n, omega)` along a new last axis, per angle."""
-    om = wrap_angle(omegas)[..., None]
-    return np.exp(1j * np.pi * np.arange(n) * om) / math.sqrt(n)
 
 
 # trials per sub-block are capped so that their stacked channel matrices

@@ -125,6 +125,15 @@ def serialize(cb: HierarchicalCodebook) -> str:
     return "".join(lines) + "\n"
 
 
+def _to_float(val, path: str) -> float:
+    # JSON integers are unbounded; float() of a huge one overflows
+    try:
+        return float(val)
+    except OverflowError:
+        raise CodebookFormatError(
+            f"{path} is outside the float range") from None
+
+
 def _expect(doc: dict, key: str, kind, path: str):
     if key not in doc:
         raise CodebookFormatError(f"missing field {path}.{key}")
@@ -132,7 +141,7 @@ def _expect(doc: dict, key: str, kind, path: str):
     if kind is float:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise CodebookFormatError(f"field {path}.{key} must be a number")
-        return float(val)
+        return _to_float(val, f"field {path}.{key}")
     if not isinstance(val, kind) or isinstance(val, bool):
         raise CodebookFormatError(
             f"field {path}.{key} must be {kind.__name__}")
@@ -147,7 +156,8 @@ def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(v, (int, float)) for v in pair)):
             raise CodebookFormatError(f"{path}[{p}] must be a [re, im] pair")
-        out[p] = complex(float(pair[0]), float(pair[1]))
+        out[p] = complex(_to_float(pair[0], f"{path}[{p}]"),
+                         _to_float(pair[1], f"{path}[{p}]"))
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
         raise CodebookFormatError(f"{path}[{bad[0]}] must be finite")
@@ -162,6 +172,8 @@ def deserialize(text: str) -> HierarchicalCodebook:
         raise CodebookFormatError(
             f"malformed document at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise CodebookFormatError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise CodebookFormatError("document root must be an object")
     if doc.get("format") != FORMAT_NAME:
@@ -193,7 +205,6 @@ def deserialize(text: str) -> HierarchicalCodebook:
             f"field $.gamma_per must be finite and positive, got {gamma_per}")
 
     layers: list[list[CompositeCodeword]] = []
-    ca_modulus = 1.0 / np.sqrt(n)
     for k, raw_layer in enumerate(raw_layers):
         path = f"$.layers[{k}]"
         if not isinstance(raw_layer, dict):
@@ -219,7 +230,8 @@ def deserialize(text: str) -> HierarchicalCodebook:
             f_rf = np.stack(
                 [_parse_complex_vector(col, n, f"{cpath}.analog_columns[{j}]")
                  for j, col in enumerate(acols)], axis=1)
-            if np.max(np.abs(np.abs(f_rf) - ca_modulus)) > 1e-9:
+            # n is the parsed column length here, so it converts to float
+            if np.max(np.abs(np.abs(f_rf) - 1.0 / np.sqrt(n))) > 1e-9:
                 raise CodebookFormatError(
                     f"{cpath}.analog_columns violate the constant-amplitude "
                     f"constraint |entry| = 1/sqrt({n})")
@@ -266,7 +278,9 @@ def deserialize(text: str) -> HierarchicalCodebook:
             comps.append(CompositeCodeword(k, c, f_rf, f_bb, members))
         layers.append(comps)
 
-    if branching ** (len(layers) - 1) != n:
+    # no layers would make the power below a float, which a huge branching
+    # overflows
+    if not layers or branching ** (len(layers) - 1) != n:
         raise CodebookFormatError(
             f"{len(layers)} layers inconsistent with n_antennas={n}, "
             f"branching={branching}")

@@ -11,7 +11,8 @@ import pytest
 
 from mmwcodebook import AngleInterval, GdpConfig, build_codebook, db_to_linear
 from mmwcodebook import codebooks
-from mmwcodebook.codebooks import _argmax_with_ties, _combo_gdp_values
+from mmwcodebook.codebooks import _argmax_with_ties
+from mmwcodebook.metrics import _gdp_values
 
 
 @pytest.fixture
@@ -22,8 +23,8 @@ def checked_searches(monkeypatch):
 
     def search(u_cols, coeffs, interval, cfg):
         chosen = screened_search(u_cols, coeffs, interval, cfg)
-        full = _combo_gdp_values(u_cols, coeffs, interval, cfg,
-                                 cfg.points_for(u_cols.shape[0]))
+        full = _gdp_values(u_cols, coeffs, interval, cfg,
+                           cfg.points_for(u_cols.shape[0]))
         assert chosen == _argmax_with_ties(full), (
             f"width {interval.width}: screened {chosen}, "
             f"exhaustive {_argmax_with_ties(full)}")
@@ -50,14 +51,14 @@ def test_every_layer_matches_exhaustive(checked_searches, scheme, n, m_rf,
 @pytest.fixture
 def kernel_passes(monkeypatch):
     """Record (points per unit, candidates) of every screened-search pass."""
-    kernel = codebooks._combo_gdp_values
+    kernel = codebooks._gdp_values
     passes = []
 
     def recording(u_cols, coeffs, interval, cfg, points_per_unit, **kw):
         passes.append((points_per_unit, coeffs.shape[1]))
         return kernel(u_cols, coeffs, interval, cfg, points_per_unit, **kw)
 
-    monkeypatch.setattr(codebooks, "_combo_gdp_values", recording)
+    monkeypatch.setattr(codebooks, "_gdp_values", recording)
     return passes
 
 

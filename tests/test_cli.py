@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -104,6 +105,17 @@ class TestBeampatternCommand:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["beampattern", "--codebook", str(tmp_path / "nope.txt"),
                     "--out", str(tmp_path / "x.csv")]) == 4
+
+    def test_huge_number_in_file_exits_2(self, codebook_file, tmp_path,
+                                         capsys):
+        doc = json.loads(codebook_file.read_text())
+        doc["layers"][0]["composites"][0]["analog_columns"][0][0][0] = 10 ** 400
+        codebook_file.write_text(json.dumps(doc))
+        out = tmp_path / "bp.csv"
+        assert run(["beampattern", "--codebook", str(codebook_file),
+                    "--out", str(out)]) == 2
+        assert "outside the float range" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bottom_layer_peak(self, codebook_file, tmp_path):
         out = tmp_path / "bp.csv"

@@ -1,11 +1,12 @@
-"""The streamed GDP candidate kernel against `metrics.gdp`, candidate by candidate.
+"""The streamed GDP quadrature kernel against a plain trapezoid reference.
 
-`codebooks._combo_gdp_values` walks the quadrature grid in row blocks and
-picks its contraction order from the operand shapes.  These tests score
-random candidates with it and with `metrics.gdp` of each unit-normalized
-candidate, which builds its own grid and gains, so an error in the blocks,
-the shifted response table, the trapezoid weights or either contraction
-order shows as a value gap.
+`metrics._gdp_values` walks the quadrature grid in row blocks and picks its
+contraction order from the operand shapes; `metrics.gdp` is its
+one-candidate call.  These tests score random candidates and layer
+codewords with it and with the `gdp_reference` fixture, which samples
+`beam_pattern` over the whole grid and integrates with `np.trapezoid`, so
+an error in the blocks, the shifted response table, the trapezoid weights
+or either contraction order shows as a value gap.
 """
 
 import math
@@ -14,9 +15,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmwcodebook import AngleInterval, GdpConfig, gdp, steering_vector
-from mmwcodebook import codebooks
-from mmwcodebook.codebooks import _combo_gdp_values
+from mmwcodebook import (
+    AngleInterval,
+    GdpConfig,
+    build_codebook,
+    gdp,
+    steering_vector,
+)
+from mmwcodebook import metrics
+from mmwcodebook.metrics import _gdp_values
 
 
 def random_problem(n, n_cols, n_cand, seed):
@@ -27,11 +34,11 @@ def random_problem(n, n_cols, n_cand, seed):
     return u_cols, coeffs
 
 
-def reference_values(u_cols, coeffs, interval, cfg):
+def reference_values(gdp_reference, u_cols, coeffs, interval, cfg):
     out = []
     for c in range(coeffs.shape[1]):
         w = u_cols @ coeffs[:, c]
-        out.append(gdp(w / np.linalg.norm(w), interval, cfg))
+        out.append(gdp_reference(w / np.linalg.norm(w), interval, cfg))
     return np.array(out)
 
 
@@ -45,16 +52,16 @@ def reference_values(u_cols, coeffs, interval, cfg):
     (1.0, -0.6, 0.85),
     (2.5, -1.0, 2.0),       # the full period
 ])
-def test_kernel_matches_gdp_on_both_association_paths(n, n_cols, n_cand,
-                                                      direct, gamma_per,
-                                                      start, width):
+def test_kernel_matches_gdp_on_both_association_paths(gdp_reference, n,
+                                                      n_cols, n_cand, direct,
+                                                      gamma_per, start,
+                                                      width):
     assert (n * n_cand <= n_cols * (n + n_cand)) == direct
     u_cols, coeffs = random_problem(n, n_cols, n_cand, seed=n * n_cand)
     interval = AngleInterval(start, width)
     cfg = GdpConfig(gamma_per=gamma_per)
-    values = _combo_gdp_values(u_cols, coeffs, interval, cfg,
-                               cfg.points_for(n))
-    ref = reference_values(u_cols, coeffs, interval, cfg)
+    values = _gdp_values(u_cols, coeffs, interval, cfg, cfg.points_for(n))
+    ref = reference_values(gdp_reference, u_cols, coeffs, interval, cfg)
     assert np.max(np.abs(values - ref)) <= 1e-12
 
 
@@ -67,15 +74,16 @@ def test_kernel_matches_gdp_on_both_association_paths(n, n_cols, n_cand,
     (1, 1),                 # one row per block
 ])
 @pytest.mark.parametrize("n, n_cols, n_cand", [(16, 16, 8), (16, 4, 300)])
-def test_block_boundaries(monkeypatch, block_bytes, rows, n, n_cols, n_cand):
+def test_block_boundaries(monkeypatch, gdp_reference, block_bytes, rows, n,
+                          n_cols, n_cand):
     interval = AngleInterval(0.25, 0.25)
     cfg = GdpConfig(integration_points=4096)
     assert math.ceil(4096 * interval.width) + 1 == 1025
     assert min(1025, max(1, block_bytes // (16 * 128))) == rows
-    monkeypatch.setattr(codebooks, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
     u_cols, coeffs = random_problem(n, n_cols, n_cand, seed=block_bytes % 97)
-    values = _combo_gdp_values(u_cols, coeffs, interval, cfg, 4096)
-    ref = reference_values(u_cols, coeffs, interval, cfg)
+    values = _gdp_values(u_cols, coeffs, interval, cfg, 4096)
+    ref = reference_values(gdp_reference, u_cols, coeffs, interval, cfg)
     assert np.max(np.abs(values - ref)) <= 1e-12
 
 
@@ -92,10 +100,21 @@ def test_full_resolution_call_holds_no_grid_sized_array():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        values = _combo_gdp_values(chains, coeffs, interval, cfg,
-                                   cfg.points_for(n))
+        values = _gdp_values(chains, coeffs, interval, cfg, cfg.points_for(n))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert values.shape == (64,) and np.all(np.isfinite(values))
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("scheme", ["bmw-ms-cf", "bmw-ms-lcs", "ps-dft"])
+def test_gdp_matches_reference_on_layer_codewords(gdp_reference, scheme, n):
+    cb = build_codebook(scheme, n, 2)
+    for k in range(cb.depth + 1):
+        codewords = cb.layer_codewords(k)
+        first, last = codewords[0], codewords[-1]
+        for cw in [first] if first is last else [first, last]:
+            got = gdp(cw.unit_awv, cw.coverage)
+            assert abs(got - gdp_reference(cw.unit_awv, cw.coverage)) <= 1e-12

@@ -6,6 +6,17 @@ hashes before the trial-batched search replaced the search per cell; the
 gdp and cdf hashes were recorded before the process pool was removed, and
 the simulate hashes at two-word seeds before the sweep's generators were
 seeded in bulk.  A speed change must leave them as they are.
+
+Two hashes were re-recorded on purpose, when `metrics.gdp` became the
+one-candidate call of the streamed quadrature kernel and `beam_gains` lost
+its small-grid matrix-product branch.  The `gdp` CSV moved because the
+kernel sums the trapezoid in row blocks: 4 of its 6 values change in the
+last digit, e.g. 0.83917230659157 -> 0.8391723065915702.  The 64-point
+beampattern (64 x 16 gains, which took the deleted branch) moved because
+the phase-ramp loop rounds differently: dB values change by at most 2e-12,
+and two exact nulls at -1 and +1 (floored at -300 dB) now read about
+-299.7 dB.  Its parent hash was
+520a358d504209d6e5a42d3397764b012752cfa55a11d3ea68ccb88193cdfa12.
 """
 
 import hashlib
@@ -52,9 +63,12 @@ SIMULATE_SEED_SHA256 = {
 }
 BEAMPATTERN_SHA256 = \
     "22c3779e916ecd050ecd9cff9f188a1616072b3969f4555f921e50c042d0826e"
+# the same beampattern at 64 points instead of the default 2048
+SMALL_GRID_BEAMPATTERN_SHA256 = \
+    "b8ba72dfbe2ba44075886fb4b8b8f508e1e3e462bfd18c8ba6a808b4edfcbcd8"
 # `gdp --n 16` and `cdf --n 16`, every scheme and the other keys at default
 COMMAND_SHA256 = {
-    "gdp": "714a554d2abcceeb058e4b523b09720fcb3c1a0159e23352b9125c1b780071b9",
+    "gdp": "85be8b45d96b55d3b7f488b4147159d54714b3ac1dc34a1f3c6152a53e715a70",
     "cdf": "6d001a8fb4e49b216e69422c34bb2795c09c72228d37bc01a57661d8060fb81a",
 }
 
@@ -80,13 +94,23 @@ def test_simulate_csv_hash_at_wide_seed(tmp_path, seed, l_paths):
     assert file_sha256(out) == SIMULATE_SEED_SHA256[(seed, l_paths)]
 
 
-def test_beampattern_csv_hash(tmp_path, monkeypatch):
+def beampattern_sha256(tmp_path, monkeypatch, extra_argv):
     # the CSV's config comment records the codebook path, so keep it relative
     monkeypatch.chdir(tmp_path)
     assert main(["design", "--scheme", "bmw-ms-cf", "--n", "16",
                  "--out", "cb.txt"]) == 0
-    assert main(["beampattern", "--codebook", "cb.txt", "--out", "bp.csv"]) == 0
-    assert file_sha256(tmp_path / "bp.csv") == BEAMPATTERN_SHA256
+    assert main(["beampattern", "--codebook", "cb.txt", "--out", "bp.csv"]
+                + extra_argv) == 0
+    return file_sha256(tmp_path / "bp.csv")
+
+
+def test_beampattern_csv_hash(tmp_path, monkeypatch):
+    assert beampattern_sha256(tmp_path, monkeypatch, []) == BEAMPATTERN_SHA256
+
+
+def test_small_grid_beampattern_csv_hash(tmp_path, monkeypatch):
+    assert (beampattern_sha256(tmp_path, monkeypatch, ["--points", "64"])
+            == SMALL_GRID_BEAMPATTERN_SHA256)
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_SHA256))

@@ -164,6 +164,37 @@ class TestBoundaryChecks:
                            match=rf"digital_columns\[{column}\] is all zero"):
             deserialize(text)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("steps, field", [
+        (("gamma_per",), r"\$\.gamma_per"),
+        (("n_antennas",), r"\$\.n_antennas|analog_columns\[0\] must list"),
+        (("layers", 0, "composites", 0, "analog_columns", 0, 0, 0),
+         r"\$\.layers\[0\]\.composites\[0\]\.analog_columns\[0\]\[0\]"),
+        (("layers", 1, "composites", 0, "digital_columns", 1, 0, 1),
+         r"\$\.layers\[1\]\.composites\[0\]\.digital_columns\[1\]\[0\]"),
+        (("layers", 2, "composites", 1, "members", 0, "coverage_start"),
+         r"members\[3\]\.coverage_start"),
+        (("layers", 2, "composites", 1, "members", 1, "coverage_width"),
+         r"members\[4\]\.coverage_width"),
+    ])
+    def test_huge_integer(self, books, steps, field, sign):
+        # a JSON integer too large for a float must not escape as
+        # OverflowError or TypeError
+        def edit(d):
+            for step in steps[:-1]:
+                d = d[step]
+            d[steps[-1]] = sign * 10 ** 400
+
+        text = self.mutated(books[("bmw-ms-cf", 8)], edit)
+        with pytest.raises(CodebookFormatError, match=field):
+            deserialize(text)
+
+    def test_integer_past_the_digit_limit(self, books):
+        text = serialize(books[("bmw-ms-cf", 8)]).replace(
+            '"grid_size": 16', '"grid_size": 1' + "0" * 5000)
+        with pytest.raises(CodebookFormatError, match="malformed document"):
+            deserialize(text)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_digital_column_overflowing_the_weights(self, books):
         def edit(d):
@@ -186,7 +217,7 @@ def _node_paths(node, prefix=()):
 
 
 _REPLACEMENTS = [float("nan"), float("inf"), float("-inf"), 0, 0.0, -1, -1.0,
-                 "x", None, True, [], {}]
+                 10 ** 400, "x", None, True, [], {}]
 
 
 @pytest.fixture(scope="module")
