@@ -197,28 +197,28 @@ def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
                     interval: AngleInterval, cfg: GdpConfig) -> int:
     """Index `_argmax_with_ties` picks over the full-resolution GDP values.
 
-    Every candidate is first scored on two coarse grids, 1/16 and 1/32 of
-    the full resolution; their largest disagreement `est` stands in for the
-    error of the finer screen (about three times it while the trapezoid
-    error falls with the square of the spacing).  With that error, only
-    candidates within 2*est plus twice the tie slack of the best screened
-    value can win or tie at full resolution, so only those are rescored.
-    Survivors keep their original order, so the lexicographic tie-break is
-    the exhaustive one.  Below 8*N points per unit the coarse grids no
-    longer resolve an N-antenna beam, and every candidate is scored at
-    full resolution instead.
+    One coarse pass scores every candidate on the grid of 1/16 the full
+    resolution, v16, and on its even samples, v32.  The Richardson-style
+    estimate e_c = |v16_c - v32_c| (about three times the error of v16_c
+    while the trapezoid error falls with the square of the spacing) bounds
+    each candidate with its own margin.  Candidate c can win or tie at full
+    resolution only if v16_c + 2*e_c reaches max_j(v16_j - 2*e_j) less
+    twice the tie slack, so only those candidates are rescored.  Survivors
+    keep their original order, so the lexicographic tie-break is the
+    exhaustive one.  Below 8*N points per unit the coarse grids no longer
+    resolve an N-antenna beam, and every candidate is scored at full
+    resolution instead.
     """
     n = u_cols.shape[0]
     fine = cfg.points_for(n)
     if fine // 32 < 8 * n:
         return _argmax_with_ties(
             _gdp_values(u_cols, coeffs, interval, cfg, fine))
-    v16 = _gdp_values(u_cols, coeffs, interval, cfg, fine // 16)
-    v32 = _gdp_values(u_cols, coeffs, interval, cfg, fine // 32)
-    est = float(np.max(np.abs(v16 - v32)))
-    vmax = float(np.max(v16))
-    tol = _TIE_RTOL * max(1.0, abs(vmax))
-    keep = np.flatnonzero(v16 >= vmax - 2.0 * est - 2.0 * tol)
+    v16, v32 = _gdp_values(u_cols, coeffs, interval, cfg, fine // 16,
+                           nested=True)
+    margin = 2.0 * np.abs(v16 - v32)
+    tol = _TIE_RTOL * max(1.0, abs(float(np.max(v16))))
+    keep = np.flatnonzero(v16 + margin >= np.max(v16 - margin) - 2.0 * tol)
     values = _gdp_values(u_cols, coeffs[:, keep], interval, cfg, fine)
     return int(keep[_argmax_with_ties(values)])
 

@@ -107,7 +107,9 @@ _BLOCK_BYTES = 1 << 22
 
 def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
                 interval: AngleInterval, cfg: GdpConfig,
-                points_per_unit: int, chunk: int = 128) -> np.ndarray:
+                points_per_unit: int, chunk: int = 128, *,
+                nested: bool = False
+                ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """GDP of unit-normalized sum(coeffs[c] * u_cols[:, c]) per candidate.
 
     The trapezoid quadrature of the module docstring at `points_per_unit`
@@ -125,10 +127,18 @@ def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
     the combined weights w = u_cols @ coeffs directly (few candidates over
     many columns); otherwise the block's per-column gain basis is formed
     once and every candidate chunk is applied to it.
+
+    With `nested`, the call returns two value arrays: the one above and
+    the trapezoid rule on the grid of twice the spacing, summed in the same
+    pass from the samples of even global index (weight 2h inside, h at the
+    two ends).  A grid with an odd interval count takes one more interval,
+    so that its even samples always span the whole coverage.
     """
     n, n_cols = u_cols.shape
     n_cand = coeffs.shape[1]
     psi = quadrature_grid(interval, points_per_unit)
+    if nested and psi.size % 2 == 0:
+        psi = np.linspace(interval.start, interval.end, psi.size + 1)
     h = interval.width / (psi.size - 1)
     w = u_cols @ coeffs
     w_sq = w.real ** 2 + w.imag ** 2
@@ -138,14 +148,13 @@ def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
     rows = min(psi.size, max(1, _BLOCK_BYTES // (16 * max(n, n_cols, chunk))))
     table = response_matrix(psi[:rows] - psi[0], n)
     ramp = -1j * np.pi * np.arange(n)
-    acc = np.zeros(n_cand)
+    acc = np.zeros((2, n_cand) if nested else n_cand)
     for b in range(0, psi.size, rows):
         r = min(rows, psi.size - b)
-        tw = np.full(r, h)
-        if b == 0:
-            tw[0] = h / 2.0
-        if b + r == psi.size:
-            tw[-1] = h / 2.0
+        j = np.arange(b, b + r)
+        tw = np.where((j == 0) | (j == psi.size - 1), h / 2.0, h)
+        if nested:
+            tw = np.stack([tw, np.where(j % 2, 0.0, 2.0 * tw)])
         shift = np.exp(ramp * psi[b])[:, None]
         if direct:
             left, right = table[:r], shift * w
@@ -155,8 +164,9 @@ def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
             cut = slice(s, s + chunk)
             g = left @ right[:, cut]
             g2 = (g.real ** 2 + g.imag ** 2) / norm_sq[cut]
-            acc[cut] += tw @ gdp_integrand(c_inf[cut], g2, cfg.gamma_per)
-    return acc / interval.width
+            acc[..., cut] += tw @ gdp_integrand(c_inf[cut], g2, cfg.gamma_per)
+    values = acc / interval.width
+    return tuple(values) if nested else values
 
 
 def gdp(w, interval: AngleInterval, cfg: GdpConfig | None = None) -> float:

@@ -58,6 +58,8 @@ def _emit(obj, lines: list[str], indent: int) -> None:
             if pos < len(items) - 1:
                 lines.append(",")
         lines.append(f"\n{pad}}}")
+    elif isinstance(obj, np.ndarray):
+        lines.append(_complex_text(obj, pad))
     elif isinstance(obj, (list, tuple)):
         flat = all(isinstance(v, (int, float, np.integer, np.floating))
                    for v in obj)
@@ -77,8 +79,16 @@ def _emit(obj, lines: list[str], indent: int) -> None:
         lines.append(_fmt_number(obj))
 
 
-def _complex_vector(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in v]
+def _complex_text(v: np.ndarray, pad: str) -> str:
+    """A complex vector as `_emit` prints a list of [re, im] pairs.
+
+    One format string for the whole vector, so a column costs its text and
+    no Python list or float per entry.
+    """
+    inner = f"\n{pad}  "
+    template = "[" + inner + f",{inner}".join(["[%.16e, %.16e]"] * v.size)
+    parts = np.column_stack([v.real, v.imag]).ravel().tolist()
+    return template % tuple(parts) + f"\n{pad}]"
 
 
 def serialize(cb: HierarchicalCodebook) -> str:
@@ -98,11 +108,11 @@ def serialize(cb: HierarchicalCodebook) -> str:
                     {
                         "index": comp.index,
                         "analog_columns": [
-                            _complex_vector(comp.f_rf[:, j])
+                            comp.f_rf[:, j]
                             for j in range(comp.f_rf.shape[1])
                         ],
                         "digital_columns": [
-                            _complex_vector(comp.f_bb[:, j])
+                            comp.f_bb[:, j]
                             for j in range(comp.f_bb.shape[1])
                         ],
                         "members": [
@@ -122,7 +132,8 @@ def serialize(cb: HierarchicalCodebook) -> str:
     }
     lines: list[str] = []
     _emit(doc, lines, 0)
-    return "".join(lines) + "\n"
+    lines.append("\n")
+    return "".join(lines)
 
 
 def _to_float(val, path: str) -> float:

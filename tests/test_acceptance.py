@@ -33,7 +33,7 @@ from mmwcodebook import (
     subarray_plan,
 )
 from mmwcodebook.cli import main as cli_main
-from mmwcodebook.metrics import gdp_integrand
+from mmwcodebook.metrics import gdp_integrand, quadrature_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,8 +165,10 @@ def test_criterion_5_gdp_comparison():
 
 
 def test_criterion_6_lcs_bruteforce_oracle(gdp_reference):
-    # the exhaustive values come from the plain trapezoid reference, not
-    # from the kernel that the search itself runs
+    # the exhaustive values come from a plain trapezoid rule over an
+    # explicit response table, one row of phase candidates at a time, not
+    # from the kernel that the search itself runs; sampled candidates are
+    # checked against the `gdp_reference` fixture
     with criterion(6, "LCS vs exhaustive search", 300.0):
         iv = AngleInterval(-1.0, 1.0)
         cfg = GdpConfig()
@@ -179,11 +181,22 @@ def test_criterion_6_lcs_bruteforce_oracle(gdp_reference):
         grid = TWO_PI * np.arange(fine) / fine
         m_idx = np.arange(1, plan.m_s + 1)[None, :]
         i_idx = np.arange(1, plan.m_rf + 1)[:, None]
+        psi = quadrature_grid(iv, cfg.points_for(plan.n_antennas))
+        table = np.exp(-1j * np.pi * np.outer(psi, np.arange(plan.n_antennas)))
+        h = iv.width / (psi.size - 1)
+
+        def codeword(p1, p2):
+            return normalize(assemble_codeword(plan, m_idx * p1 + i_idx * p2)[1])
+
         values = np.empty((fine, fine))
         for a, p1 in enumerate(grid):
-            for b, p2 in enumerate(grid):
-                _, w = assemble_codeword(plan, m_idx * p1 + i_idx * p2)
-                values[a, b] = gdp_reference(normalize(w), iv, cfg)
+            w = np.stack([codeword(p1, p2) for p2 in grid], axis=1)
+            y = gdp_integrand(np.max(np.abs(w) ** 2, axis=0),
+                              np.abs(table @ w) ** 2, cfg.gamma_per)
+            values[a] = np.trapezoid(y, dx=h, axis=0) / iv.width
+        for a, b in np.random.default_rng(6).integers(fine, size=(64, 2)):
+            ref = gdp_reference(codeword(grid[a], grid[b]), iv, cfg)
+            assert abs(values[a, b] - ref) <= 1e-12
         ratio = fine // 64
         wrapped = np.pad(values, ((0, ratio), (0, ratio)), mode="wrap")
         cell_span = 0.0

@@ -1,11 +1,14 @@
 """The coarse-to-fine GDP candidate search picks the exhaustive winner.
 
-`codebooks._best_candidate` screens every phase candidate on two coarse
-quadrature grids and rescores only the survivors at full resolution.  These
-tests replay each layer's search against `_argmax_with_ties` over the
-full-resolution values of every candidate, which is what the codebook
-builders computed before the screen existed.
+`codebooks._best_candidate` screens every phase candidate in one coarse
+pass, which scores it on a 1/16 grid and on that grid's even samples, and
+rescores at full resolution only the survivors of each candidate's own
+error margin.  These tests replay each layer's search against
+`_argmax_with_ties` over the full-resolution values of every candidate,
+which is what the codebook builders computed before the screen existed.
 """
+
+import math
 
 import pytest
 
@@ -48,14 +51,25 @@ def test_every_layer_matches_exhaustive(checked_searches, scheme, n, m_rf,
     assert len(checked_searches) == cb.depth + 1
 
 
+def test_odd_screen_interval_count_matches_exhaustive(checked_searches):
+    # 5000 points per unit: the 1/16 screen grid of the bottom layer (width
+    # 1/8) has 39 intervals and takes a 40th to nest the half grid
+    cfg = GdpConfig(integration_points=5000)
+    assert math.ceil(5000 // 16 * 0.125) == 39
+    cb = build_codebook("bmw-ms-lcs", 16, 2, cfg=cfg)
+    assert checked_searches[-1] == 0.125
+    assert len(checked_searches) == cb.depth + 1
+
+
 @pytest.fixture
 def kernel_passes(monkeypatch):
-    """Record (points per unit, candidates) of every screened-search pass."""
+    """Record (width, points per unit, candidates, nested) of every pass."""
     kernel = codebooks._gdp_values
     passes = []
 
     def recording(u_cols, coeffs, interval, cfg, points_per_unit, **kw):
-        passes.append((points_per_unit, coeffs.shape[1]))
+        passes.append((interval.width, points_per_unit, coeffs.shape[1],
+                       kw.get("nested", False)))
         return kernel(u_cols, coeffs, interval, cfg, points_per_unit, **kw)
 
     monkeypatch.setattr(codebooks, "_gdp_values", recording)
@@ -66,9 +80,21 @@ def test_screen_rescores_few_candidates(kernel_passes):
     iv = AngleInterval(-1.0, 2.0)
     codebooks.lcs_phases(codebooks.subarray_plan(32, 2, iv), iv)
     fine = GdpConfig().points_for(32)
-    assert [p for p, _ in kernel_passes] == [fine // 16, fine // 32, fine]
-    assert kernel_passes[0][1] == kernel_passes[1][1] == 64 * 64
-    assert 1 <= kernel_passes[2][1] < 64
+    screen, rescore = kernel_passes
+    assert screen[1:] == (fine // 16, 64 * 64, True)
+    assert rescore[1] == fine and not rescore[3]
+    assert 1 <= rescore[2] < 64
+
+
+def test_per_candidate_margins_keep_few_survivors(kernel_passes):
+    # bmw-ms-lcs N=64, m_rf=4: one global margin kept 3584 of the 4096
+    # candidates of the layer of width 1/8
+    build_codebook("bmw-ms-lcs", 64, 4)
+    widths = [width for width, *_ in kernel_passes]
+    assert widths == [2.0, 2.0, 0.5, 0.5, 0.125, 0.125, 2 / 64, 2 / 64]
+    screen, rescore = kernel_passes[4:6]
+    assert screen[2:] == (64 * 64, True) and not rescore[3]
+    assert 1 <= rescore[2] < 512
 
 
 def test_low_resolution_falls_back_to_exhaustive(checked_searches,
@@ -77,4 +103,4 @@ def test_low_resolution_falls_back_to_exhaustive(checked_searches,
     build_codebook("bmw-ms-lcs", 8, 2, grid_size=16,
                    cfg=GdpConfig(integration_points=256))
     assert len(checked_searches) == 4
-    assert kernel_passes == [(256, 16 * 16)] * 4
+    assert [p[1:] for p in kernel_passes] == [(256, 16 * 16, False)] * 4

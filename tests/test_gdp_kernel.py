@@ -2,11 +2,12 @@
 
 `metrics._gdp_values` walks the quadrature grid in row blocks and picks its
 contraction order from the operand shapes; `metrics.gdp` is its
-one-candidate call.  These tests score random candidates and layer
-codewords with it and with the `gdp_reference` fixture, which samples
-`beam_pattern` over the whole grid and integrates with `np.trapezoid`, so
-an error in the blocks, the shifted response table, the trapezoid weights
-or either contraction order shows as a value gap.
+one-candidate call and the candidate screen its `nested` call, which also
+sums the trapezoid rule over the even samples.  These tests score random
+candidates and layer codewords with it and with the `gdp_reference`
+fixture, which samples `beam_pattern` over the whole grid and integrates
+with `np.trapezoid`, so an error in the blocks, the shifted response table,
+the trapezoid weights or either contraction order shows as a value gap.
 """
 
 import math
@@ -85,6 +86,31 @@ def test_block_boundaries(monkeypatch, gdp_reference, block_bytes, rows, n,
     values = _gdp_values(u_cols, coeffs, interval, cfg, 4096)
     ref = reference_values(gdp_reference, u_cols, coeffs, interval, cfg)
     assert np.max(np.abs(values - ref)) <= 1e-12
+
+
+# with `nested`, the same grid's even samples give the trapezoid rule of
+# twice the spacing, 512 intervals or 2048 points per unit; 4092 points per
+# unit give 1023 intervals, which the nested call rounds up to the same 1024
+@pytest.mark.parametrize("points", [4096, 4092])
+@pytest.mark.parametrize("block_bytes, rows", [
+    (64 * 2048, 64),
+    (33 * 2048, 33),        # blocks that start at odd sample indices
+    (1 << 30, 1025),
+    (1, 1),
+])
+@pytest.mark.parametrize("n, n_cols, n_cand", [(16, 16, 8), (16, 4, 300)])
+def test_nested_half_grid(monkeypatch, gdp_reference, points, block_bytes,
+                          rows, n, n_cols, n_cand):
+    interval = AngleInterval(0.25, 0.25)
+    assert min(1025, max(1, block_bytes // (16 * 128))) == rows
+    monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
+    u_cols, coeffs = random_problem(n, n_cols, n_cand, seed=block_bytes % 89)
+    values, half = _gdp_values(u_cols, coeffs, interval, GdpConfig(), points,
+                               nested=True)
+    for got, ref_points in [(values, 4096), (half, 2048)]:
+        cfg = GdpConfig(integration_points=ref_points)
+        ref = reference_values(gdp_reference, u_cols, coeffs, interval, cfg)
+        assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_full_resolution_call_holds_no_grid_sized_array():

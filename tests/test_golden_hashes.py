@@ -5,7 +5,10 @@ search replaced the exhaustive one, and the simulate and beampattern
 hashes before the trial-batched search replaced the search per cell; the
 gdp and cdf hashes were recorded before the process pool was removed, and
 the simulate hashes at two-word seeds before the sweep's generators were
-seeded in bulk.  A speed change must leave them as they are.
+seeded in bulk.  The bmw-ms-lcs hashes at N=64 and 128 with m_rf=2 and at
+N=16 with m_rf=4 were recorded before the screen moved to one nested
+coarse pass with per-candidate margins.  A speed change must leave them as
+they are.
 
 Two hashes were re-recorded on purpose, when `metrics.gdp` became the
 one-candidate call of the streamed quadrature kernel and `beam_gains` lost
@@ -41,6 +44,12 @@ GOLDEN_SHA256 = {
         "b53906b9c00c9d063071105abc08b19082467074054d97daace39a10a85f9a60",
     ("bmw-ms-lcs", 64, 4):
         "0893f8e9928312bb212ce8a59a3ea5c7bdfc51de5e4360c62bebf2b8169690a6",
+    ("bmw-ms-lcs", 64, 2):
+        "e35f8dc91a101b226464fc33e79686f9e9762952d859835ee268f647bf263634",
+    ("bmw-ms-lcs", 128, 2):
+        "9e25ec39e4ccb3748e9143ad38cb59033874dc682e6bdb6bfef8f4fe62a055df",
+    ("bmw-ms-lcs", 16, 4):
+        "191a15cc07fe4dc956bb0f69bdd06008252a4569545c4df458a56e4a85709dcc",
 }
 
 

@@ -51,6 +51,18 @@ class TestRoundTrip:
         pairs = re.findall(r"-?\d\.\d{16}e[+-]\d\d", text)
         assert pairs, "complex entries must be printed in 17-digit form"
 
+    def test_vector_text_matches_pair_lists(self):
+        # a column is printed from the array in one go; it must read exactly
+        # as the generic emitter prints the same values as [re, im] lists
+        from mmwcodebook.storage import _emit
+        v = np.array([1.0 / 3.0 - 0.0j, -0.0 + 5e-324j, 1e308 - 2.5e-7j,
+                      -1.0, 0.1j])
+        for indent in (0, 3):
+            ref, got = [], []
+            _emit([[float(z.real), float(z.imag)] for z in v], ref, indent)
+            _emit(v, got, indent)
+            assert got == ["".join(ref)]
+
 
 class TestParseErrors:
     def test_unknown_scheme(self, books):
