@@ -25,12 +25,12 @@ constraint) intact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arraymath import AngleInterval, phase_rotate, steering_vector
-from .metrics import GdpConfig, _gdp_values
+from .metrics import GdpConfig, _check_gamma_per, _gdp_values
 
 __all__ = [
     "GeometryError",
@@ -87,7 +87,6 @@ class SubArrayPlan:
     n_s: int
     delta_theta: float
     omega: np.ndarray  # (m_rf, m_s) steering angles
-    interval: AngleInterval
 
     @property
     def n_subarrays(self) -> int:
@@ -127,7 +126,7 @@ def subarray_plan(n: int, m_rf: int, interval: AngleInterval) -> SubArrayPlan:
     m_idx = np.arange(1, m_s + 1)[None, :]
     omega = interval.start + (i_idx - 0.5) * dt + (m_idx - 1) * m_rf * dt
     omega.setflags(write=False)
-    return SubArrayPlan(n, m_rf, m_s, n_s, dt, omega, interval)
+    return SubArrayPlan(n, m_rf, m_s, n_s, dt, omega)
 
 
 def cf_phases(plan: SubArrayPlan) -> np.ndarray:
@@ -364,13 +363,23 @@ class CompositeCodeword:
 
 @dataclass(eq=False)
 class HierarchicalCodebook:
-    """All layers of composite codewords for one scheme and array size."""
+    """All layers of composite codewords for one scheme and array size.
+
+    grid_size and gamma_per record the phase-search grid and the linear
+    per-antenna SNR the codebook was designed with; both are refused where
+    the codebook reader would refuse them.
+    """
 
     scheme: str
     n_antennas: int
     branching: int
     layers: list[list[CompositeCodeword]]
-    params: dict = field(default_factory=dict)
+    grid_size: int
+    gamma_per: float
+
+    def __post_init__(self):
+        _check_grid_size(self.grid_size)
+        _check_gamma_per(self.gamma_per)
 
     @property
     def depth(self) -> int:
@@ -394,7 +403,8 @@ class HierarchicalCodebook:
                 and self.scheme == other.scheme
                 and self.n_antennas == other.n_antennas
                 and self.branching == other.branching
-                and self.params == other.params
+                and self.grid_size == other.grid_size
+                and self.gamma_per == other.gamma_per
                 and self.layers == other.layers)
 
 
@@ -476,9 +486,8 @@ def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
             _, _, theta = lcs_phases(plan, interval, cfg, grid_size)
         cols, _ = assemble_codeword(plan, theta)
         layers.append(_layer_composites(k, m_rf, cols))
-    return HierarchicalCodebook(tag, n, m_rf, layers,
-                                params={"grid_size": grid_size,
-                                        "gamma_per": cfg.gamma_per})
+    return HierarchicalCodebook(tag, n, m_rf, layers, grid_size,
+                                cfg.gamma_per)
 
 
 def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
@@ -508,8 +517,7 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
         scale = 1.0 / np.linalg.norm(cols.sum(axis=1))
         layers.append(_layer_composites(k, branching, cols, f_bb_scale=scale))
     return HierarchicalCodebook(SCHEME_PS_DFT, n, branching, layers,
-                                params={"grid_size": grid_size,
-                                        "gamma_per": cfg.gamma_per})
+                                grid_size, cfg.gamma_per)
 
 
 def build_codebook(scheme: str, n: int, m_rf: int = 2,

@@ -68,10 +68,12 @@ def _parse_float(text) -> float:
 
 
 def _parse_floats(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [_parse_float(v) for v in text]
+    items = (text if isinstance(text, (list, tuple))
+             else [tok for tok in str(text).split(",") if tok.strip()])
+    if not items:
+        raise ConfigError(f"expected at least one value, got {text!r}")
     try:
-        return [_parse_float(tok) for tok in str(text).split(",") if tok.strip()]
+        return [_parse_float(v) for v in items]
     except ConfigError:
         raise
     except ValueError as exc:
@@ -205,8 +207,8 @@ def resolve_config(command: str, file_values: dict[str, str] | None = None,
             parser = spec[key][0]
             try:
                 cfg[key] = parser(value)
-            except ConfigError:
-                raise
+            except ConfigError as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     _validate(command, cfg)
@@ -229,19 +231,13 @@ def _link_budget(cfg: dict) -> LinkBudget:
     )
 
 
-# list keys that must hold at least one value when given; `layers` is None
-# by default, for every layer
-_NON_EMPTY = {"beampattern": ("layers", "indices"),
-              "gdp": ("n", "gamma_per_db"), "simulate": ("snr_db",)}
-
-
 def _validate(command: str, cfg: dict) -> None:
     """Refuse a configuration before any codebook is designed.
 
     Ranges the library owns are checked by calling their owners
     (`check_design` for every design a command makes, `SimConfig`,
-    `check_search`, `LinkBudget`), whose ValueError becomes a ConfigError;
-    only what no library call sees is checked here.
+    `check_search`, `link_budget_report`), whose ValueError becomes a
+    ConfigError; only what no library call sees is checked here.
     """
     try:
         if command == "design":
@@ -255,7 +251,8 @@ def _validate(command: str, cfg: dict) -> None:
             _sim_config(cfg)
             check_search(cfg["l_s"], [cfg["m_rf"]], cfg["workers"])
         elif command == "linkbudget":
-            _link_budget(cfg)
+            link_budget_report(_link_budget(cfg), (cfg["excess_min_db"],
+                                                   cfg["excess_max_db"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if command == "beampattern":
@@ -263,12 +260,6 @@ def _validate(command: str, cfg: dict) -> None:
             raise ConfigError("a codebook file is required (--codebook)")
         if cfg["points"] < 2:
             raise ConfigError("points must be >= 2")
-    elif command == "linkbudget" and not (
-            0 <= cfg["excess_min_db"] <= cfg["excess_max_db"]):
-        raise ConfigError("excess loss range must be 0 <= min <= max")
-    for key in _NON_EMPTY.get(command, ()):
-        if cfg[key] is not None and not cfg[key]:
-            raise ConfigError(f"{key} must be non-empty")
 
 
 # keys that cannot change results: the output location, which would break

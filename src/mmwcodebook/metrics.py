@@ -57,12 +57,18 @@ def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
+def _check_gamma_per(gamma_per: float) -> None:
+    # GdpConfig, HierarchicalCodebook and the codebook reader share this
+    if not (math.isfinite(gamma_per) and gamma_per > 0.0):
+        raise ValueError(
+            f"gamma_per must be finite and positive, got {gamma_per}")
+
+
 @dataclass(frozen=True)
 class GdpConfig:
     """Evaluation settings for the GDP integral.
 
-    gamma_per is the linear per-antenna SNR (1.0 = 0 dB).  threshold is the
-    detection threshold, fixed at 1.0 and present for documentation only.
+    gamma_per is the linear per-antenna SNR (1.0 = 0 dB).
     integration_points counts quadrature samples per unit cosine angle;
     None selects 256*N for an N-antenna codeword (sampling the narrowest
     bottom-layer lobes at least 256 times) with a floor of 4096 so that
@@ -70,15 +76,10 @@ class GdpConfig:
     """
 
     gamma_per: float = 1.0
-    threshold: float = 1.0
     integration_points: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma_per) and self.gamma_per > 0.0):
-            raise ValueError(
-                f"gamma_per must be finite and positive, got {self.gamma_per}")
-        if self.threshold != 1.0:
-            raise ValueError("the detection threshold is fixed at 1.0")
+        _check_gamma_per(self.gamma_per)
         if self.integration_points is not None and self.integration_points < 256:
             raise ValueError(
                 f"integration_points must be >= 256, got {self.integration_points}"
@@ -100,23 +101,24 @@ def gdp_integrand(c: float, gain_sq, gamma_per: float = 1.0) -> np.ndarray:
     return np.exp(-c / (c + gamma_per * g2))
 
 
-# each (rows x max(N, columns, chunk)) complex array of one quadrature block
-# of `_gdp_values` stays under this many bytes
+# each (rows x max(N, columns, _CHUNK)) complex array of one quadrature
+# block of `_gdp_values` stays under this many bytes
 _BLOCK_BYTES = 1 << 22
+# candidates scored together within a block
+_CHUNK = 128
 
 
 def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
                 interval: AngleInterval, cfg: GdpConfig,
-                points_per_unit: int, chunk: int = 128, *,
-                nested: bool = False
+                points_per_unit: int, *, nested: bool = False
                 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """GDP of unit-normalized sum(coeffs[c] * u_cols[:, c]) per candidate.
 
     The trapezoid quadrature of the module docstring at `points_per_unit`
     samples per unit cosine angle; the only array as long as the grid is
     the grid itself.  The grid is walked in row blocks sized by
-    `_BLOCK_BYTES`, and candidates in chunks within each block; each
-    chunk's weighted integrand sums are accumulated per candidate.
+    `_BLOCK_BYTES`, and candidates in chunks of `_CHUNK` within each block;
+    each chunk's weighted integrand sums are accumulated per candidate.
 
     The grid is uniform, so the response rows of a block starting at psi_s
     are one table of the first block's offsets times r(psi_s) =
@@ -145,7 +147,8 @@ def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
     norm_sq = np.sum(w_sq, axis=0)
     c_inf = np.max(w_sq, axis=0) / norm_sq
     direct = n * n_cand <= n_cols * (n + n_cand)
-    rows = min(psi.size, max(1, _BLOCK_BYTES // (16 * max(n, n_cols, chunk))))
+    rows = min(psi.size,
+               max(1, _BLOCK_BYTES // (16 * max(n, n_cols, _CHUNK))))
     table = response_matrix(psi[:rows] - psi[0], n)
     ramp = -1j * np.pi * np.arange(n)
     acc = np.zeros((2, n_cand) if nested else n_cand)
@@ -160,8 +163,8 @@ def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
             left, right = table[:r], shift * w
         else:
             left, right = table[:r] @ (shift * u_cols), coeffs
-        for s in range(0, n_cand, chunk):
-            cut = slice(s, s + chunk)
+        for s in range(0, n_cand, _CHUNK):
+            cut = slice(s, s + _CHUNK)
             g = left @ right[:, cut]
             g2 = (g.real ** 2 + g.imag ** 2) / norm_sq[cut]
             acc[..., cut] += tw @ gdp_integrand(c_inf[cut], g2, cfg.gamma_per)
@@ -265,8 +268,12 @@ def link_budget_report(lb: LinkBudget,
     """Full budget arithmetic chain plus consistency notes.
 
     The returned gamma_per_range_db sweeps the excess propagation loss over
-    `excess_loss_range_db` with the other inputs fixed.
+    `excess_loss_range_db` with the other inputs fixed; a range outside
+    0 <= min <= max raises ValueError.
     """
+    lo, hi = excess_loss_range_db
+    if not 0.0 <= lo <= hi:
+        raise ValueError("excess loss range must be 0 <= min <= max")
     base = LinkBudget(
         pa_saturation_dbm=lb.pa_saturation_dbm,
         carrier_wavelength_m=lb.carrier_wavelength_m,
@@ -277,7 +284,6 @@ def link_budget_report(lb: LinkBudget,
         excess_loss_db=0.0,
     )
     gamma_db = (base.received_dbm - base.noise_dbm + base.spreading_gain_db)
-    lo, hi = excess_loss_range_db
     notes = [
         "the published example states a -74 dBm noise floor for a labeled "
         "100 MHz bandwidth, but 10log10(kTB*1e3) gives -74 dBm only at "

@@ -62,8 +62,6 @@ class SimConfig:
     l_s: int = 32
     n0: float = 1.0
     papc: bool = True
-    p_per: float = 1.0
-    p_total: float = 1.0
     seed: int = 0
     trials: int = 1
 
@@ -71,14 +69,10 @@ class SimConfig:
         for name in ("l_paths", "l_s", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("n0", "p_per", "p_total"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.n0):
+            raise ValueError(f"n0 must be finite, got {self.n0}")
         if self.n0 < 0.0:
             raise ValueError("n0 must be >= 0")
-        if self.p_per <= 0.0 or self.p_total <= 0.0:
-            raise ValueError("powers must be positive")
         if not 0 <= self.seed <= 2 ** 64 - 1:
             raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
         # each trial index is one 32-bit word of its substream keys
@@ -160,6 +154,13 @@ def _best_flat(rho: np.ndarray) -> np.ndarray:
     return flat.argmax(axis=-1)
 
 
+def _check_channel(h: np.ndarray, n_rx: int, n_tx: int) -> None:
+    if np.shape(h) != (n_rx, n_tx):
+        raise ValueError(
+            f"channel shape {np.shape(h)} does not match Rx {n_rx} x "
+            f"Tx {n_tx} antennas")
+
+
 def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
             p: float, n0: float, l_s: int,
             rng: np.random.Generator | None = None,
@@ -170,10 +171,7 @@ def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
     `papc`); noise variance is l_s * n0 per entry.  Dimensions of the
     channel must match the codeword lengths.
     """
-    if h.shape != (rx.f_rf.shape[0], tx.f_rf.shape[0]):
-        raise ValueError(
-            f"channel shape {h.shape} does not match Rx {rx.f_rf.shape[0]} x "
-            f"Tx {tx.f_rf.shape[0]} antennas")
+    _check_channel(h, rx.f_rf.shape[0], tx.f_rf.shape[0])
     rho = _correlate(_rx_product(rx.member_matrix, h), tx.member_matrix,
                      tx.member_inf_norms, math.sqrt(p), l_s, papc)
     if n0 > 0.0:
@@ -225,7 +223,8 @@ def _members(side, k: int) -> int:
 
 
 class _LayerStacks:
-    """One codebook's search matrices, stacked per layer for gathering.
+    """One codebook's search matrices, stacked per layer for gathering;
+    sweeps and single searches both read them.
 
     `units[k - 1]` (composites, N, M) and `infs[k - 1]` (composites, M) hold
     the member columns and inf-norms of layer k = 1..depth.  A last entry
@@ -263,35 +262,6 @@ class _LayerStacks:
         values, pos = _distinct_per_row(idx)
         wh = _rx_product(self.gather(k, values)[0], h[:, None])
         return wh[np.arange(idx.shape[0])[:, None], pos]
-
-
-class _PathLayers:
-    """The matrices one search reads, taken from the codebook as it descends.
-
-    A single search visits one composite per layer, so it reads those
-    directly instead of stacking every layer as `_LayerStacks` does.
-    """
-
-    def __init__(self, cb: HierarchicalCodebook):
-        self.cb, self.depth, self.branching = cb, cb.depth, cb.branching
-
-    def gather(self, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_LayerStacks.gather` for a one-cell idx."""
-        index = int(idx.item())
-        if k <= self.depth:
-            comp = self.cb.layers[k][index]
-            units, infs = comp.member_matrix, comp.member_inf_norms
-        else:
-            c, m = divmod(index, self.branching)
-            comp = self.cb.layers[self.depth][c]
-            units = comp.members[m].unit_awv[:, None]
-            infs = comp.member_inf_norms[m:m + 1]
-        return (units.reshape(idx.shape + units.shape),
-                infs.reshape(idx.shape + infs.shape))
-
-    def rx_product(self, k: int, idx: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """`_LayerStacks.rx_product` for a one-cell idx."""
-        return _rx_product(self.gather(k, idx)[0], h[:, None])
 
 
 def _noise_size(tx, rx) -> int:
@@ -372,19 +342,23 @@ def check_search(l_s: int, branchings, workers: int = 1) -> None:
 def hierarchical_search(tx_cb: HierarchicalCodebook,
                         rx_cb: HierarchicalCodebook, h: np.ndarray,
                         cfg: SimConfig,
-                        rng: np.random.Generator | None = None) -> SearchResult:
+                        rng: np.random.Generator | None = None,
+                        p: float = 1.0) -> SearchResult:
     """Layered beam search over a Tx/Rx codebook pair.
 
     Runs max(depth_tx, depth_rx) layers; at each one the current composites
     are measured jointly and both sides descend into the winning member's
     children.  A side that exhausts its layers first keeps its bottom
     codeword fixed while the other side continues.  Total training overhead
-    is l_s per layer.  This is the one-cell case of the batched search
-    that `run_monte_carlo` runs.
+    is l_s per layer.  `p` is the per-stream power, as in `measure`.  This
+    is the one-cell case of the batched search that `run_monte_carlo` runs.
     """
     check_search(cfg.l_s, (tx_cb.branching, rx_cb.branching))
-    tx, rx = _PathLayers(tx_cb), _PathLayers(rx_cb)
-    p = cfg.p_per if cfg.papc else cfg.p_total
+    _check_channel(h, rx_cb.n_antennas, tx_cb.n_antennas)
+    if not (math.isfinite(p) and p > 0.0):
+        raise ValueError(f"p must be finite and positive, got {p}")
+    tx = _LayerStacks(tx_cb)
+    rx = tx if rx_cb is tx_cb else _LayerStacks(rx_cb)
     noise = None
     if cfg.n0 > 0.0:
         if rng is None:

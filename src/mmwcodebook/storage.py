@@ -23,6 +23,7 @@ from .codebooks import (
     _check_grid_size,
     derive_members,
 )
+from .metrics import _check_gamma_per
 
 __all__ = ["CodebookFormatError", "deserialize", "serialize"]
 
@@ -99,8 +100,8 @@ def serialize(cb: HierarchicalCodebook) -> str:
         "scheme": cb.scheme,
         "n_antennas": cb.n_antennas,
         "branching": cb.branching,
-        "grid_size": int(cb.params.get("grid_size", 0)),
-        "gamma_per": float(cb.params.get("gamma_per", 1.0)),
+        "grid_size": int(cb.grid_size),
+        "gamma_per": float(cb.gamma_per),
         "layers": [
             {
                 "layer": k,
@@ -209,11 +210,9 @@ def deserialize(text: str) -> HierarchicalCodebook:
             f"field $.branching must be >= 2, got {branching}")
     try:
         _check_grid_size(grid_size)
+        _check_gamma_per(gamma_per)
     except ValueError as exc:
         raise CodebookFormatError(f"field $.{exc}") from None
-    if not (np.isfinite(gamma_per) and gamma_per > 0.0):
-        raise CodebookFormatError(
-            f"field $.gamma_per must be finite and positive, got {gamma_per}")
 
     layers: list[list[CompositeCodeword]] = []
     for k, raw_layer in enumerate(raw_layers):
@@ -295,6 +294,5 @@ def deserialize(text: str) -> HierarchicalCodebook:
         raise CodebookFormatError(
             f"{len(layers)} layers inconsistent with n_antennas={n}, "
             f"branching={branching}")
-    return HierarchicalCodebook(scheme, n, branching, layers,
-                                params={"grid_size": grid_size,
-                                        "gamma_per": gamma_per})
+    return HierarchicalCodebook(scheme, n, branching, layers, grid_size,
+                                gamma_per)

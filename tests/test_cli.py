@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmwcodebook import deserialize, experiments
+from mmwcodebook import __version__, deserialize, experiments
 from mmwcodebook.cli import build_parser, main
 from mmwcodebook.experiments import (
     COMMAND_KEYS,
@@ -47,6 +49,16 @@ class TestConfigHandling:
         cfgfile.write_text("n 8\n")
         with pytest.raises(ConfigError, match="key = value"):
             load_config_file(cfgfile)
+
+    @pytest.mark.parametrize("command, key", [
+        ("gdp", "n"), ("gdp", "gamma_per_db"), ("simulate", "snr_db"),
+        ("beampattern", "layers"), ("beampattern", "indices")])
+    @pytest.mark.parametrize("text", ["", " , "])
+    def test_empty_list_rejected_naming_the_key(self, command, key, text):
+        values = {**REQUIRED.get(command, {}), key: text}
+        with pytest.raises(ConfigError,
+                           match=f"bad value for '{key}': expected at least"):
+            resolve_config(command, values)
 
     def test_ranges_validated_before_compute(self):
         with pytest.raises(ConfigError):
@@ -347,6 +359,7 @@ class TestGeneratedFlags:
         ["gdp", "--gamma-per-db", ""],
         # checked before the file is read, which would exit 4 here
         ["beampattern", "--codebook", "cb.txt", "--layers", ""],
+        ["linkbudget", "--excess-min-db", "5", "--excess-max-db", "1"],
     ])
     def test_bad_value_exits_2_and_writes_nothing(self, argv, tmp_path,
                                                   capsys):
@@ -374,3 +387,11 @@ class TestIntegerLists:
 
     def test_integral_values_still_accepted(self):
         assert resolve_config("gdp", {"n": "16.0, 32"})["n"] == [16, 32]
+
+
+def test_pyproject_version_matches_package():
+    # every CSV's config line records __version__; the packaged version
+    # must say the same.  tomllib needs Python 3.11, so read the line.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    found = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', text, re.MULTILINE)
+    assert found == [__version__]

@@ -382,7 +382,7 @@ class TestDesignChecks:
     def test_grid_size_below_eight_rejected_for_every_scheme(self, scheme):
         with pytest.raises(ValueError, match="grid_size"):
             build_codebook(scheme, 32, grid_size=4)
-        assert build_codebook(scheme, 8, grid_size=8).params["grid_size"] == 8
+        assert build_codebook(scheme, 8, grid_size=8).grid_size == 8
 
     def test_depth(self):
         assert check_design("ps-dft", 2, 2, 8) == 1

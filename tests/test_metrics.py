@@ -93,8 +93,6 @@ class TestGdp:
             GdpConfig(gamma_per=0.0)
         with pytest.raises(ValueError):
             GdpConfig(integration_points=100)
-        with pytest.raises(ValueError):
-            GdpConfig(threshold=2.0)
 
     def test_non_finite_gamma_rejected(self):
         for value in (math.inf, -math.inf, math.nan):
@@ -192,6 +190,12 @@ class TestLinkBudget:
             LinkBudget(distance_m=0.0)
         with pytest.raises(ValueError):
             LinkBudget(excess_loss_db=-1.0)
+
+    @pytest.mark.parametrize("excess", [(15.0, 0.0), (-1.0, 5.0),
+                                        (0.0, math.nan)])
+    def test_report_refuses_bad_excess_range(self, excess):
+        with pytest.raises(ValueError, match="0 <= min <= max"):
+            link_budget_report(LinkBudget(), excess)
 
 
 def test_db_roundtrip():

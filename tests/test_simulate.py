@@ -191,7 +191,7 @@ class TestSelectBest:
 class TestHierarchicalSearch:
     def test_noise_free_bin_centers(self):
         cb = build_bmw_ms(16, 2, "cf")
-        cfg = SimConfig(l_s=8, n0=0.0, papc=True, p_per=1.0)
+        cfg = SimConfig(l_s=8, n0=0.0, papc=True)
         for j_true in (1, 5, 16):
             for i_true in (2, 9):
                 aod = -1.0 + (2 * j_true - 1) / 16
@@ -211,15 +211,15 @@ class TestHierarchicalSearch:
         # replaying the same noise stream layer by layer must reproduce
         # the exact descent of the search
         tx_cb = rx_cb = build_bmw_ms(16, 2, "cf")
-        cfg = SimConfig(l_s=8, n0=1.0, papc=True, p_per=100.0)
+        cfg = SimConfig(l_s=8, n0=1.0, papc=True)
         h = sample_channel(2, 16, 16, np.random.default_rng(5)).matrix()
         res = hierarchical_search(tx_cb, rx_cb, h, cfg,
-                                  np.random.default_rng(99))
+                                  np.random.default_rng(99), p=100.0)
         rng = np.random.default_rng(99)
         j_t = i_r = 1
         for k in range(1, 5):
             rho = measure(tx_cb.composite(k, j_t), rx_cb.composite(k, i_r),
-                          h, cfg.p_per, cfg.n0, cfg.l_s, rng, papc=True)
+                          h, 100.0, cfg.n0, cfg.l_s, rng, papc=True)
             j_s, i_s = select_best(rho)
             j_t = 2 * (j_t - 1) + j_s
             i_r = 2 * (i_r - 1) + i_s
@@ -227,14 +227,14 @@ class TestHierarchicalSearch:
 
     def test_nested_coverage_descent(self):
         tx_cb = rx_cb = build_bmw_ms(32, 2, "cf")
-        cfg = SimConfig(l_s=8, n0=0.5, p_per=10.0)
+        cfg = SimConfig(l_s=8, n0=0.5)
         h = sample_channel(1, 32, 32, np.random.default_rng(8)).matrix()
         rng = np.random.default_rng(21)
         j_t = i_r = 1
         prev = tx_cb.codeword(0, 1).coverage
         for k in range(1, 6):
             rho = measure(tx_cb.composite(k, j_t), rx_cb.composite(k, i_r),
-                          h, cfg.p_per, cfg.n0, cfg.l_s, rng, papc=True)
+                          h, 10.0, cfg.n0, cfg.l_s, rng, papc=True)
             j_s, _ = select_best(rho)
             j_t = 2 * (j_t - 1) + j_s
             assert 1 <= j_t <= 2 ** k
@@ -277,6 +277,36 @@ class TestHierarchicalSearch:
         with pytest.raises(ValueError):
             hierarchical_search(cb, cb, np.zeros((8, 8), dtype=complex),
                                 SimConfig(l_s=1, n0=0.0))
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_power_rejected(self, p):
+        cb = build_bmw_ms(8, 2, "cf")
+        with pytest.raises(ValueError, match="^p must be finite and positive"):
+            hierarchical_search(cb, cb, np.zeros((8, 8), dtype=complex),
+                                SimConfig(l_s=8, n0=0.0), p=p)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 8), (256,)])
+    def test_bad_channel_shape_rejected(self, shape):
+        tx_cb, rx_cb = build_bmw_ms(32, 2, "cf"), build_bmw_ms(8, 2, "cf")
+        with pytest.raises(ValueError, match="channel shape"):
+            hierarchical_search(tx_cb, rx_cb, np.zeros(shape, dtype=complex),
+                                SimConfig(l_s=8, n0=0.0))
+
+    def test_shared_codebook_stacked_once(self, monkeypatch):
+        built = []
+
+        class Counting(simulate._LayerStacks):
+            def __init__(self, cb):
+                built.append(cb)
+                super().__init__(cb)
+
+        monkeypatch.setattr(simulate, "_LayerStacks", Counting)
+        cb, other = build_bmw_ms(8, 2, "cf"), build_bmw_ms(8, 2, "cf")
+        h = rank_one_channel(8, 8, 0.3, -0.2)
+        assert (hierarchical_search(cb, cb, h, SimConfig(l_s=8, n0=0.0))
+                == hierarchical_search(cb, other, h,
+                                       SimConfig(l_s=8, n0=0.0)))
+        assert built == [cb, cb, other]
 
 
 class TestMonteCarlo:
@@ -391,7 +421,7 @@ class TestMonteCarlo:
             run_monte_carlo([("a", cb, cb)], [-10.0],
                             SimConfig(l_s=8, trials=3), workers=workers)
 
-    @pytest.mark.parametrize("field", ["n0", "p_per", "p_total"])
+    @pytest.mark.parametrize("field", ["n0"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -499,12 +529,11 @@ class TestBatchedSweep:
     def test_single_search_matches_oracle(self, sizes, papc):
         tx_cb = build_bmw_ms(sizes[0], 2, "cf")
         rx_cb = build_ps_dft(sizes[1], 2, grid_size=16)
-        cfg = SimConfig(l_paths=2, l_s=8, n0=1.0, papc=papc, p_per=30.0,
-                        p_total=30.0)
+        cfg = SimConfig(l_paths=2, l_s=8, n0=1.0, papc=papc)
         for seed in range(8):
             h = sample_channel(2, *sizes, np.random.default_rng(seed)).matrix()
             res = hierarchical_search(tx_cb, rx_cb, h, cfg,
-                                      np.random.default_rng([seed, 1]))
+                                      np.random.default_rng([seed, 1]), p=30.0)
             assert (res.j_t, res.i_r, res.rho_star) == oracle_search(
                 tx_cb, rx_cb, h, 30.0, cfg, np.random.default_rng([seed, 1]))
 

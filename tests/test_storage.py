@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from mmwcodebook import (
     CodebookFormatError,
+    GdpConfig,
+    HierarchicalCodebook,
     build_bmw_ms,
     build_codebook,
     deserialize,
@@ -32,6 +34,25 @@ class TestRoundTrip:
         cb = books[(scheme, n)]
         back = deserialize(serialize(cb))
         assert back == cb
+
+    @pytest.mark.parametrize("scheme", ["bmw-ms-cf", "bmw-ms-lcs", "ps-dft"])
+    def test_design_settings_round_trip(self, scheme):
+        cb = build_codebook(scheme, 8, 2, grid_size=12,
+                            cfg=GdpConfig(gamma_per=2.5))
+        back = deserialize(serialize(cb))
+        assert (back.grid_size, back.gamma_per) == (12, 2.5)
+        assert back == cb
+
+    @pytest.mark.parametrize("field, value", [("grid_size", 4),
+                                              ("gamma_per", float("nan"))])
+    def test_constructor_refuses_what_the_reader_refuses(self, books, field,
+                                                         value):
+        cb = books[("bmw-ms-cf", 8)]
+        settings = {"grid_size": cb.grid_size, "gamma_per": cb.gamma_per,
+                    field: value}
+        with pytest.raises(ValueError, match=field):
+            HierarchicalCodebook(cb.scheme, cb.n_antennas, cb.branching,
+                                 cb.layers, **settings)
 
     def test_member_weights_bit_identical(self, books):
         cb = books[("bmw-ms-cf", 32)]
