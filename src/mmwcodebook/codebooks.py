@@ -193,33 +193,178 @@ def _argmax_with_ties(values: np.ndarray) -> int:
 
 
 def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
-                    interval: AngleInterval, cfg: GdpConfig) -> int:
+                    interval: AngleInterval, cfg: GdpConfig,
+                    labels: np.ndarray | None = None,
+                    exact: bool = False) -> int:
     """Index `_argmax_with_ties` picks over the full-resolution GDP values.
 
-    One coarse pass scores every candidate on the grid of 1/16 the full
-    resolution, v16, and on its even samples, v32.  The Richardson-style
-    estimate e_c = |v16_c - v32_c| (about three times the error of v16_c
-    while the trapezoid error falls with the square of the spacing) bounds
-    each candidate with its own margin.  Candidate c can win or tie at full
-    resolution only if v16_c + 2*e_c reaches max_j(v16_j - 2*e_j) less
-    twice the tie slack, so only those candidates are rescored.  Survivors
-    keep their original order, so the lexicographic tie-break is the
-    exhaustive one.  Below 8*N points per unit the coarse grids no longer
-    resolve an N-antenna beam, and every candidate is scored at full
-    resolution instead.
+    `labels` partitions the candidates into classes that share one GDP:
+    labels[c] is the lowest index of c's class (None: every candidate is
+    its own class).  The callers certify each class from the weight
+    vectors (`_lcs_classes`, `_one_pattern`), never from GDP values; with
+    `exact`, the members of every class share |A|^2 itself (global phases,
+    one-hot vectors), not only a mirror image of it.
+
+    One coarse pass scores each class's lowest member on the grid of 1/16
+    the full resolution, v16, and on its even samples, v32.  The
+    Richardson-style estimate e_c = |v16_c - v32_c| (about three times the
+    error of v16_c while the trapezoid error falls with the square of the
+    spacing) bounds each candidate with its own margin.  Candidate c can
+    win or tie at full resolution only if v16_c + 2*e_c reaches
+    max_j(v16_j - 2*e_j) less the tie slack; the screen asks only for
+    twice the slack.  A class member's coarse values differ from its
+    representative's by rounding alone (a mirror pair's by about 1e-15,
+    through the mirrored grid samples), and that shift, at most five times
+    it in the test, sits inside the spare slack, so a class survives
+    whenever one of its members could win.  Every member of every
+    surviving class is rescored, in index order, so the lexicographic
+    tie-break, across classes within `_TIE_RTOL` too, is the exhaustive
+    one by construction.
+
+    One exception skips rescoring: when only one class survives (or
+    exists) and `exact` holds, no other candidate can tie, and its
+    members' exhaustive values differ by rounding alone (a spread of
+    5e-15 over the 64 one-hot layer-0 candidates of ps-dft N=256, far
+    inside `_TIE_RTOL`), so its lowest index is the exhaustive choice.
+    Below 8*N points per unit the coarse grids no longer resolve an
+    N-antenna beam, and every candidate is scored at full resolution
+    instead.
     """
     n = u_cols.shape[0]
     fine = cfg.points_for(n)
+    if labels is None:
+        labels = np.arange(coeffs.shape[1])
+    reps = np.flatnonzero(labels == np.arange(labels.size))
+    if exact and reps.size == 1:
+        return int(reps[0])
     if fine // 32 < 8 * n:
         return _argmax_with_ties(
             _gdp_values(u_cols, coeffs, interval, cfg, fine))
-    v16, v32 = _gdp_values(u_cols, coeffs, interval, cfg, fine // 16,
-                           nested=True)
+    v16, v32 = _gdp_values(u_cols, coeffs[:, reps], interval, cfg,
+                           fine // 16, nested=True)
     margin = 2.0 * np.abs(v16 - v32)
     tol = _TIE_RTOL * max(1.0, abs(float(np.max(v16))))
-    keep = np.flatnonzero(v16 + margin >= np.max(v16 - margin) - 2.0 * tol)
+    alive = reps[v16 + margin >= np.max(v16 - margin) - 2.0 * tol]
+    if exact and alive.size == 1:
+        return int(alive[0])
+    keep = np.flatnonzero(np.isin(labels, alive))
     values = _gdp_values(u_cols, coeffs[:, keep], interval, cfg, fine)
     return int(keep[_argmax_with_ties(values)])
+
+
+# Relative residual up to which a certified weight identity counts as
+# exact.  The identities hold exactly in real arithmetic and rounding
+# leaves at most about 1e-12; a wrong map misses by a grid phase step.
+_CERT_TOL = 1e-9
+
+
+def _unit_factors(y: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """Per-column lam with y = lam * z and |lam| = 1, or None if none fits."""
+    lam = (np.sum(z.conj() * y, axis=0)
+           / np.sum(z.real ** 2 + z.imag ** 2, axis=0))
+    scale = np.max(np.abs(z), axis=0)
+    if (np.all(np.abs(np.abs(lam) - 1.0) <= _CERT_TOL)
+            and np.all(np.abs(y - lam * z) <= _CERT_TOL * scale)):
+        return lam
+    return None
+
+
+def _mirror_basis(u_cols: np.ndarray,
+                  interval: AngleInterval) -> np.ndarray | None:
+    """kappa with R(u_cols[:, J-1-j]) = kappa_j * u_cols[:, j], or None.
+
+    The map (R w)[n] = exp(j*pi*n*2*c0) * w[N-1-n] (0-based n, c0 the
+    coverage centre) keeps every entry modulus and gives
+    |A(R w, psi)|^2 = |A(w, 2*c0 - psi)|^2; the trapezoid grid is
+    symmetric about c0, so R keeps the GDP of every weight vector.  When R
+    sends each of the J basis columns to a unit multiple of the reversed
+    column, R w = u_cols @ (kappa * coeffs[::-1]) for w = u_cols @ coeffs.
+    The check reads the basis once, at O(N * J).
+    """
+    n = u_cols.shape[0]
+    ramp = np.exp(1j * np.pi * np.mod(2.0 * interval.center * np.arange(n),
+                                      2.0))
+    return _unit_factors(ramp[:, None] * u_cols[::-1, ::-1], u_cols)
+
+
+def _mirror_offsets(plan: SubArrayPlan,
+                    grid_size: int) -> tuple[int, int] | None:
+    """Grid offsets (c1, c2) of the LCS mirror map (a, b) -> (c1-a, c2-b).
+
+    The directions omega[i, m] sit symmetrically about their centre c0, so
+    `_mirror_basis`'s map sends sub-array (i, m) to (i', m') =
+    (m_rf-1-i, m_s-1-m) times exp(j*pi*(2*n_s*c0*m' + (n_s-1)*omega[i, m]))
+    (0-based), whose phase steps per m' and i' are
+    pi*(2*n_s*c0 - (n_s-1)*m_rf*dt) and -pi*(n_s-1)*dt.  On the phase grid
+    of step 2*pi/G they are c1 and c2 grid steps.  An axis with one
+    sub-array row carries a global phase, so its offset may be any
+    integer (0 here).  None when an offset is not an integer mod G.
+    """
+    c0 = (plan.omega[0, 0] + plan.omega[-1, -1]) / 2.0
+    dt = plan.delta_theta
+    steps = (grid_size * (plan.n_s * c0 - (plan.n_s - 1) * plan.m_rf * dt / 2),
+             -grid_size * (plan.n_s - 1) * dt / 2)
+    offsets = []
+    for rows, x in zip((plan.m_s, plan.m_rf), steps):
+        if rows == 1:
+            offsets.append(0)
+        elif abs(x - round(x)) <= _CERT_TOL:
+            offsets.append(round(x) % grid_size)
+        else:
+            return None
+    return offsets[0], offsets[1]
+
+
+def _lcs_classes(plan: SubArrayPlan, interval: AngleInterval,
+                 u_cols: np.ndarray, exp_m: np.ndarray,
+                 exp_i: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Certified GDP classes of the LCS candidates, as `_best_candidate` takes.
+
+    Candidate (a, b) has the coefficients exp_i[i, b] * exp_m[m, a] on
+    sub-array (i, m).  It joins (a', b) for every a' when m_s = 1 (phi1 is
+    then a global phase) and its mirror partner (c1 - a, c2 - b) when `_mirror_offsets` gives a map
+    that the factors prove: `_mirror_basis` must give kappa, kappa must
+    split as kappa[i, m] = kappa[i, 0] * kappa[0, m] / kappa[0, 0], and the
+    reversed factor rows times their kappa part must be unit multiples of
+    the partners' rows, column by column.  Then each mirrored candidate is
+    a unit multiple of its partner, at O(N*m_rf*m_s + (m_rf + m_s)*G).
+    Each class is labelled by its lowest flat index a*G + b; the classes
+    are exact when no mirror joined them.
+    """
+    g = exp_m.shape[1]
+    labels = np.arange(g * g).reshape(g, g)
+    if plan.m_s == 1:
+        labels = np.broadcast_to(labels[:1], (g, g))
+    offsets = _mirror_offsets(plan, g)
+    kappa = None if offsets is None else _mirror_basis(u_cols, interval)
+    if kappa is None:
+        return labels.ravel(), True
+    k = kappa.reshape(plan.m_rf, plan.m_s)
+    ia = (offsets[0] - np.arange(g)) % g
+    ib = (offsets[1] - np.arange(g)) % g
+    if not (np.all(np.abs(k * k[0, 0] - np.outer(k[:, 0], k[0])) <= _CERT_TOL)
+            and _unit_factors(k[0][:, None] * exp_m[::-1],
+                              exp_m[:, ia]) is not None
+            and _unit_factors(k[:, 0][:, None] * exp_i[::-1],
+                              exp_i[:, ib]) is not None):
+        return labels.ravel(), True
+    return np.minimum(labels, labels[np.ix_(ia, ib)]).ravel(), False
+
+
+def _one_pattern(u_cols: np.ndarray, coeffs: np.ndarray) -> bool:
+    """Whether all candidates provably share one |A|^2 and entry peak.
+
+    True when every coefficient column is a unit multiple of the first
+    (global phases of one codeword) or when every weight vector is one-hot
+    with one peak modulus, so that |A|^2 is that modulus squared at every
+    angle.
+    """
+    if _unit_factors(coeffs, coeffs[:, :1]) is not None:
+        return True
+    mag = np.abs(u_cols @ coeffs)
+    peak = np.max(mag, axis=0)
+    return bool(np.all(np.sum(mag, axis=0) - peak <= _CERT_TOL * peak)
+                and np.ptp(peak) <= _CERT_TOL * np.max(peak))
 
 
 def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
@@ -246,7 +391,9 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     exp_i = np.exp(1j * np.outer(i_idx, phis))  # (m_rf, g) phi2 factors
     coeff = (exp_i[:, None, None, :] * exp_m[None, :, :, None]).reshape(
         plan.n_subarrays, grid_size * grid_size)
-    best = _best_candidate(u_cols, coeff, interval, cfg)
+    labels, exact = _lcs_classes(plan, interval, u_cols, exp_m, exp_i)
+    best = _best_candidate(u_cols, coeff, interval, cfg, labels=labels,
+                           exact=exact)
     phi1 = float(phis[best // grid_size])
     phi2 = float(phis[best % grid_size])
     theta = m_idx[None, :] * phi1 + i_idx[:, None] * phi2
@@ -512,7 +659,16 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
         steps = np.arange(1, m_k + 1)
         phis = 2.0 * np.pi * np.arange(grid_size) / grid_size
         coeff = np.exp(1j * np.outer(steps, phis))
-        phi = float(phis[_best_candidate(chains, coeff, interval, cfg)])
+        # the bottom layer's candidates are global phases of one steering
+        # vector, and when grid_size divides N every layer-0 candidate is
+        # one-hot: either way one class, whose members share |A|^2
+        one = ((m_k == 1 or (k == 0 and n % grid_size == 0))
+               and _one_pattern(chains, coeff))
+        best = _best_candidate(
+            chains, coeff, interval, cfg,
+            labels=np.zeros(grid_size, dtype=int) if one else None,
+            exact=one)
+        phi = float(phis[best])
         cols = chains * np.exp(1j * phi * steps)[None, :]
         scale = 1.0 / np.linalg.norm(cols.sum(axis=1))
         layers.append(_layer_composites(k, branching, cols, f_bb_scale=scale))

@@ -69,10 +69,11 @@ class GdpConfig:
     """Evaluation settings for the GDP integral.
 
     gamma_per is the linear per-antenna SNR (1.0 = 0 dB).
-    integration_points counts quadrature samples per unit cosine angle;
-    None selects 256*N for an N-antenna codeword (sampling the narrowest
-    bottom-layer lobes at least 256 times) with a floor of 4096 so that
-    small arrays still converge below 1e-7 per resolution doubling.
+    integration_points counts quadrature samples per unit cosine angle, an
+    integer (not a bool) of at least 256; the phase searches divide it by
+    16 and 32.  None selects 256*N for an N-antenna codeword (sampling the
+    narrowest bottom-layer lobes at least 256 times) with a floor of 4096
+    so that small arrays still converge below 1e-7 per resolution doubling.
     """
 
     gamma_per: float = 1.0
@@ -80,10 +81,12 @@ class GdpConfig:
 
     def __post_init__(self):
         _check_gamma_per(self.gamma_per)
-        if self.integration_points is not None and self.integration_points < 256:
+        pts = self.integration_points
+        if pts is not None and (isinstance(pts, bool)
+                                or not isinstance(pts, (int, np.integer))
+                                or pts < 256):
             raise ValueError(
-                f"integration_points must be >= 256, got {self.integration_points}"
-            )
+                f"integration_points must be an integer >= 256, got {pts!r}")
 
     def points_for(self, n_antennas: int) -> int:
         return self.integration_points or max(256 * n_antennas, 4096)

@@ -161,9 +161,25 @@ def _expect(doc: dict, key: str, kind, path: str):
 
 
 def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
+    """A list of n finite [re, im] number pairs as a complex vector.
+
+    A well-formed column converts in one `np.array` call.  Anything else
+    (strings, null, integers past int64, ragged or non-finite entries)
+    takes the per-pair loop, which names the first bad entry.
+    """
     if not isinstance(raw, list) or len(raw) != n:
         raise CodebookFormatError(f"{path} must list {n} complex entries")
+    try:
+        pairs = np.array(raw)
+    except (ValueError, OverflowError, TypeError):
+        pairs = None
     out = np.empty(n, dtype=np.complex128)
+    if (pairs is not None and pairs.dtype.kind in "fi"
+            and pairs.shape == (n, 2) and np.all(np.isfinite(pairs))):
+        # filled part by part: re + 1j*im would turn -0.0 into +0.0
+        out.real = pairs[:, 0]
+        out.imag = pairs[:, 1]
+        return out
     for p, pair in enumerate(raw):
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(v, (int, float)) for v in pair)):

@@ -68,6 +68,20 @@ class TestGdp:
             assert gdp(phase_rotate(w, delta), iv.shifted(delta)) == \
                 pytest.approx(gdp(w, iv), abs=1e-6)
 
+    @pytest.mark.parametrize("start, width", [
+        (-1.0, 2.0), (-0.75, 0.5), (-1.0, 0.25), (0.1, 0.3), (-0.4, 1.35)])
+    def test_mirror_about_the_coverage_centre_keeps_gdp(self, start, width):
+        # w[n] -> exp(j*pi*n*2c) * conj(w[n]) mirrors |A|^2 about the
+        # centre c, and the trapezoid grid is symmetric about c; the
+        # conjugate reversal conj(w[::-1]) keeps |A|^2 itself
+        rng = np.random.default_rng(37)
+        iv = AngleInterval(start, width)
+        for n in (4, 9, 16, 33):
+            w = random_unit(rng, n)
+            ramp = np.exp(1j * np.pi * 2.0 * iv.center * np.arange(n))
+            assert abs(gdp(ramp * np.conj(w), iv) - gdp(w, iv)) <= 1e-12
+            assert abs(gdp(np.conj(w[::-1]), iv) - gdp(w, iv)) <= 1e-12
+
     def test_gamma_scaling_raises_gdp(self):
         w = steering_vector(16, -0.9)
         iv = AngleInterval(-1.0, 0.125)
@@ -93,6 +107,12 @@ class TestGdp:
             GdpConfig(gamma_per=0.0)
         with pytest.raises(ValueError):
             GdpConfig(integration_points=100)
+
+    @pytest.mark.parametrize("points", [math.nan, math.inf, 5000.5, True,
+                                        4096.0, "4096"])
+    def test_integration_points_must_be_an_integer(self, points):
+        with pytest.raises(ValueError, match="integration_points"):
+            GdpConfig(integration_points=points)
 
     def test_non_finite_gamma_rejected(self):
         for value in (math.inf, -math.inf, math.nan):

@@ -85,6 +85,33 @@ class TestRoundTrip:
             assert got == ["".join(ref)]
 
 
+    @pytest.mark.parametrize("raw", [
+        [[-0.0, 0.0], [0.0, -0.0]],
+        [[5e-324, -1e308], [1, -2]],
+        [[2 ** 63, 1], [3, -2 ** 62]],
+        [[True, 1.5], [0.25, False]],
+    ])
+    def test_bulk_column_parse_matches_pair_loop(self, raw):
+        # a well-formed column converts in one call; its bits must be those
+        # of converting each [re, im] pair with float()
+        from mmwcodebook.storage import _parse_complex_vector
+        got = _parse_complex_vector(raw, len(raw), "$.col")
+        ref = np.array([complex(float(re), float(im)) for re, im in raw])
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("raw, message", [
+        ([[1.0, 2.0], ["3", 4.0]], r"\$\.col\[1\] must be a \[re, im\] pair"),
+        ([[1.0, 2.0], [None, 4.0]], r"\$\.col\[1\] must be a \[re, im\] pair"),
+        ([[1.0, 2.0], [3.0]], r"\$\.col\[1\] must be a \[re, im\] pair"),
+        ([[10 ** 30, 2], [3, 10 ** 400]], r"\$\.col\[1\] is outside"),
+        ([[1.0, 2.0], [float("nan"), 4.0]], r"\$\.col\[1\] must be finite"),
+    ])
+    def test_bad_columns_name_the_first_bad_entry(self, raw, message):
+        from mmwcodebook.storage import _parse_complex_vector
+        with pytest.raises(CodebookFormatError, match=message):
+            _parse_complex_vector(raw, len(raw), "$.col")
+
+
 class TestParseErrors:
     def test_unknown_scheme(self, books):
         text = serialize(books[("bmw-ms-cf", 8)]).replace(
