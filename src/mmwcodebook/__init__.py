@@ -22,6 +22,7 @@ from .codebooks import (
     SCHEME_BMW_LCS,
     SCHEME_PS_DFT,
     SCHEMES,
+    CodebookLayer,
     Codeword,
     CompositeCodeword,
     GeometryError,
@@ -62,7 +63,8 @@ from .storage import CodebookFormatError, deserialize, serialize
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleInterval", "ChannelRealization", "Codeword", "CodebookFormatError",
+    "AngleInterval", "ChannelRealization", "CodebookFormatError",
+    "CodebookLayer", "Codeword",
     "CompositeCodeword", "GdpConfig", "GeometryError", "HierarchicalCodebook",
     "LinkBudget", "SCHEMES", "SCHEME_BMW_CF", "SCHEME_BMW_LCS",
     "SCHEME_PS_DFT", "SearchResult", "SimConfig", "SubArrayPlan",

@@ -19,7 +19,8 @@ Two construction families are provided:
 
 Wide-beam construction happens once per layer; the remaining codewords are
 phase-rotated copies, which keeps every entry modulus (and thus the CA
-constraint) intact.
+constraint) intact.  Each layer is one `CodebookLayer` of stacked arrays;
+`CompositeCodeword` and `Codeword` objects are views of it, made on access.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymath import AngleInterval, phase_rotate, steering_vector
-from .metrics import GdpConfig, _check_gamma_per, _gdp_values
+from .arraymath import AngleInterval, steering_vector, wrap_angle
+from .metrics import GdpConfig, _check_gamma_per, _check_integer, _gdp_values
 
 __all__ = [
     "GeometryError",
@@ -38,6 +39,7 @@ __all__ = [
     "SCHEME_BMW_LCS",
     "SCHEME_PS_DFT",
     "SCHEMES",
+    "CodebookLayer",
     "Codeword",
     "CompositeCodeword",
     "HierarchicalCodebook",
@@ -401,7 +403,13 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     return phi1, phi2, theta
 
 
-@dataclass(eq=False)
+def _unit_rows(awv: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit 2-norm, each norm summed as `np.linalg.norm` does."""
+    re, im = awv.real, awv.imag
+    return awv / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
+
+
+@dataclass(frozen=True, eq=False)
 class Codeword:
     """One beam of the hierarchy: layer, 1-based in-layer index, weights."""
 
@@ -410,17 +418,9 @@ class Codeword:
     awv: np.ndarray
     coverage: AngleInterval
 
-    def __post_init__(self):
-        self.awv.setflags(write=False)
-        self._unit = None
-
     @property
     def unit_awv(self) -> np.ndarray:
-        if self._unit is None:
-            u = self.awv / np.linalg.norm(self.awv)
-            u.setflags(write=False)
-            self._unit = u
-        return self._unit
+        return _unit_rows(self.awv)
 
     def __eq__(self, other):
         return (isinstance(other, Codeword)
@@ -436,33 +436,13 @@ def coverage_interval(layer: int, index: int, branching: int) -> AngleInterval:
     return AngleInterval(-1.0 + 2.0 * (index - 1) / cells, 2.0 / cells)
 
 
-def derive_members(layer: int, composite_index: int, f_rf: np.ndarray,
-                   f_bb: np.ndarray, branching: int) -> list[Codeword]:
-    """Member codewords of a composite from its shared matrices.
-
-    Member j combines the analog columns through its all-ones digital
-    column and is then phase-rotated by its in-composite offset
-    2*(j-1)/M^k; the rotation preserves the CA entry moduli, so one analog
-    matrix serves the whole composite.  Serialization relies on this
-    derivation being the single source of member weights.
-    """
-    n_members = f_bb.shape[1]
-    base = f_rf @ f_bb[:, 0]
-    members = []
-    for j in range(1, n_members + 1):
-        awv = phase_rotate(base, 2.0 * (j - 1) / branching ** layer)
-        index = (composite_index - 1) * n_members + j
-        members.append(Codeword(layer, index, awv,
-                                coverage_interval(layer, index, branching)))
-    return members
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CompositeCodeword:
     """A shared analog matrix plus the digital columns of its members.
 
     Every entry of f_rf has modulus 1/sqrt(N) (phase-shifter hardware); all
-    member codewords reference this one matrix.
+    member codewords use this one matrix.  A codebook's composites are
+    views of its `CodebookLayer` arrays, made on access.
     """
 
     layer: int
@@ -471,33 +451,15 @@ class CompositeCodeword:
     f_bb: np.ndarray  # (n_chains, n_members)
     members: list[Codeword]
 
-    def __post_init__(self):
-        self.f_rf.setflags(write=False)
-        self.f_bb.setflags(write=False)
-        self._member_matrix = None
-        self._member_inf = None
-
-    @property
-    def n_members(self) -> int:
-        return len(self.members)
-
     @property
     def member_matrix(self) -> np.ndarray:
         """Unit-norm member weight vectors, stacked as columns."""
-        if self._member_matrix is None:
-            m = np.stack([cw.unit_awv for cw in self.members], axis=1)
-            m.setflags(write=False)
-            self._member_matrix = m
-        return self._member_matrix
+        return np.stack([cw.unit_awv for cw in self.members], axis=1)
 
     @property
     def member_inf_norms(self) -> np.ndarray:
         """Per-member max entry modulus of the unit-norm weights."""
-        if self._member_inf is None:
-            v = np.max(np.abs(self.member_matrix), axis=0)
-            v.setflags(write=False)
-            self._member_inf = v
-        return self._member_inf
+        return np.max(np.abs(self.member_matrix), axis=0)
 
     def __eq__(self, other):
         return (isinstance(other, CompositeCodeword)
@@ -506,6 +468,64 @@ class CompositeCodeword:
                 and np.array_equal(self.f_rf, other.f_rf)
                 and np.array_equal(self.f_bb, other.f_bb)
                 and self.members == other.members)
+
+
+def _rotations(deltas: np.ndarray, n: int) -> np.ndarray:
+    """One row exp(j*pi*(n-1)*delta) per shift, as `phase_rotate` forms it."""
+    return np.exp(1j * np.pi * np.arange(n)[None, :]
+                  * wrap_angle(deltas)[:, None])
+
+
+@dataclass(frozen=True, eq=False)
+class CodebookLayer:
+    """Layer k as arrays stacked over its C composites of M members each.
+
+    f_rf (C, N, R) and f_bb (C, R, M) hold the analog and digital matrices.
+    awv[c, j], member j of composite c, is f_rf[c] @ f_bb[c][:, 0] rotated
+    by 2*(j-1)/M^k (CA moduli kept), the one source of member weights;
+    units (C, N, M) and inf_norms (C, M) are the unit-norm member columns
+    and their peak moduli.  Indexing or iterating gives composite views.
+    """
+
+    layer: int
+    branching: int
+    f_rf: np.ndarray
+    f_bb: np.ndarray
+
+    def __post_init__(self):
+        base = (self.f_rf @ self.f_bb[:, :, :1])[..., 0]
+        offsets = (2.0 * np.arange(self.f_bb.shape[2])
+                   / self.branching ** self.layer)
+        awv = base[:, None, :] * _rotations(offsets, base.shape[1])[None]
+        # the search operands keep the (C, N, M) order of stacked columns
+        units = np.ascontiguousarray(_unit_rows(awv).swapaxes(1, 2))
+        object.__setattr__(self, "awv", awv)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "inf_norms", np.max(np.abs(units), axis=1))
+        for value in (self.f_rf, self.f_bb, awv, units, self.inf_norms):
+            value.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.f_rf.shape[0]
+
+    def __getitem__(self, c) -> CompositeCodeword:
+        c = range(len(self))[c]
+        members = [self._codeword(c, j) for j in range(self.awv.shape[1])]
+        return CompositeCodeword(self.layer, c + 1, self.f_rf[c],
+                                 self.f_bb[c], members)
+
+    def _codeword(self, c: int, j: int) -> Codeword:
+        """Member j of composite c (both 0-based) as a view."""
+        index = c * self.awv.shape[1] + j + 1
+        return Codeword(self.layer, index, self.awv[c, j],
+                        coverage_interval(self.layer, index, self.branching))
+
+    def __eq__(self, other):
+        return (isinstance(other, CodebookLayer)
+                and self.layer == other.layer
+                and self.branching == other.branching
+                and np.array_equal(self.f_rf, other.f_rf)
+                and np.array_equal(self.f_bb, other.f_bb))
 
 
 @dataclass(eq=False)
@@ -520,7 +540,7 @@ class HierarchicalCodebook:
     scheme: str
     n_antennas: int
     branching: int
-    layers: list[list[CompositeCodeword]]
+    layers: list[CodebookLayer]
     grid_size: int
     gamma_per: float
 
@@ -540,10 +560,8 @@ class HierarchicalCodebook:
         return [cw for comp in self.layers[layer] for cw in comp.members]
 
     def codeword(self, layer: int, index: int) -> Codeword:
-        if layer == 0:
-            return self.layers[0][0].members[index - 1]
-        comp, pos = divmod(index - 1, self.branching)
-        return self.layers[layer][comp].members[pos]
+        arrays = self.layers[layer]
+        return arrays._codeword(*divmod(index - 1, arrays.awv.shape[1]))
 
     def __eq__(self, other):
         return (isinstance(other, HierarchicalCodebook)
@@ -557,8 +575,7 @@ class HierarchicalCodebook:
 
 def _check_grid_size(grid_size: int) -> None:
     # lcs_phases takes any sub-array plan, so it checks only its grid
-    if grid_size < 8:
-        raise ValueError(f"grid_size must be >= 8, got {grid_size}")
+    _check_integer("grid_size", grid_size, 8)
 
 
 def check_design(scheme: str, n: int, m_rf: int, grid_size: int) -> int:
@@ -584,28 +601,17 @@ def check_design(scheme: str, n: int, m_rf: int, grid_size: int) -> int:
     return depth
 
 
-def _layer_composites(layer: int, branching: int, cols: np.ndarray,
-                      f_bb_scale: float = 1.0) -> list[CompositeCodeword]:
-    """Group a layer's codewords into composites around one analog matrix.
-
-    `cols` are the analog columns of the layer's first codeword; composite
-    c gets those columns phase-rotated by its own coverage offset and
-    derives its members from there.
-    """
-    n_chains = cols.shape[1]
-    if layer == 0:
-        n_composites, members_per = 1, 1
-    else:
-        n_composites, members_per = branching ** (layer - 1), branching
-    composites = []
-    for c in range(1, n_composites + 1):
-        rot = 0.0 if layer == 0 else 2.0 * (c - 1) / branching ** (layer - 1)
-        f_rf = np.stack(
-            [phase_rotate(cols[:, j], rot) for j in range(n_chains)], axis=1)
-        f_bb = np.full((n_chains, members_per), f_bb_scale, dtype=np.complex128)
-        members = derive_members(layer, c, f_rf, f_bb, branching)
-        composites.append(CompositeCodeword(layer, c, f_rf, f_bb, members))
-    return composites
+def _rotated_layer(layer: int, branching: int, cols: np.ndarray,
+                   f_bb_scale: float = 1.0) -> CodebookLayer:
+    """A layer whose composite c holds the analog columns `cols` of its
+    first codeword rotated by 2*(c-1)/M^(k-1), every digital entry
+    `f_bb_scale`."""
+    n_composites = branching ** max(layer - 1, 0)
+    rot = 2.0 * np.arange(n_composites) / n_composites
+    f_rf = cols[None] * _rotations(rot, cols.shape[0])[..., None]
+    f_bb = np.full((n_composites, cols.shape[1], branching if layer else 1),
+                   f_bb_scale, dtype=np.complex128)
+    return CodebookLayer(layer, branching, f_rf, f_bb)
 
 
 def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
@@ -632,7 +638,7 @@ def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
         else:
             _, _, theta = lcs_phases(plan, interval, cfg, grid_size)
         cols, _ = assemble_codeword(plan, theta)
-        layers.append(_layer_composites(k, m_rf, cols))
+        layers.append(_rotated_layer(k, m_rf, cols))
     return HierarchicalCodebook(tag, n, m_rf, layers, grid_size,
                                 cfg.gamma_per)
 
@@ -671,7 +677,7 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
         phi = float(phis[best])
         cols = chains * np.exp(1j * phi * steps)[None, :]
         scale = 1.0 / np.linalg.norm(cols.sum(axis=1))
-        layers.append(_layer_composites(k, branching, cols, f_bb_scale=scale))
+        layers.append(_rotated_layer(k, branching, cols, f_bb_scale=scale))
     return HierarchicalCodebook(SCHEME_PS_DFT, n, branching, layers,
                                 grid_size, cfg.gamma_per)
 

@@ -303,7 +303,7 @@ def cmd_design(cfg: dict, echo=print) -> None:
         cw = cb.codeword(k, 1)
         quality = gdp(cw.unit_awv, cw.coverage, gdp_cfg)
         if cb.scheme == SCHEME_PS_DFT:
-            chains = cb.layers[k][0].f_rf.shape[1]
+            chains = cb.layers[k].f_rf.shape[2]
             echo(f"  layer {k}: width={cw.coverage.width:g} chains={chains} "
                  f"gdp={quality:.6f}")
         else:

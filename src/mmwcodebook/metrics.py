@@ -19,7 +19,7 @@ alarm but does not change codeword comparisons, so it is not a tunable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,6 +64,14 @@ def _check_gamma_per(gamma_per: float) -> None:
             f"gamma_per must be finite and positive, got {gamma_per}")
 
 
+def _check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Refuse a value that is not an integer in [lo, hi]; a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GdpConfig:
     """Evaluation settings for the GDP integral.
@@ -81,12 +89,8 @@ class GdpConfig:
 
     def __post_init__(self):
         _check_gamma_per(self.gamma_per)
-        pts = self.integration_points
-        if pts is not None and (isinstance(pts, bool)
-                                or not isinstance(pts, (int, np.integer))
-                                or pts < 256):
-            raise ValueError(
-                f"integration_points must be an integer >= 256, got {pts!r}")
+        if self.integration_points is not None:
+            _check_integer("integration_points", self.integration_points, 256)
 
     def points_for(self, n_antennas: int) -> int:
         return self.integration_points or max(256 * n_antennas, 4096)
@@ -277,15 +281,7 @@ def link_budget_report(lb: LinkBudget,
     lo, hi = excess_loss_range_db
     if not 0.0 <= lo <= hi:
         raise ValueError("excess loss range must be 0 <= min <= max")
-    base = LinkBudget(
-        pa_saturation_dbm=lb.pa_saturation_dbm,
-        carrier_wavelength_m=lb.carrier_wavelength_m,
-        distance_m=lb.distance_m,
-        bandwidth_hz=lb.bandwidth_hz,
-        ambient_temp_k=lb.ambient_temp_k,
-        training_length=lb.training_length,
-        excess_loss_db=0.0,
-    )
+    base = replace(lb, excess_loss_db=0.0)
     gamma_db = (base.received_dbm - base.noise_dbm + base.spreading_gain_db)
     notes = [
         "the published example states a -74 dBm noise floor for a labeled "

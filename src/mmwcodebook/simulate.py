@@ -21,11 +21,13 @@ Tx/Rx composite pair per layer and descending into the winning pair's
 children; `run_monte_carlo` wraps it into a seeded, bit-reproducible
 sweep.  Sweeps run the same search over blocks of (trial, snr) cells at
 once, one layer at a time as stacked matrix products, and write the same
-bytes as a search per cell.  Their substreams are seeded in bulk: each
-block's SeedSequence mixing runs as one numpy pass over its keys, and one
-reused PCG64 takes each key's state in turn, so every cell draws the same
-bytes as `np.random.default_rng([seed, trial, snr, scheme])` (the channel
-as `default_rng([seed, trial])`).
+bytes as a search per cell.  Both gather their operands straight from the
+codebooks' `CodebookLayer` arrays, so a search stacks nothing itself.
+Sweep substreams are seeded in bulk: each block's SeedSequence mixing
+runs as one numpy pass over its keys, and one reused PCG64 takes each
+key's state in turn, so every cell draws the same bytes as
+`np.random.default_rng([seed, trial, snr, scheme])` (the channel as
+`default_rng([seed, trial])`).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .arraymath import steering_vector
 from .codebooks import CompositeCodeword, HierarchicalCodebook
-from .metrics import db_to_linear
+from .metrics import _check_integer, db_to_linear
 
 __all__ = [
     "ChannelRealization",
@@ -66,18 +68,22 @@ class SimConfig:
     trials: int = 1
 
     def __post_init__(self):
-        for name in ("l_paths", "l_s", "trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not math.isfinite(self.n0):
-            raise ValueError(f"n0 must be finite, got {self.n0}")
-        if self.n0 < 0.0:
-            raise ValueError("n0 must be >= 0")
-        if not 0 <= self.seed <= 2 ** 64 - 1:
-            raise ValueError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
+        _check_integer("l_paths", self.l_paths, 1)
+        _check_integer("l_s", self.l_s, 1)
+        _check_n0(self.n0)
+        _check_integer("seed", self.seed, 0, 2 ** 64 - 1)
         # each trial index is one 32-bit word of its substream keys
-        if self.trials > 2 ** 32:
-            raise ValueError(f"trials must be <= 2**32, got {self.trials}")
+        _check_integer("trials", self.trials, 1, 2 ** 32)
+
+
+def _check_n0(n0: float) -> None:
+    if not (math.isfinite(n0) and n0 >= 0.0):
+        raise ValueError(f"n0 must be finite and >= 0, got {n0}")
+
+
+def _check_power(p: float) -> None:
+    if not (math.isfinite(p) and p > 0.0):
+        raise ValueError(f"p must be finite and positive, got {p}")
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,12 @@ def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
 
     `p` is the per-stream power (the per-antenna saturation power under
     `papc`); noise variance is l_s * n0 per entry.  Dimensions of the
-    channel must match the codeword lengths.
+    channel must match the codeword lengths.  A bad `p`, `n0` or `l_s`
+    raises ValueError naming it.
     """
+    _check_power(p)
+    _check_n0(n0)
+    _check_integer("l_s", l_s, 1)
     _check_channel(h, rx.f_rf.shape[0], tx.f_rf.shape[0])
     rho = _correlate(_rx_product(rx.member_matrix, h), tx.member_matrix,
                      tx.member_inf_norms, math.sqrt(p), l_s, papc)
@@ -222,46 +232,34 @@ def _members(side, k: int) -> int:
     return side.branching if k <= side.depth else 1
 
 
-class _LayerStacks:
-    """One codebook's search matrices, stacked per layer for gathering;
-    sweeps and single searches both read them.
+def _gather(cb, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Member columns (..., N, M) and inf-norms (..., M) at search layer k
+    of the composites at 0-based idx, read from the codebook's arrays.  A
+    side past its depth holds bottom codeword idx, member m of composite c
+    for (c, m) = divmod(idx, M), as one (N, 1) column."""
+    if k <= cb.depth:
+        layer = cb.layers[k]
+        return layer.units[idx], layer.inf_norms[idx]
+    layer = cb.layers[cb.depth]
+    c, m = np.divmod(idx, layer.units.shape[-1])
+    return layer.units[c, :, m][..., None], layer.inf_norms[c, m][..., None]
 
-    `units[k - 1]` (composites, N, M) and `infs[k - 1]` (composites, M) hold
-    the member columns and inf-norms of layer k = 1..depth.  A last entry
-    holds the bottom codewords as (N, 1) columns, one per codeword, for a
-    side that has run out of layers and keeps its bottom codeword.  The
-    bottom codewords' coverage ends and squared inf-norms serve scoring.
-    """
 
-    def __init__(self, cb: HierarchicalCodebook):
-        self.depth, self.branching = cb.depth, cb.branching
-        coverages = [cw.coverage for cw in cb.layer_codewords(cb.depth)]
-        self.starts = np.array([c.start for c in coverages])
-        self.ends = np.array([c.end for c in coverages])
-        layers = cb.layers[1:]
-        self.units = [np.stack([c.member_matrix for c in layer])
-                      for layer in layers]
-        self.infs = [np.stack([c.member_inf_norms for c in layer])
-                     for layer in layers]
-        self.units.append(self.units[-1].swapaxes(1, 2).reshape(
-            -1, cb.n_antennas, 1))
-        self.infs.append(self.infs[-1].reshape(-1, 1))
-        # squared one numpy scalar at a time, as a search per cell does
-        self.inf_sq = np.array([x ** 2 for x in self.infs[-1][:, 0]])
+def _rx_products(cb, k: int, idx: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """w^H H (..., M, N_t) at search layer k for Rx entries idx (trials,
+    snrs) and channels h (trials, N_r, N_t), formed once per distinct
+    entry of a trial."""
+    values, pos = _distinct_per_row(idx)
+    wh = _rx_product(_gather(cb, k, values)[0], h[:, None])
+    return wh[np.arange(idx.shape[0])[:, None], pos]
 
-    def gather(self, k: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Member columns (..., N, M) and inf-norms (..., M) at search layer
-        k of the composites (or held bottom codewords) at 0-based idx."""
-        s = min(k, self.depth + 1) - 1
-        return self.units[s][idx], self.infs[s][idx]
 
-    def rx_product(self, k: int, idx: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """w^H H (..., M, N_t) at search layer k for Rx entries idx (trials,
-        snrs) and channels h (trials, N_r, N_t), formed once per distinct
-        entry of a trial."""
-        values, pos = _distinct_per_row(idx)
-        wh = _rx_product(self.gather(k, values)[0], h[:, None])
-        return wh[np.arange(idx.shape[0])[:, None], pos]
+def _covers(cb, idx: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Whether the 0-based bottom codewords idx (trials, snrs) cover each
+    trial's angle, with `codebooks.coverage_interval`'s arithmetic."""
+    cells = cb.branching ** cb.depth
+    start = -1.0 + 2.0 * idx / cells
+    return (start <= angle[:, None]) & (angle[:, None] <= start + 2.0 / cells)
 
 
 def _noise_size(tx, rx) -> int:
@@ -309,8 +307,8 @@ def _search_cells(tx, rx, h: np.ndarray,
     i = np.zeros(shape, dtype=np.intp)
     offset = 0
     for k in range(1, max(tx.depth, rx.depth) + 1):
-        f_units, f_inf = tx.gather(k, j)
-        rho = _correlate(rx.rx_product(k, i, h), f_units, f_inf, sqrt_p,
+        f_units, f_inf = _gather(tx, k, j)
+        rho = _correlate(_rx_products(rx, k, i, h), f_units, f_inf, sqrt_p,
                          cfg.l_s, cfg.papc)
         rows, cols = rho.shape[-2:]
         if noise is not None:
@@ -355,16 +353,13 @@ def hierarchical_search(tx_cb: HierarchicalCodebook,
     """
     check_search(cfg.l_s, (tx_cb.branching, rx_cb.branching))
     _check_channel(h, rx_cb.n_antennas, tx_cb.n_antennas)
-    if not (math.isfinite(p) and p > 0.0):
-        raise ValueError(f"p must be finite and positive, got {p}")
-    tx = _LayerStacks(tx_cb)
-    rx = tx if rx_cb is tx_cb else _LayerStacks(rx_cb)
+    _check_power(p)
     noise = None
     if cfg.n0 > 0.0:
         if rng is None:
             raise ValueError("a random generator is required when n0 > 0")
-        noise = rng.standard_normal((1, 1, _noise_size(tx, rx)))
-    j, i, rho, best = _search_cells(tx, rx, h[None],
+        noise = rng.standard_normal((1, 1, _noise_size(tx_cb, rx_cb)))
+    j, i, rho, best = _search_cells(tx_cb, rx_cb, h[None],
                                     np.full((1, 1), math.sqrt(p)), cfg, noise)
     j_t, i_r = int(j[0, 0]) + 1, int(i[0, 0]) + 1
     j_star, i_star = divmod(int(best[0, 0]), rho.shape[-2])
@@ -388,8 +383,8 @@ def element_power_cdf(codebooks) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("at least one codebook is required")
     pools = []
     for cb in cbs:
-        for k in range(1, cb.depth + 1):
-            pools.append(np.abs(cb.codeword(k, 1).unit_awv) ** 2)
+        for layer in cb.layers[1:]:
+            pools.append(np.abs(layer.units[0, :, 0]) ** 2)
     powers = np.sort(np.concatenate(pools))
     cdf = np.arange(1, powers.size + 1) / powers.size
     return powers, cdf
@@ -414,7 +409,7 @@ def _pool_states(seed: int, keys: list[np.ndarray]) -> list[np.ndarray]:
     32-bit words, least significant first, then one word per key element.
     """
     words = [np.full(keys[0].shape, seed >> s & _MASK32, dtype=np.uint32)
-             for s in range(0, max(seed.bit_length(), 1), 32)] + keys
+             for s in range(0, max(int(seed).bit_length(), 1), 32)] + keys
     hash_const = _INIT_A
 
     def hashmix(value):
@@ -537,11 +532,6 @@ def _trial_block(schemes, powers: list[float],
     """
     m_an = schemes[0][1].n_antennas
     n_an = schemes[0][2].n_antennas
-    stacks = {}
-    for _, tx_cb, rx_cb in schemes:
-        for cb in (tx_cb, rx_cb):
-            if id(cb) not in stacks:
-                stacks[id(cb)] = _LayerStacks(cb)
     snrs = len(powers)
     sqrt_p = np.array([math.sqrt(p) for p in powers])
     succ = np.zeros((cfg.trials, snrs, len(schemes)))
@@ -555,7 +545,7 @@ def _trial_block(schemes, powers: list[float],
     noise_draws = []
     if cfg.n0 > 0.0:
         for ci, (_, tx, rx) in enumerate(schemes):
-            size = _noise_size(stacks[id(tx)], stacks[id(rx)])
+            size = _noise_size(tx, rx)
             noise_draws.append((np.empty((step, snrs, size)), _substreams(
                 cfg.seed, trial_keys[:, None], np.arange(snrs), ci)))
     for first in range(0, cfg.trials, step):
@@ -564,8 +554,7 @@ def _trial_block(schemes, powers: list[float],
         aoa, aod = _channel_block(cfg, channels, h)
         cells = (len(trials), snrs)
         rows = slice(trials.start, trials.stop)
-        for ci, (_, tx_cb, rx_cb) in enumerate(schemes):
-            tx, rx = stacks[id(tx_cb)], stacks[id(rx_cb)]
+        for ci, (_, tx, rx) in enumerate(schemes):
             noise = None
             if noise_draws:
                 buf, streams = noise_draws[ci]
@@ -581,9 +570,8 @@ def _trial_block(schemes, powers: list[float],
     return succ, rate
 
 
-def _score_cells(tx: _LayerStacks, rx: _LayerStacks, h: np.ndarray,
-                 aoa: np.ndarray, aod: np.ndarray, j_t: np.ndarray,
-                 i_r: np.ndarray, powers: list[float],
+def _score_cells(tx, rx, h: np.ndarray, aoa: np.ndarray, aod: np.ndarray,
+                 j_t: np.ndarray, i_r: np.ndarray, powers: list[float],
                  cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Success flags and rates (trials, snrs) of searches that ended at the
     0-based bottom codewords (j_t, i_r), for trials whose strongest paths
@@ -594,17 +582,17 @@ def _score_cells(tx: _LayerStacks, rx: _LayerStacks, h: np.ndarray,
     squaring as a search per cell, and every rate is that search's scalar
     log2.
     """
-    succ = ((tx.starts[j_t] <= aod[:, None]) & (aod[:, None] <= tx.ends[j_t])
-            & (rx.starts[i_r] <= aoa[:, None])
-            & (aoa[:, None] <= rx.ends[i_r])).astype(float)
+    succ = (_covers(tx, j_t, aod) & _covers(rx, i_r, aoa)).astype(float)
     if cfg.n0 == 0.0:
         return succ, np.full(succ.shape, math.inf)
-    amp = (rx.rx_product(rx.depth + 1, i_r, h)
-           @ tx.gather(tx.depth + 1, j_t)[0])
+    f_units, f_inf = _gather(tx, tx.depth + 1, j_t)
+    amp = _rx_products(rx, rx.depth + 1, i_r, h) @ f_units
     link = np.array([abs(x) ** 2 for x in amp.ravel()]).reshape(succ.shape)
     p_eff = np.asarray(powers)
     if cfg.papc:
-        p_eff = p_eff / tx.inf_sq[j_t]
+        # squared one numpy scalar at a time, as a search per cell does
+        p_eff = p_eff / np.array([x ** 2 for x in f_inf.ravel()]).reshape(
+            succ.shape)
     gain = 1.0 + p_eff * link / cfg.n0
     rate = np.array([math.log2(x) for x in gain.ravel().tolist()])
     return succ, rate.reshape(succ.shape)

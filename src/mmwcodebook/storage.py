@@ -5,9 +5,9 @@ as [re, im] pairs printed with 17 significant digits, which round-trips
 float64 exactly; serialization is deterministic, so identical codebooks
 yield byte-identical documents.
 
-Member weight vectors are not stored: they are re-derived from the shared
-analog matrix, the digital columns and the member's in-composite rotation
-(`codebooks.derive_members`), which reproduces them bit-for-bit.
+Member weight vectors are not stored: `codebooks.CodebookLayer` re-derives
+them bit for bit from each layer's stacked analog and digital matrices and
+the members' in-composite rotations.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import numpy as np
 
 from .codebooks import (
     SCHEMES,
-    CompositeCodeword,
+    CodebookLayer,
     HierarchicalCodebook,
     _check_grid_size,
-    derive_members,
+    coverage_interval,
 )
 from .metrics import _check_gamma_per
 
@@ -104,18 +104,12 @@ def serialize(cb: HierarchicalCodebook) -> str:
         "gamma_per": float(cb.gamma_per),
         "layers": [
             {
-                "layer": k,
+                "layer": layer.layer,
                 "composites": [
                     {
                         "index": comp.index,
-                        "analog_columns": [
-                            comp.f_rf[:, j]
-                            for j in range(comp.f_rf.shape[1])
-                        ],
-                        "digital_columns": [
-                            comp.f_bb[:, j]
-                            for j in range(comp.f_bb.shape[1])
-                        ],
+                        "analog_columns": list(comp.f_rf.T),
+                        "digital_columns": list(comp.f_bb.T),
                         "members": [
                             {
                                 "index": cw.index,
@@ -125,10 +119,10 @@ def serialize(cb: HierarchicalCodebook) -> str:
                             for cw in comp.members
                         ],
                     }
-                    for comp in cb.layers[k]
+                    for comp in layer
                 ],
             }
-            for k in range(len(cb.layers))
+            for layer in cb.layers
         ],
     }
     lines: list[str] = []
@@ -230,7 +224,7 @@ def deserialize(text: str) -> HierarchicalCodebook:
     except ValueError as exc:
         raise CodebookFormatError(f"field $.{exc}") from None
 
-    layers: list[list[CompositeCodeword]] = []
+    layers: list[CodebookLayer] = []
     for k, raw_layer in enumerate(raw_layers):
         path = f"$.layers[{k}]"
         if not isinstance(raw_layer, dict):
@@ -243,7 +237,8 @@ def deserialize(text: str) -> HierarchicalCodebook:
             raise CodebookFormatError(
                 f"{path} must hold {expected_comps} composites, "
                 f"found {len(raw_comps)}")
-        comps = []
+        expected_members = 1 if k == 0 else branching
+        f_rfs, f_bbs = [], []
         for c, raw_comp in enumerate(raw_comps, start=1):
             cpath = f"{path}.composites[{c - 1}]"
             if not isinstance(raw_comp, dict):
@@ -261,8 +256,11 @@ def deserialize(text: str) -> HierarchicalCodebook:
                 raise CodebookFormatError(
                     f"{cpath}.analog_columns violate the constant-amplitude "
                     f"constraint |entry| = 1/sqrt({n})")
+            if f_rfs and f_rf.shape[1] != f_rfs[0].shape[1]:
+                raise CodebookFormatError(
+                    f"{cpath}.analog_columns must hold "
+                    f"{f_rfs[0].shape[1]} columns, as composite 0 does")
             dcols = _expect(raw_comp, "digital_columns", list, cpath)
-            expected_members = 1 if k == 0 else branching
             if len(dcols) != expected_members:
                 raise CodebookFormatError(
                     f"{cpath}.digital_columns must hold {expected_members} "
@@ -283,26 +281,29 @@ def deserialize(text: str) -> HierarchicalCodebook:
                 raise CodebookFormatError(
                     f"{cpath}.digital_columns[0] gives member weights of "
                     f"2-norm {norm}")
-            members = derive_members(k, c, f_rf, f_bb, branching)
             raw_members = _expect(raw_comp, "members", list, cpath)
-            if len(raw_members) != len(members):
+            if len(raw_members) != expected_members:
                 raise CodebookFormatError(
-                    f"{cpath}.members must hold {len(members)} entries")
-            for cw, raw_cw in zip(members, raw_members):
-                mpath = f"{cpath}.members[{cw.index}]"
+                    f"{cpath}.members must hold {expected_members} entries")
+            for index, raw_cw in enumerate(
+                    raw_members, start=(c - 1) * expected_members + 1):
+                mpath = f"{cpath}.members[{index}]"
                 if not isinstance(raw_cw, dict):
                     raise CodebookFormatError(f"{mpath} must be an object")
-                if _expect(raw_cw, "index", int, mpath) != cw.index:
+                if _expect(raw_cw, "index", int, mpath) != index:
                     raise CodebookFormatError(
-                        f"{mpath}.index must equal {cw.index}")
+                        f"{mpath}.index must equal {index}")
                 start = _expect(raw_cw, "coverage_start", float, mpath)
                 width = _expect(raw_cw, "coverage_width", float, mpath)
-                if (start != cw.coverage.start or width != cw.coverage.width):
+                coverage = coverage_interval(k, index, branching)
+                if start != coverage.start or width != coverage.width:
                     raise CodebookFormatError(
                         f"{mpath} coverage [{start}, {start + width}] does "
                         f"not match the layer-{k} grid")
-            comps.append(CompositeCodeword(k, c, f_rf, f_bb, members))
-        layers.append(comps)
+            f_rfs.append(f_rf)
+            f_bbs.append(f_bb)
+        layers.append(CodebookLayer(k, branching, np.stack(f_rfs),
+                                    np.stack(f_bbs)))
 
     # no layers would make the power below a float, which a huge branching
     # overflows

@@ -188,14 +188,25 @@ def test_criterion_6_lcs_bruteforce_oracle(gdp_reference):
         def codeword(p1, p2):
             return normalize(assemble_codeword(plan, m_idx * p1 + i_idx * p2)[1])
 
+        # every candidate in one broadcast: with zero phases, chain i's
+        # analog column holds sub-array (i, m) on antennas m*n_s..; the
+        # phase m*phi1 + i*phi2 (1-based) then scales that block, so
+        # candidate (a, b) is column b of cands[a]
+        zero, _ = assemble_codeword(plan, np.zeros((plan.m_rf, plan.m_s)))
+        sub = np.arange(plan.n_antennas) // plan.n_s + 1
+        cands = (np.exp(1j * np.outer(grid, sub))[:, :, None]
+                 * (zero @ np.exp(1j * np.outer(i_idx, grid)))[None])
+        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+
         values = np.empty((fine, fine))
-        for a, p1 in enumerate(grid):
-            w = np.stack([codeword(p1, p2) for p2 in grid], axis=1)
+        for a, w in enumerate(cands):
             y = gdp_integrand(np.max(np.abs(w) ** 2, axis=0),
                               np.abs(table @ w) ** 2, cfg.gamma_per)
             values[a] = np.trapezoid(y, dx=h, axis=0) / iv.width
         for a, b in np.random.default_rng(6).integers(fine, size=(64, 2)):
-            ref = gdp_reference(codeword(grid[a], grid[b]), iv, cfg)
+            w = codeword(grid[a], grid[b])
+            assert np.max(np.abs(cands[a, :, b] - w)) <= 1e-14
+            ref = gdp_reference(w, iv, cfg)
             assert abs(values[a, b] - ref) <= 1e-12
         ratio = fine // 64
         wrapped = np.pad(values, ((0, ratio), (0, ratio)), mode="wrap")

@@ -384,6 +384,18 @@ class TestDesignChecks:
             build_codebook(scheme, 32, grid_size=4)
         assert build_codebook(scheme, 8, grid_size=8).grid_size == 8
 
+    @pytest.mark.parametrize("grid_size", [12.5, 8.0, True, "16"])
+    def test_non_integer_grid_size_rejected(self, grid_size):
+        with pytest.raises(ValueError, match="^grid_size must be an integer"):
+            build_codebook("bmw-ms-lcs", 8, grid_size=grid_size)
+        plan = subarray_plan(8, 2, AngleInterval(-1.0, 1.0))
+        with pytest.raises(ValueError, match="^grid_size must be an integer"):
+            lcs_phases(plan, AngleInterval(-1.0, 1.0), grid_size=grid_size)
+
+    def test_numpy_integer_grid_size_accepted(self):
+        assert (build_codebook("bmw-ms-lcs", 8, grid_size=np.int64(16))
+                == build_codebook("bmw-ms-lcs", 8, grid_size=16))
+
     def test_depth(self):
         assert check_design("ps-dft", 2, 2, 8) == 1
         assert check_design("bmw-ms-cf", 64, 4, 64) == 3
@@ -396,7 +408,29 @@ class TestCodebookAccessors:
         cb = build_bmw_ms(16, 2, "cf")
         for k in range(cb.depth + 1):
             for n, cw in enumerate(cb.layer_codewords(k), start=1):
-                assert cb.codeword(k, n) is cw
+                assert cb.codeword(k, n) == cw
+
+    @pytest.mark.parametrize("scheme", ["bmw-ms-cf", "bmw-ms-lcs", "ps-dft"])
+    def test_views_read_the_layer_arrays(self, scheme):
+        # composites and codewords are views made on access; every value
+        # they show is the layer's own array, bit for bit
+        cb = build_codebook(scheme, 32, 2)
+        for k, layer in enumerate(cb.layers):
+            for a in (layer.f_rf, layer.f_bb, layer.awv, layer.units,
+                      layer.inf_norms):
+                assert not a.flags.writeable
+            members = layer.awv.shape[1]
+            for c, comp in enumerate(layer):
+                assert comp.f_rf.tobytes() == layer.f_rf[c].tobytes()
+                assert comp.f_bb.tobytes() == layer.f_bb[c].tobytes()
+                assert comp.member_matrix.tobytes() == layer.units[c].tobytes()
+                assert (comp.member_inf_norms.tobytes()
+                        == layer.inf_norms[c].tobytes())
+                for j, cw in enumerate(comp.members):
+                    assert cw.awv.tobytes() == layer.awv[c, j].tobytes()
+                    assert (cw.unit_awv.tobytes()
+                            == layer.units[c, :, j].tobytes())
+                    assert cb.codeword(k, c * members + j + 1) == cw
 
     def test_composite_grouping(self):
         cb = build_bmw_ms(16, 2, "cf")

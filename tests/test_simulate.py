@@ -1,5 +1,6 @@
 import math
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,16 @@ from hypothesis import strategies as st
 
 from mmwcodebook import simulate
 from mmwcodebook import (
+    AngleInterval,
+    Codeword,
     CompositeCodeword,
+    GdpConfig,
     SimConfig,
     build_bmw_ms,
+    build_codebook,
     build_ps_dft,
     element_power_cdf,
+    gdp,
     hierarchical_search,
     measure,
     run_monte_carlo,
@@ -162,6 +168,58 @@ class TestMeasure:
             measure(cb.composite(1, 1), cb.composite(1, 1),
                     np.zeros((8, 8), dtype=complex), 1.0, 1.0, 16, rng=None)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", math.nan), ("p", math.inf), ("p", 0.0), ("p", -1.0),
+        ("n0", math.nan), ("n0", math.inf), ("n0", -1.0),
+        ("l_s", 0), ("l_s", 8.5), ("l_s", True)])
+    def test_bad_link_inputs_rejected(self, field, value):
+        comp = build_bmw_ms(8, 2, "cf").composite(1, 1)
+        link = {"p": 1.0, "n0": 0.5, "l_s": 16, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            measure(comp, comp, np.zeros((8, 8), dtype=complex),
+                    rng=np.random.default_rng(0), **link)
+
+
+class TestDetectionProbability:
+    """GDP is the hit rate P(|rho|^2 > l_s*n0) of a one-path Rayleigh
+    channel whose direction is uniform over the codeword's coverage, at
+    gamma_per = l_s*p/n0."""
+
+    TRIALS, BLOCK = 4096, 256
+
+    def test_hit_rate_matches_gdp(self):
+        l_s, n0 = 32, 1.0
+        rng = np.random.default_rng(2024)
+        # the trials are the antennas of a virtual Rx array whose members
+        # are one-hot, so each measure call draws BLOCK one-antenna trials
+        whole = AngleInterval(-1.0, 2.0)
+        rx = CompositeCodeword(
+            0, 1, np.zeros((self.BLOCK, 1)), np.zeros((1, self.BLOCK)),
+            [Codeword(0, t + 1, row, whole)
+             for t, row in enumerate(np.eye(self.BLOCK))])
+        for scheme in ("bmw-ms-cf", "bmw-ms-lcs", "ps-dft"):
+            cb = build_codebook(scheme, 32, 2)
+            for k in (1, 3):
+                tx = cb.composite(k, 1)
+                cw = tx.members[0]
+                psi = cw.coverage.start + cw.coverage.width * rng.random(
+                    self.TRIALS)
+                gain = (rng.standard_normal(self.TRIALS)
+                        + 1j * rng.standard_normal(self.TRIALS)) / math.sqrt(2)
+                h = (math.sqrt(32) * gain[:, None]
+                     * steering_vector(32, psi).conj())
+                for gamma in (1.0, 0.05):
+                    p = gamma * n0 / l_s
+                    rho = np.concatenate([
+                        measure(tx, rx, h[b:b + self.BLOCK], p, n0, l_s, rng,
+                                papc=True)[:, 0]
+                        for b in range(0, self.TRIALS, self.BLOCK)])
+                    hits = np.mean(np.abs(rho) ** 2 > l_s * n0)
+                    ref = gdp(cw.unit_awv, cw.coverage,
+                              GdpConfig(gamma_per=l_s * p / n0))
+                    sigma = math.sqrt(ref * (1.0 - ref) / self.TRIALS)
+                    assert abs(hits - ref) <= 4.0 * sigma, (scheme, k, gamma)
+
 
 class TestSelectBest:
     def test_example(self):
@@ -292,21 +350,21 @@ class TestHierarchicalSearch:
             hierarchical_search(tx_cb, rx_cb, np.zeros(shape, dtype=complex),
                                 SimConfig(l_s=8, n0=0.0))
 
-    def test_shared_codebook_stacked_once(self, monkeypatch):
-        built = []
-
-        class Counting(simulate._LayerStacks):
-            def __init__(self, cb):
-                built.append(cb)
-                super().__init__(cb)
-
-        monkeypatch.setattr(simulate, "_LayerStacks", Counting)
-        cb, other = build_bmw_ms(8, 2, "cf"), build_bmw_ms(8, 2, "cf")
-        h = rank_one_channel(8, 8, 0.3, -0.2)
-        assert (hierarchical_search(cb, cb, h, SimConfig(l_s=8, n0=0.0))
-                == hierarchical_search(cb, other, h,
-                                       SimConfig(l_s=8, n0=0.0)))
-        assert built == [cb, cb, other]
+    def test_single_search_stacks_no_layer(self):
+        # a search gathers its operands from the codebooks' layer arrays,
+        # so it allocates far less than one layer's stacked member columns
+        cb, other = build_bmw_ms(256, 2, "cf"), build_bmw_ms(256, 2, "cf")
+        h = rank_one_channel(256, 256, 0.3, -0.2)
+        cfg = SimConfig(l_s=8, n0=0.0)
+        same = hierarchical_search(cb, cb, h, cfg)
+        tracemalloc.start()
+        try:
+            mixed = hierarchical_search(cb, other, h, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cb.layers[-1].units.nbytes / 8
+        assert same == mixed
 
 
 class TestMonteCarlo:
@@ -426,6 +484,21 @@ class TestMonteCarlo:
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("trials", 2.0), ("trials", True), ("seed", 1.5),
+        ("seed", False), ("l_s", 8.5), ("l_paths", 1.0), ("l_paths", True)])
+    def test_non_integer_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_numpy_integer_settings_accepted(self):
+        cb = build_bmw_ms(8, 2, "cf")
+        plain = SimConfig(l_s=8, seed=2 ** 64 - 1, trials=3)
+        wide = SimConfig(l_paths=np.int64(1), l_s=np.int32(8),
+                         seed=np.uint64(2 ** 64 - 1), trials=np.int64(3))
+        assert (run_monte_carlo([("a", cb, cb)], [-10.0], plain)
+                == run_monte_carlo([("a", cb, cb)], [-10.0], wide))
 
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
     def test_out_of_range_snr_rejected_before_trials(self, snr_db,

@@ -255,6 +255,20 @@ class TestBoundaryChecks:
         with pytest.raises(CodebookFormatError, match="malformed document"):
             deserialize(text)
 
+    def test_composites_of_a_layer_share_the_chain_count(self, books):
+        # a layer is one stacked array set, so a composite with fewer RF
+        # chains than the first of its layer is refused
+        def edit(d):
+            comp = d["layers"][2]["composites"][1]
+            del comp["analog_columns"][1]
+            for col in comp["digital_columns"]:
+                del col[1]
+
+        text = self.mutated(books[("bmw-ms-cf", 8)], edit)
+        with pytest.raises(CodebookFormatError,
+                           match=r"composites\[1\]\.analog_columns must hold 2"):
+            deserialize(text)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_digital_column_overflowing_the_weights(self, books):
         def edit(d):
