@@ -6,7 +6,7 @@ every formula as cos(theta) in [-1, 1], and every array response is
 the phase ramp pi*(n-1)*omega); storage is plain 0-based numpy arrays.
 
 All functions are pure; returned arrays are freshly allocated and marked
-read-only so values can be shared across concurrent tasks.
+read-only, so a caller can hold and share them without copying.
 """
 
 from __future__ import annotations

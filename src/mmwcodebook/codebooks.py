@@ -19,8 +19,8 @@ Two construction families are provided:
 
 Wide-beam construction happens once per layer; the remaining codewords are
 phase-rotated copies, which keeps every entry modulus (and thus the CA
-constraint) intact.  Each layer is one `CodebookLayer` of stacked arrays;
-`CompositeCodeword` and `Codeword` objects are views of it, made on access.
+constraint) intact.  Each layer is one `CodebookLayer` of stacked arrays
+seen through views; the two types refuse malformed contents when built.
 """
 
 from __future__ import annotations
@@ -485,6 +485,7 @@ class CodebookLayer:
     by 2*(j-1)/M^k (CA moduli kept), the one source of member weights;
     units (C, N, M) and inf_norms (C, M) are the unit-norm member columns
     and their peak moduli.  Indexing or iterating gives composite views.
+    Refuses bad shapes, non-finite f_bb, non-CA f_rf and zero f_bb columns.
     """
 
     layer: int
@@ -493,9 +494,30 @@ class CodebookLayer:
     f_bb: np.ndarray
 
     def __post_init__(self):
-        base = (self.f_rf @ self.f_bb[:, :, :1])[..., 0]
-        offsets = (2.0 * np.arange(self.f_bb.shape[2])
-                   / self.branching ** self.layer)
+        f_rf, f_bb = self.f_rf, self.f_bb
+        if not (f_rf.ndim == f_bb.ndim == 3 and f_rf.size and f_bb.size
+                and f_bb.shape[:2] == f_rf.shape[::2]
+                and np.all(np.isfinite(f_bb))):
+            raise ValueError(f"f_rf {f_rf.shape}, f_bb {f_bb.shape} must be "
+                             "non-empty (C, N, R) and finite (C, R, M) arrays")
+        n = f_rf.shape[1]
+        ca = np.max(np.abs(np.abs(f_rf) - n ** -0.5), axis=(1, 2)) <= 1e-9
+        if not np.all(ca):
+            raise ValueError(f"composites[{np.argmin(ca)}].analog_columns "
+                             "violate the constant-amplitude constraint "
+                             f"|entry| = 1/sqrt({n})")
+        zero = np.argwhere(~np.any(f_bb, axis=1))
+        if zero.size:
+            raise ValueError("composites[{}].digital_columns[{}] is all "
+                             "zero".format(*zero[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            base = (f_rf @ f_bb[:, :, :1])[..., 0]
+            norm = np.linalg.norm(base, axis=1)
+        bad = np.flatnonzero(~((norm > 0.0) & (norm < np.inf)))
+        if bad.size:
+            raise ValueError(f"composites[{bad[0]}].digital_columns[0] gives "
+                             f"member weights of 2-norm {norm[bad[0]]}")
+        offsets = 2.0 * np.arange(f_bb.shape[2]) / self.branching ** self.layer
         awv = base[:, None, :] * _rotations(offsets, base.shape[1])[None]
         # the search operands keep the (C, N, M) order of stacked columns
         units = np.ascontiguousarray(_unit_rows(awv).swapaxes(1, 2))
@@ -533,8 +555,8 @@ class HierarchicalCodebook:
     """All layers of composite codewords for one scheme and array size.
 
     grid_size and gamma_per record the phase-search grid and the linear
-    per-antenna SNR the codebook was designed with; both are refused where
-    the codebook reader would refuse them.
+    per-antenna SNR the codebook was designed with.  N = M^d, and layer k
+    (k = 0..d) has (C, N, M) = (M^(k-1), N, M), or (1, N, 1) at k = 0.
     """
 
     scheme: str
@@ -545,8 +567,16 @@ class HierarchicalCodebook:
     gamma_per: float
 
     def __post_init__(self):
-        _check_grid_size(self.grid_size)
+        n, m = self.n_antennas, self.branching
+        _check_sizes(n, m, self.grid_size, len(self.layers))
+        check_design(self.scheme, n, m, self.grid_size)
         _check_gamma_per(self.gamma_per)
+        for k, layer in enumerate(self.layers):
+            got = (layer.layer, layer.branching) + layer.units.shape
+            want = (k, m, m ** max(k - 1, 0), n, m if k else 1)
+            if got != want:
+                raise ValueError(f"layers[{k}] has (layer, branching, C, N, "
+                                 f"M) = {got}, expected {want}")
 
     @property
     def depth(self) -> int:
@@ -581,23 +611,34 @@ def _check_grid_size(grid_size: int) -> None:
 def check_design(scheme: str, n: int, m_rf: int, grid_size: int) -> int:
     """Depth log_m_rf(n) of a design request every builder accepts.
 
-    Raises ValueError for an unknown scheme tag, m_rf < 2, an n that is not
-    a power of m_rf at least m_rf, or grid_size < 8.  The builders call it
-    before they design anything; callers can call it to refuse a request
-    up front.
+    Raises ValueError for an unknown scheme tag, an m_rf or n that is not
+    an integer, m_rf < 2, an n that is not a power of m_rf at least m_rf,
+    or grid_size < 8.  The builders call it first, `HierarchicalCodebook`
+    calls it too; callers can call it to refuse a request up front.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if m_rf < 2:
-        raise ValueError(f"m_rf must be >= 2, got {m_rf}")
-    depth, size = 1, m_rf
+    return _check_sizes(n, m_rf, grid_size, names=("n", "m_rf"))
+
+
+def _check_sizes(n: int, m: int, grid_size: int, n_layers: int | None = None,
+                 names: tuple[str, str] = ("n_antennas", "branching")) -> int:
+    """Depth d of integers m >= 2 and n = m^d >= m, found in integer
+    arithmetic, with grid_size >= 8; given n_layers, it must be d + 1."""
+    n_name, m_name = names
+    _check_integer(m_name, m, 2)
+    _check_integer(n_name, n, 1)
+    depth, size = 1, m
     while size < n:
-        size *= m_rf
+        size *= m
         depth += 1
     if size != n:
-        raise ValueError(f"n must be a power of m_rf={m_rf} with n >= m_rf, "
-                         f"got {n}")
+        raise ValueError(f"{n_name} must be a power of {m_name}={m} with "
+                         f"{n_name} >= {m_name}, got {n}")
     _check_grid_size(grid_size)
+    if n_layers not in (None, depth + 1):
+        raise ValueError(f"layers must hold {depth + 1} layers for "
+                         f"n_antennas={n}, branching={m}, got {n_layers}")
     return depth
 
 

@@ -92,9 +92,6 @@ def _parse_schemes(text) -> list[str]:
         names = [str(v) for v in text]
     else:
         names = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    for name in names:
-        if name not in SCHEMES:
-            raise ConfigError(f"unknown scheme {name!r}; expected one of {SCHEMES}")
     if not names:
         raise ConfigError("at least one scheme is required")
     return names

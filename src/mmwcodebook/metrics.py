@@ -241,8 +241,7 @@ class LinkBudget:
                      "ambient_temp_k"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.training_length < 1:
-            raise ValueError("training_length must be >= 1")
+        _check_integer("training_length", self.training_length, 1)
         if self.excess_loss_db < 0.0:
             raise ValueError("excess_loss_db must be >= 0")
 

@@ -114,8 +114,7 @@ class ChannelRealization:
 def sample_channel(l_paths: int, m_an: int, n_an: int,
                    rng: np.random.Generator) -> ChannelRealization:
     """Draw a channel: CN(0, 1/L) gains, uniform[-1, 1] angles."""
-    if l_paths < 1:
-        raise ValueError("l_paths must be >= 1")
+    _check_integer("l_paths", l_paths, 1)
     scale = math.sqrt(1.0 / (2.0 * l_paths))
     gains = scale * (rng.standard_normal(l_paths)
                      + 1j * rng.standard_normal(l_paths))
@@ -333,8 +332,7 @@ def check_search(l_s: int, branchings, workers: int = 1) -> None:
     if l_s < max(branchings):
         raise ValueError(f"l_s={l_s} cannot keep {max(branchings)} training "
                          f"sequences orthogonal")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _check_integer("workers", workers, 1)
 
 
 def hierarchical_search(tx_cb: HierarchicalCodebook,

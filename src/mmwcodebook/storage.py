@@ -5,9 +5,9 @@ as [re, im] pairs printed with 17 significant digits, which round-trips
 float64 exactly; serialization is deterministic, so identical codebooks
 yield byte-identical documents.
 
-Member weight vectors are not stored: `codebooks.CodebookLayer` re-derives
-them bit for bit from each layer's stacked analog and digital matrices and
-the members' in-composite rotations.
+Member weights are not stored: `codebooks.CodebookLayer` re-derives them
+bit for bit.  The reader checks JSON types and shapes; the codebook types
+check the contents, and their ValueError becomes a CodebookFormatError.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ import json
 import numpy as np
 
 from .codebooks import (
-    SCHEMES,
     CodebookLayer,
     HierarchicalCodebook,
-    _check_grid_size,
+    _check_sizes,
     coverage_interval,
 )
 from .metrics import _check_gamma_per
@@ -187,7 +186,7 @@ def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
 
 
 def deserialize(text: str) -> HierarchicalCodebook:
-    """Parse a codebook document, validating structure and invariants."""
+    """Parse a codebook document; the codebook constructors check it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -205,21 +204,13 @@ def deserialize(text: str) -> HierarchicalCodebook:
         raise CodebookFormatError(
             f"unsupported format version {doc.get('version')!r}")
     scheme = _expect(doc, "scheme", str, "$")
-    if scheme not in SCHEMES:
-        raise CodebookFormatError(
-            f"unknown scheme tag {scheme!r}; expected one of {SCHEMES}")
     n = _expect(doc, "n_antennas", int, "$")
     branching = _expect(doc, "branching", int, "$")
     grid_size = _expect(doc, "grid_size", int, "$")
     gamma_per = _expect(doc, "gamma_per", float, "$")
     raw_layers = _expect(doc, "layers", list, "$")
-    if n < 1:
-        raise CodebookFormatError(f"field $.n_antennas must be >= 1, got {n}")
-    if branching < 2:
-        raise CodebookFormatError(
-            f"field $.branching must be >= 2, got {branching}")
     try:
-        _check_grid_size(grid_size)
+        _check_sizes(n, branching, grid_size, len(raw_layers))
         _check_gamma_per(gamma_per)
     except ValueError as exc:
         raise CodebookFormatError(f"field $.{exc}") from None
@@ -232,11 +223,6 @@ def deserialize(text: str) -> HierarchicalCodebook:
         if _expect(raw_layer, "layer", int, path) != k:
             raise CodebookFormatError(f"{path}.layer must equal {k}")
         raw_comps = _expect(raw_layer, "composites", list, path)
-        expected_comps = 1 if k == 0 else branching ** (k - 1)
-        if len(raw_comps) != expected_comps:
-            raise CodebookFormatError(
-                f"{path} must hold {expected_comps} composites, "
-                f"found {len(raw_comps)}")
         expected_members = 1 if k == 0 else branching
         f_rfs, f_bbs = [], []
         for c, raw_comp in enumerate(raw_comps, start=1):
@@ -251,40 +237,20 @@ def deserialize(text: str) -> HierarchicalCodebook:
             f_rf = np.stack(
                 [_parse_complex_vector(col, n, f"{cpath}.analog_columns[{j}]")
                  for j, col in enumerate(acols)], axis=1)
-            # n is the parsed column length here, so it converts to float
-            if np.max(np.abs(np.abs(f_rf) - 1.0 / np.sqrt(n))) > 1e-9:
-                raise CodebookFormatError(
-                    f"{cpath}.analog_columns violate the constant-amplitude "
-                    f"constraint |entry| = 1/sqrt({n})")
             if f_rfs and f_rf.shape[1] != f_rfs[0].shape[1]:
                 raise CodebookFormatError(
                     f"{cpath}.analog_columns must hold "
                     f"{f_rfs[0].shape[1]} columns, as composite 0 does")
             dcols = _expect(raw_comp, "digital_columns", list, cpath)
-            if len(dcols) != expected_members:
+            raw_members = _expect(raw_comp, "members", list, cpath)
+            if {len(dcols), len(raw_members)} != {expected_members}:
                 raise CodebookFormatError(
-                    f"{cpath}.digital_columns must hold {expected_members} "
-                    f"columns, found {len(dcols)}")
+                    f"{cpath} must hold {expected_members} digital_columns "
+                    f"and members, found {len(dcols)} and {len(raw_members)}")
             f_bb = np.stack(
                 [_parse_complex_vector(col, f_rf.shape[1],
                                        f"{cpath}.digital_columns[{j}]")
                  for j, col in enumerate(dcols)], axis=1)
-            for j in range(f_bb.shape[1]):
-                if not np.any(f_bb[:, j]):
-                    raise CodebookFormatError(
-                        f"{cpath}.digital_columns[{j}] is all zero")
-            # members derive from column 0; entries too large for float64
-            # products must fail here, not as nan weights downstream
-            with np.errstate(over="ignore", invalid="ignore"):
-                norm = np.linalg.norm(f_rf @ f_bb[:, 0])
-            if not 0.0 < norm < np.inf:
-                raise CodebookFormatError(
-                    f"{cpath}.digital_columns[0] gives member weights of "
-                    f"2-norm {norm}")
-            raw_members = _expect(raw_comp, "members", list, cpath)
-            if len(raw_members) != expected_members:
-                raise CodebookFormatError(
-                    f"{cpath}.members must hold {expected_members} entries")
             for index, raw_cw in enumerate(
                     raw_members, start=(c - 1) * expected_members + 1):
                 mpath = f"{cpath}.members[{index}]"
@@ -302,14 +268,13 @@ def deserialize(text: str) -> HierarchicalCodebook:
                         f"not match the layer-{k} grid")
             f_rfs.append(f_rf)
             f_bbs.append(f_bb)
-        layers.append(CodebookLayer(k, branching, np.stack(f_rfs),
-                                    np.stack(f_bbs)))
-
-    # no layers would make the power below a float, which a huge branching
-    # overflows
-    if not layers or branching ** (len(layers) - 1) != n:
-        raise CodebookFormatError(
-            f"{len(layers)} layers inconsistent with n_antennas={n}, "
-            f"branching={branching}")
-    return HierarchicalCodebook(scheme, n, branching, layers, grid_size,
-                                gamma_per)
+        try:
+            layers.append(CodebookLayer(k, branching, np.array(f_rfs),
+                                        np.array(f_bbs)))
+        except ValueError as exc:
+            raise CodebookFormatError(f"{path}.{exc}") from None
+    try:
+        return HierarchicalCodebook(scheme, n, branching, layers, grid_size,
+                                    gamma_per)
+    except ValueError as exc:
+        raise CodebookFormatError(f"$: {exc}") from None

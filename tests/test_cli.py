@@ -368,6 +368,13 @@ class TestGeneratedFlags:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["gdp", "cdf", "simulate"])
+    def test_unknown_scheme_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, "--schemes", "sparse", "--out", str(out)]) == 2
+        assert "unknown scheme 'sparse'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestIntegerLists:
     @pytest.mark.parametrize("command, key, text", [

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,12 @@ from mmwcodebook import (
     steering_vector,
     subarray_plan,
 )
-from mmwcodebook.codebooks import GeometryError, check_design
+from mmwcodebook.codebooks import (
+    CodebookLayer,
+    GeometryError,
+    HierarchicalCodebook,
+    check_design,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -370,7 +376,7 @@ class TestDesignChecks:
         res = subprocess.run([sys.executable, "-c", code], cwd=src,
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.startswith("refused: m_rf must be >= 2")
+        assert res.stdout.startswith("refused: m_rf must be an integer >= 2")
 
     @pytest.mark.parametrize("scheme", ["bmw-ms-cf", "bmw-ms-lcs", "ps-dft"])
     @pytest.mark.parametrize("n, m_rf", [(1, 2), (2, 4), (12, 2)])
@@ -391,6 +397,14 @@ class TestDesignChecks:
         plan = subarray_plan(8, 2, AngleInterval(-1.0, 1.0))
         with pytest.raises(ValueError, match="^grid_size must be an integer"):
             lcs_phases(plan, AngleInterval(-1.0, 1.0), grid_size=grid_size)
+
+    @pytest.mark.parametrize("scheme", ["bmw-ms-cf", "bmw-ms-lcs", "ps-dft"])
+    @pytest.mark.parametrize("n, m_rf, field", [
+        (16.0, 2, "n"), (True, 2, "n"), ("16", 2, "n"), (16, 2.0, "m_rf"),
+        (16, True, "m_rf")])
+    def test_non_integer_sizes_rejected(self, scheme, n, m_rf, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            build_codebook(scheme, n, m_rf, grid_size=16)
 
     def test_numpy_integer_grid_size_accepted(self):
         assert (build_codebook("bmw-ms-lcs", 8, grid_size=np.int64(16))
@@ -440,3 +454,89 @@ class TestCodebookAccessors:
                 assert comp.index == c
                 assert [cw.index for cw in comp.members] == \
                     [2 * (c - 1) + 1, 2 * c]
+
+
+def _with_layer(cb, k, layer):
+    return cb.layers[:k] + [layer] + cb.layers[k + 1:]
+
+
+def _edited(cb, k, name, index, value):
+    """Layer k of cb rebuilt from copies of its arrays, one part set."""
+    arrays = {"f_rf": cb.layers[k].f_rf.copy(),
+              "f_bb": cb.layers[k].f_bb.copy()}
+    arrays[name][index] = value
+    return CodebookLayer(k, cb.branching, **arrays)
+
+
+def _fault(k, got, want):
+    """The message of a layer that does not fit the hierarchy."""
+    return "^" + re.escape(f"layers[{k}] has (layer, branching, C, N, M) = "
+                           f"{got}, expected {want}")
+
+
+class TestConstructorChecks:
+    """The codebook types refuse a malformed hierarchy when it is built,
+    so no search runs on one; each message names the field or composite."""
+
+    @pytest.fixture(scope="class")
+    def cb(self):
+        return build_bmw_ms(8, 2, "cf", grid_size=16)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda cb: HierarchicalCodebook(cb.scheme, True, 2, cb.layers, 16,
+                                         1.0),
+         "^n_antennas must be an integer"),
+        (lambda cb: HierarchicalCodebook(cb.scheme, 12, 2, cb.layers, 16,
+                                         1.0),
+         "^n_antennas must be a power of branching=2"),
+        (lambda cb: HierarchicalCodebook(cb.scheme, 9, 3, cb.layers[:3], 16,
+                                         1.0),
+         _fault(0, (0, 2, 1, 8, 1), (0, 3, 1, 9, 1))),
+        (lambda cb: HierarchicalCodebook(cb.scheme, 4, 2, cb.layers[:3], 16,
+                                         1.0),
+         _fault(0, (0, 2, 1, 8, 1), (0, 2, 1, 4, 1))),
+        (lambda cb: HierarchicalCodebook(cb.scheme, 8, 2, cb.layers[:2], 16,
+                                         1.0),
+         "^layers must hold 4 layers for n_antennas=8, branching=2, got 2"),
+        (lambda cb: HierarchicalCodebook(
+            cb.scheme, 8, 2, [cb.layers[0], cb.layers[2], cb.layers[1],
+                              cb.layers[3]], 16, 1.0),
+         _fault(1, (2, 2, 2, 8, 2), (1, 2, 1, 8, 2))),
+        (lambda cb: HierarchicalCodebook(cb.scheme, 8, 2, _with_layer(
+            cb, 2, CodebookLayer(2, 2, cb.layers[2].f_rf[:1],
+                                 cb.layers[2].f_bb[:1])), 16, 1.0),
+         _fault(2, (2, 2, 1, 8, 2), (2, 2, 2, 8, 2))),
+        (lambda cb: HierarchicalCodebook(cb.scheme, 8, 2, _with_layer(
+            cb, 1, CodebookLayer(1, 2, cb.layers[1].f_rf,
+                                 cb.layers[1].f_bb[:, :, :1])), 16, 1.0),
+         _fault(1, (1, 2, 1, 8, 1), (1, 2, 1, 8, 2))),
+        (lambda cb: CodebookLayer(1, 2, cb.layers[1].f_rf[0],
+                                  cb.layers[1].f_bb),
+         r"^f_rf \(8, 2\), f_bb \(1, 2, 2\) must be non-empty"),
+        (lambda cb: CodebookLayer(1, 2, cb.layers[1].f_rf,
+                                  cb.layers[2].f_bb[:, :1]),
+         r"^f_rf \(1, 8, 2\), f_bb \(2, 1, 2\) must be non-empty"),
+        (lambda cb: _edited(cb, 2, "f_bb", (1, 0, 1), np.inf),
+         r"^f_rf \(2, 8, 2\), f_bb \(2, 2, 2\) must be .* finite"),
+        (lambda cb: _edited(cb, 2, "f_rf", (1, 3, 0), 0.5),
+         r"^composites\[1\]\.analog_columns violate the constant-amplitude"),
+        (lambda cb: _edited(cb, 2, "f_rf", (1, 3, 0), np.nan),
+         r"^composites\[1\]\.analog_columns violate the constant-amplitude"),
+        (lambda cb: _edited(cb, 2, "f_bb", (1, slice(None), 1), 0.0),
+         r"^composites\[1\]\.digital_columns\[1\] is all zero"),
+        (lambda cb: _edited(cb, 2, "f_bb", (1, slice(None), 0),
+                            1.7e308 + 1.7e308j),
+         r"^composites\[1\]\.digital_columns\[0\] gives member weights of "
+         r"2-norm (inf|nan)"),
+    ])
+    def test_malformed_hierarchy_refused_at_construction(self, cb, make,
+                                                         message):
+        # pytest turns any RuntimeWarning into an error, so none escapes
+        with pytest.raises(ValueError, match=message):
+            make(cb)
+
+    def test_rebuilt_layers_accepted(self, cb):
+        # the refusals above come from the edits, not from the rebuild
+        for k, layer in enumerate(cb.layers):
+            assert CodebookLayer(k, 2, layer.f_rf.copy(),
+                                 layer.f_bb.copy()) == layer

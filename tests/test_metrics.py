@@ -211,6 +211,12 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             LinkBudget(excess_loss_db=-1.0)
 
+    @pytest.mark.parametrize("value", [0, 2.5, 128.0, True, "128"])
+    def test_training_length_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError,
+                           match="^training_length must be an integer"):
+            LinkBudget(training_length=value)
+
     @pytest.mark.parametrize("excess", [(15.0, 0.0), (-1.0, 5.0),
                                         (0.0, math.nan)])
     def test_report_refuses_bad_excess_range(self, excess):

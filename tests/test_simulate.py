@@ -472,7 +472,7 @@ class TestMonteCarlo:
                             SimConfig(l_s=l_s, trials=3))
         assert keys == []
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
     def test_workers_below_one_rejected(self, workers):
         cb = build_bmw_ms(8, 2, "cf")
         with pytest.raises(ValueError, match="workers"):
@@ -491,6 +491,13 @@ class TestMonteCarlo:
     def test_non_integer_settings_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             SimConfig(**{field: value})
+
+    @pytest.mark.parametrize("l_paths", [0, 2.5, 2.0, True])
+    def test_sample_channel_refuses_what_sim_config_refuses(self, l_paths):
+        with pytest.raises(ValueError, match="^l_paths must be an integer"):
+            SimConfig(l_paths=l_paths)
+        with pytest.raises(ValueError, match="^l_paths must be an integer"):
+            sample_channel(l_paths, 8, 8, np.random.default_rng(0))
 
     def test_numpy_integer_settings_accepted(self):
         cb = build_bmw_ms(8, 2, "cf")

@@ -44,15 +44,21 @@ class TestRoundTrip:
         assert back == cb
 
     @pytest.mark.parametrize("field, value", [("grid_size", 4),
-                                              ("gamma_per", float("nan"))])
+                                              ("gamma_per", float("nan")),
+                                              ("scheme", "bogus"),
+                                              ("n_antennas", 16),
+                                              ("branching", 8),
+                                              ("layers", slice(3))])
     def test_constructor_refuses_what_the_reader_refuses(self, books, field,
                                                          value):
+        # a slice value keeps that part of the layers (here: drops one)
         cb = books[("bmw-ms-cf", 8)]
-        settings = {"grid_size": cb.grid_size, "gamma_per": cb.gamma_per,
-                    field: value}
+        settings = {"scheme": cb.scheme, "n_antennas": cb.n_antennas,
+                    "branching": cb.branching, "layers": cb.layers,
+                    "grid_size": cb.grid_size, "gamma_per": cb.gamma_per}
+        settings[field] = cb.layers[value] if field == "layers" else value
         with pytest.raises(ValueError, match=field):
-            HierarchicalCodebook(cb.scheme, cb.n_antennas, cb.branching,
-                                 cb.layers, **settings)
+            HierarchicalCodebook(**settings)
 
     def test_member_weights_bit_identical(self, books):
         cb = books[("bmw-ms-cf", 32)]
@@ -267,6 +273,39 @@ class TestBoundaryChecks:
         text = self.mutated(books[("bmw-ms-cf", 8)], edit)
         with pytest.raises(CodebookFormatError,
                            match=r"composites\[1\]\.analog_columns must hold 2"):
+            deserialize(text)
+
+    def test_layer_without_composites(self, books):
+        # a layer is stacked from its composites, so it needs one
+        text = self.mutated(books[("bmw-ms-cf", 8)], lambda d: d["layers"][1]
+                            .__setitem__("composites", []))
+        with pytest.raises(CodebookFormatError,
+                           match=r"\$\.layers\[1\]\.f_rf \(0,\).* non-empty"):
+            deserialize(text)
+
+    @pytest.mark.parametrize("field, counts", [("digital_columns", "1 and 2"),
+                                               ("members", "2 and 1")])
+    def test_composite_holds_one_digital_column_per_member(self, books, field,
+                                                           counts):
+        text = self.mutated(books[("bmw-ms-cf", 8)], lambda d: d["layers"][2]
+                            ["composites"][1][field].pop())
+        with pytest.raises(CodebookFormatError, match=re.escape(
+                "$.layers[2].composites[1] must hold 2 digital_columns and "
+                f"members, found {counts}")):
+            deserialize(text)
+
+    def test_layer_count_refused_before_the_layers_are_read(self, books):
+        # past layer 1024, 2**k no longer converts to a float; the count is
+        # refused before any layer's coverages are computed
+        def edit(d):
+            d["layers"] = d["layers"][:2] + [
+                {"layer": k, "composites": d["layers"][1]["composites"]}
+                for k in range(2, 1100)]
+
+        text = self.mutated(books[("bmw-ms-cf", 8)], edit)
+        with pytest.raises(CodebookFormatError, match=r"^field \$\.layers "
+                           "must hold 4 layers for n_antennas=8, branching=2, "
+                           "got 1100$"):
             deserialize(text)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
