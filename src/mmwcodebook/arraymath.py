@@ -35,6 +35,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Refuse a value that is not an integer in [lo, hi]; a bool is not one."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < lo or (hi is not None and value > hi)):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
 def as_weights(w) -> np.ndarray:
     """Validate and coerce an antenna weight vector to complex128."""
     arr = np.asarray(w, dtype=np.complex128)
@@ -60,8 +68,7 @@ def steering_vector(n: int, omega) -> np.ndarray:
     `omega` outside [-1, 1) is wrapped rather than rejected; the response is
     2-periodic so the wrapped vector is the same vector.
     """
-    if n < 1:
-        raise ValueError(f"antenna count must be >= 1, got {n}")
+    _check_integer("n", n, 1)
     om = wrap_angle(omega)[..., None]
     v = np.exp(1j * np.pi * np.arange(n) * om) / math.sqrt(n)
     return _freeze(v)

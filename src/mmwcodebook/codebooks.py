@@ -26,12 +26,12 @@ seen through views; the two types refuse malformed contents when built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .arraymath import AngleInterval, steering_vector, wrap_angle
-from .metrics import GdpConfig, _check_gamma_per, _check_integer, _gdp_values
+from .arraymath import AngleInterval, _check_integer, steering_vector, wrap_angle
+from .metrics import GdpConfig, _check_gamma_per, _gdp_values
 
 __all__ = [
     "GeometryError",
@@ -196,16 +196,13 @@ def _argmax_with_ties(values: np.ndarray) -> int:
 
 def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
                     interval: AngleInterval, cfg: GdpConfig,
-                    labels: np.ndarray | None = None,
-                    exact: bool = False) -> int:
+                    labels: np.ndarray | None = None) -> int:
     """Index `_argmax_with_ties` picks over the full-resolution GDP values.
 
     `labels` partitions the candidates into classes that share one GDP:
     labels[c] is the lowest index of c's class (None: every candidate is
     its own class).  The callers certify each class from the weight
-    vectors (`_lcs_classes`, `_one_pattern`), never from GDP values; with
-    `exact`, the members of every class share |A|^2 itself (global phases,
-    one-hot vectors), not only a mirror image of it.
+    vectors (`_lcs_classes`, `_one_pattern`), never from GDP values.
 
     One coarse pass scores each class's lowest member on the grid of 1/16
     the full resolution, v16, and on its even samples, v32.  The
@@ -223,11 +220,11 @@ def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
     tie-break, across classes within `_TIE_RTOL` too, is the exhaustive
     one by construction.
 
-    One exception skips rescoring: when only one class survives (or
-    exists) and `exact` holds, no other candidate can tie, and its
-    members' exhaustive values differ by rounding alone (a spread of
-    5e-15 over the 64 one-hot layer-0 candidates of ps-dft N=256, far
-    inside `_TIE_RTOL`), so its lowest index is the exhaustive choice.
+    When only one class survives (or exists), no candidate of another
+    class can tie, and its members' full-resolution values differ by
+    rounding alone (at most 3.3e-15 over every class of the builders'
+    layers, far inside `_TIE_RTOL`), so its lowest index is the
+    exhaustive choice and it is returned unscored.
     Below 8*N points per unit the coarse grids no longer resolve an
     N-antenna beam, and every candidate is scored at full resolution
     instead.
@@ -237,7 +234,7 @@ def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
     if labels is None:
         labels = np.arange(coeffs.shape[1])
     reps = np.flatnonzero(labels == np.arange(labels.size))
-    if exact and reps.size == 1:
+    if reps.size == 1:
         return int(reps[0])
     if fine // 32 < 8 * n:
         return _argmax_with_ties(
@@ -247,15 +244,15 @@ def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
     margin = 2.0 * np.abs(v16 - v32)
     tol = _TIE_RTOL * max(1.0, abs(float(np.max(v16))))
     alive = reps[v16 + margin >= np.max(v16 - margin) - 2.0 * tol]
-    if exact and alive.size == 1:
+    if alive.size == 1:
         return int(alive[0])
     keep = np.flatnonzero(np.isin(labels, alive))
     values = _gdp_values(u_cols, coeffs[:, keep], interval, cfg, fine)
     return int(keep[_argmax_with_ties(values)])
 
 
-# Relative residual up to which a certified weight identity counts as
-# exact.  The identities hold exactly in real arithmetic and rounding
+# Relative residual up to which a certified weight identity holds.  The
+# identities hold exactly in real arithmetic and rounding
 # leaves at most about 1e-12; a wrong map misses by a grid phase step.
 _CERT_TOL = 1e-9
 
@@ -319,7 +316,7 @@ def _mirror_offsets(plan: SubArrayPlan,
 
 def _lcs_classes(plan: SubArrayPlan, interval: AngleInterval,
                  u_cols: np.ndarray, exp_m: np.ndarray,
-                 exp_i: np.ndarray) -> tuple[np.ndarray, bool]:
+                 exp_i: np.ndarray) -> np.ndarray:
     """Certified GDP classes of the LCS candidates, as `_best_candidate` takes.
 
     Candidate (a, b) has the coefficients exp_i[i, b] * exp_m[m, a] on
@@ -330,8 +327,7 @@ def _lcs_classes(plan: SubArrayPlan, interval: AngleInterval,
     reversed factor rows times their kappa part must be unit multiples of
     the partners' rows, column by column.  Then each mirrored candidate is
     a unit multiple of its partner, at O(N*m_rf*m_s + (m_rf + m_s)*G).
-    Each class is labelled by its lowest flat index a*G + b; the classes
-    are exact when no mirror joined them.
+    Each class is labelled by its lowest flat index a*G + b.
     """
     g = exp_m.shape[1]
     labels = np.arange(g * g).reshape(g, g)
@@ -340,7 +336,7 @@ def _lcs_classes(plan: SubArrayPlan, interval: AngleInterval,
     offsets = _mirror_offsets(plan, g)
     kappa = None if offsets is None else _mirror_basis(u_cols, interval)
     if kappa is None:
-        return labels.ravel(), True
+        return labels.ravel()
     k = kappa.reshape(plan.m_rf, plan.m_s)
     ia = (offsets[0] - np.arange(g)) % g
     ib = (offsets[1] - np.arange(g)) % g
@@ -349,8 +345,8 @@ def _lcs_classes(plan: SubArrayPlan, interval: AngleInterval,
                               exp_m[:, ia]) is not None
             and _unit_factors(k[:, 0][:, None] * exp_i[::-1],
                               exp_i[:, ib]) is not None):
-        return labels.ravel(), True
-    return np.minimum(labels, labels[np.ix_(ia, ib)]).ravel(), False
+        return labels.ravel()
+    return np.minimum(labels, labels[np.ix_(ia, ib)]).ravel()
 
 
 def _one_pattern(u_cols: np.ndarray, coeffs: np.ndarray) -> bool:
@@ -393,9 +389,8 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     exp_i = np.exp(1j * np.outer(i_idx, phis))  # (m_rf, g) phi2 factors
     coeff = (exp_i[:, None, None, :] * exp_m[None, :, :, None]).reshape(
         plan.n_subarrays, grid_size * grid_size)
-    labels, exact = _lcs_classes(plan, interval, u_cols, exp_m, exp_i)
-    best = _best_candidate(u_cols, coeff, interval, cfg, labels=labels,
-                           exact=exact)
+    labels = _lcs_classes(plan, interval, u_cols, exp_m, exp_i)
+    best = _best_candidate(u_cols, coeff, interval, cfg, labels=labels)
     phi1 = float(phis[best // grid_size])
     phi2 = float(phis[best % grid_size])
     theta = m_idx[None, :] * phi1 + i_idx[:, None] * phi2
@@ -409,6 +404,14 @@ def _unit_rows(awv: np.ndarray) -> np.ndarray:
     return awv / np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[..., None]
 
 
+def _same(self, other) -> bool:
+    """The codebook types' one equality: same type, fields equal by value."""
+    return type(self) is type(other) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name))
+                     for f in fields(self)))
+
+
 @dataclass(frozen=True, eq=False)
 class Codeword:
     """One beam of the hierarchy: layer, 1-based in-layer index, weights."""
@@ -418,16 +421,11 @@ class Codeword:
     awv: np.ndarray
     coverage: AngleInterval
 
+    __eq__ = _same
+
     @property
     def unit_awv(self) -> np.ndarray:
         return _unit_rows(self.awv)
-
-    def __eq__(self, other):
-        return (isinstance(other, Codeword)
-                and self.layer == other.layer
-                and self.index == other.index
-                and self.coverage == other.coverage
-                and np.array_equal(self.awv, other.awv))
 
 
 def coverage_interval(layer: int, index: int, branching: int) -> AngleInterval:
@@ -451,6 +449,8 @@ class CompositeCodeword:
     f_bb: np.ndarray  # (n_chains, n_members)
     members: list[Codeword]
 
+    __eq__ = _same
+
     @property
     def member_matrix(self) -> np.ndarray:
         """Unit-norm member weight vectors, stacked as columns."""
@@ -460,14 +460,6 @@ class CompositeCodeword:
     def member_inf_norms(self) -> np.ndarray:
         """Per-member max entry modulus of the unit-norm weights."""
         return np.max(np.abs(self.member_matrix), axis=0)
-
-    def __eq__(self, other):
-        return (isinstance(other, CompositeCodeword)
-                and self.layer == other.layer
-                and self.index == other.index
-                and np.array_equal(self.f_rf, other.f_rf)
-                and np.array_equal(self.f_bb, other.f_bb)
-                and self.members == other.members)
 
 
 def _rotations(deltas: np.ndarray, n: int) -> np.ndarray:
@@ -485,7 +477,9 @@ class CodebookLayer:
     by 2*(j-1)/M^k (CA moduli kept), the one source of member weights;
     units (C, N, M) and inf_norms (C, M) are the unit-norm member columns
     and their peak moduli.  Indexing or iterating gives composite views.
-    Refuses bad shapes, non-finite f_bb, non-CA f_rf and zero f_bb columns.
+    Refuses a non-integer layer < 0 or branching < 2, bad shapes, a (C, M)
+    other than (M^(k-1), M) ((1, 1) at k = 0), non-finite f_bb, non-CA
+    f_rf and zero f_bb columns.
     """
 
     layer: int
@@ -493,13 +487,24 @@ class CodebookLayer:
     f_rf: np.ndarray
     f_bb: np.ndarray
 
+    __eq__ = _same
+
     def __post_init__(self):
+        _check_integer("layer", self.layer, 0)
+        _check_integer("branching", self.branching, 2)
         f_rf, f_bb = self.f_rf, self.f_bb
         if not (f_rf.ndim == f_bb.ndim == 3 and f_rf.size and f_bb.size
                 and f_bb.shape[:2] == f_rf.shape[::2]
                 and np.all(np.isfinite(f_bb))):
             raise ValueError(f"f_rf {f_rf.shape}, f_bb {f_bb.shape} must be "
                              "non-empty (C, N, R) and finite (C, R, M) arrays")
+        k, m = int(self.layer), int(self.branching)
+        got = f_bb.shape[::2]
+        # m**C > C, so capping the power keeps a huge layer from being raised
+        if got != ((m ** min(k - 1, got[0]), m) if k else (1, 1)):
+            raise ValueError(f"layer={k}, branching={m} need (C, M) = "
+                             + (f"({m}**{k - 1}, {m})" if k else "(1, 1)")
+                             + f", got {got}")
         n = f_rf.shape[1]
         ca = np.max(np.abs(np.abs(f_rf) - n ** -0.5), axis=(1, 2)) <= 1e-9
         if not np.all(ca):
@@ -542,41 +547,36 @@ class CodebookLayer:
         return Codeword(self.layer, index, self.awv[c, j],
                         coverage_interval(self.layer, index, self.branching))
 
-    def __eq__(self, other):
-        return (isinstance(other, CodebookLayer)
-                and self.layer == other.layer
-                and self.branching == other.branching
-                and np.array_equal(self.f_rf, other.f_rf)
-                and np.array_equal(self.f_bb, other.f_bb))
 
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HierarchicalCodebook:
     """All layers of composite codewords for one scheme and array size.
 
     grid_size and gamma_per record the phase-search grid and the linear
     per-antenna SNR the codebook was designed with.  N = M^d, and layer k
-    (k = 0..d) has (C, N, M) = (M^(k-1), N, M), or (1, N, 1) at k = 0.
+    (k = 0..d) is `CodebookLayer` k of branching M over N antennas.
     """
 
     scheme: str
     n_antennas: int
     branching: int
-    layers: list[CodebookLayer]
+    layers: tuple[CodebookLayer, ...]  # built from any sequence
     grid_size: int
     gamma_per: float
 
+    __eq__ = _same
+
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
         n, m = self.n_antennas, self.branching
         _check_sizes(n, m, self.grid_size, len(self.layers))
-        check_design(self.scheme, n, m, self.grid_size)
+        _check_scheme(self.scheme)
         _check_gamma_per(self.gamma_per)
         for k, layer in enumerate(self.layers):
-            got = (layer.layer, layer.branching) + layer.units.shape
-            want = (k, m, m ** max(k - 1, 0), n, m if k else 1)
-            if got != want:
-                raise ValueError(f"layers[{k}] has (layer, branching, C, N, "
-                                 f"M) = {got}, expected {want}")
+            got = (layer.layer, layer.branching, layer.f_rf.shape[1])
+            if got != (k, m, n):
+                raise ValueError(f"layers[{k}] has (layer, branching, N) = "
+                                 f"{got}, expected {(k, m, n)}")
 
     @property
     def depth(self) -> int:
@@ -593,15 +593,6 @@ class HierarchicalCodebook:
         arrays = self.layers[layer]
         return arrays._codeword(*divmod(index - 1, arrays.awv.shape[1]))
 
-    def __eq__(self, other):
-        return (isinstance(other, HierarchicalCodebook)
-                and self.scheme == other.scheme
-                and self.n_antennas == other.n_antennas
-                and self.branching == other.branching
-                and self.grid_size == other.grid_size
-                and self.gamma_per == other.gamma_per
-                and self.layers == other.layers)
-
 
 def _check_grid_size(grid_size: int) -> None:
     # lcs_phases takes any sub-array plan, so it checks only its grid
@@ -613,12 +604,16 @@ def check_design(scheme: str, n: int, m_rf: int, grid_size: int) -> int:
 
     Raises ValueError for an unknown scheme tag, an m_rf or n that is not
     an integer, m_rf < 2, an n that is not a power of m_rf at least m_rf,
-    or grid_size < 8.  The builders call it first, `HierarchicalCodebook`
-    calls it too; callers can call it to refuse a request up front.
+    or grid_size < 8.  The builders call it first; callers can call it to
+    refuse a request up front.
     """
+    _check_scheme(scheme)
+    return _check_sizes(n, m_rf, grid_size, names=("n", "m_rf"))
+
+
+def _check_scheme(scheme: str) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    return _check_sizes(n, m_rf, grid_size, names=("n", "m_rf"))
 
 
 def _check_sizes(n: int, m: int, grid_size: int, n_layers: int | None = None,
@@ -713,8 +708,7 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
                and _one_pattern(chains, coeff))
         best = _best_candidate(
             chains, coeff, interval, cfg,
-            labels=np.zeros(grid_size, dtype=int) if one else None,
-            exact=one)
+            labels=np.zeros(grid_size, dtype=int) if one else None)
         phi = float(phis[best])
         cols = chains * np.exp(1j * phi * steps)[None, :]
         scale = 1.0 / np.linalg.norm(cols.sum(axis=1))

@@ -232,9 +232,9 @@ def _validate(command: str, cfg: dict) -> None:
     """Refuse a configuration before any codebook is designed.
 
     Ranges the library owns are checked by calling their owners
-    (`check_design` for every design a command makes, `SimConfig`,
-    `check_search`, `link_budget_report`), whose ValueError becomes a
-    ConfigError; only what no library call sees is checked here.
+    (`check_design` for every design a command makes, `GdpConfig` for
+    every gamma_per_db, `SimConfig`, `snr_powers`, `check_search`,
+    `link_budget_report`), whose ValueError becomes a ConfigError.
     """
     try:
         if command == "design":
@@ -244,8 +244,10 @@ def _validate(command: str, cfg: dict) -> None:
             for n in cfg["n"] if command == "gdp" else [cfg["n"]]:
                 for scheme in cfg["schemes"]:
                     check_design(scheme, n, cfg["m_rf"], cfg["grid_size"])
+        for gdb in np.atleast_1d(cfg.get("gamma_per_db", [])).tolist():
+            _gdp_cfg(gdb)
         if command == "simulate":
-            _sim_config(cfg)
+            snr_powers(cfg["snr_db"], _sim_config(cfg).n0)
             check_search(cfg["l_s"], [cfg["m_rf"]], cfg["workers"])
         elif command == "linkbudget":
             link_budget_report(_link_budget(cfg), (cfg["excess_min_db"],
@@ -390,7 +392,6 @@ def cmd_cdf(cfg: dict, echo=print) -> None:
 def cmd_simulate(cfg: dict, echo=print) -> None:
     """Monte Carlo success-rate / achievable-rate sweep over SNR."""
     sim = _sim_config(cfg)
-    snr_powers(cfg["snr_db"], sim.n0)
     design_cfg = GdpConfig()
     schemes = []
     for scheme in cfg["schemes"]:

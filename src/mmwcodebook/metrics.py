@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arraymath import AngleInterval, as_weights, inf_norm_sq, response_matrix
+from .arraymath import (AngleInterval, _check_integer, as_weights,
+                        inf_norm_sq, response_matrix)
 
 __all__ = [
     "GdpConfig",
@@ -62,14 +63,6 @@ def _check_gamma_per(gamma_per: float) -> None:
     if not (math.isfinite(gamma_per) and gamma_per > 0.0):
         raise ValueError(
             f"gamma_per must be finite and positive, got {gamma_per}")
-
-
-def _check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
-    """Refuse a value that is not an integer in [lo, hi]; a bool is not one."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < lo or (hi is not None and value > hi)):
-        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -237,6 +230,9 @@ class LinkBudget:
     excess_loss_db: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if name != "training_length" and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for name in ("carrier_wavelength_m", "distance_m", "bandwidth_hz",
                      "ambient_temp_k"):
             if not getattr(self, name) > 0.0:

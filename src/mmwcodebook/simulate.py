@@ -10,7 +10,7 @@ and correlating yields
 
     rho[i, j] = l_s * sqrt(p_j) * w_i^H H f_j + eta[i, j]
 
-with eta i.i.d. circular complex Gaussian of variance l_s * n0 — the exact
+with eta i.i.d. circular complex Gaussian of variance l_s * n0 — precisely the
 statistics of correlating l_s unit-power noise symbols, without generating
 the sequences themselves.  Under the per-antenna power constraint, the
 per-stream amplitude sqrt(p_j) is sqrt(p_per) / ||f_j||_inf so that no
@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymath import steering_vector
+from .arraymath import _check_integer, steering_vector
 from .codebooks import CompositeCodeword, HierarchicalCodebook
-from .metrics import _check_integer, db_to_linear
+from .metrics import db_to_linear
 
 __all__ = [
     "ChannelRealization",
@@ -204,7 +204,7 @@ def select_best(rho: np.ndarray) -> tuple[int, int]:
     return j + 1, i + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
     """Outcome of one top-down beam search."""
 

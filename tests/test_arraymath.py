@@ -47,6 +47,15 @@ class TestSteeringVector:
         with pytest.raises(ValueError):
             steering_vector(0, 0.1)
 
+    @pytest.mark.parametrize("n", [-1, 2.5, 4.0, True, "4"])
+    def test_antenna_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            steering_vector(n, 0.1)
+
+    def test_numpy_integer_antenna_count_accepted(self):
+        assert np.array_equal(steering_vector(np.int64(4), 0.3),
+                              steering_vector(4, 0.3))
+
 
 class TestBeamGain:
     def test_matched_steering(self):

@@ -3,7 +3,8 @@
 `codebooks._best_candidate` screens one phase candidate per certified
 GDP class in one coarse pass, which scores it on a 1/16 grid and on that
 grid's even samples, and rescores at full resolution every member of the
-classes that survive their own error margin.  These tests replay each
+classes that survive their own error margin (a lone surviving class gives
+its lowest index unscored).  These tests replay each
 layer's search against `_argmax_with_ties` over the full-resolution values
 of every candidate, which is what the codebook builders computed before
 the screen existed, and check that every class shares one value.
@@ -82,27 +83,52 @@ def kernel_passes(monkeypatch):
     return passes
 
 
-def test_screen_rescores_few_candidates(kernel_passes):
+@pytest.fixture
+def screen_survivors(kernel_passes, monkeypatch):
+    """Classes each screen pass keeps, by `_best_candidate`'s margin test."""
+    kernel = codebooks._gdp_values
+    kept = []
+
+    def screening(*args, **kw):
+        values = kernel(*args, **kw)
+        if kw.get("nested"):
+            v16, v32 = values
+            margin = 2.0 * np.abs(v16 - v32)
+            tol = codebooks._TIE_RTOL * max(1.0, abs(float(np.max(v16))))
+            kept.append(int(np.sum(
+                v16 + margin >= np.max(v16 - margin) - 2.0 * tol)))
+        return values
+
+    monkeypatch.setattr(codebooks, "_gdp_values", screening)
+    return kept
+
+
+def test_screen_rescores_few_candidates(kernel_passes, screen_survivors):
     # the 64 * 64 candidates of N=32 layer 0 form 2050 mirror classes
     iv = AngleInterval(-1.0, 2.0)
     codebooks.lcs_phases(codebooks.subarray_plan(32, 2, iv), iv)
     fine = GdpConfig().points_for(32)
-    screen, rescore = kernel_passes
-    assert screen[1:] == (fine // 16, 2050, True)
-    assert rescore[1] == fine and not rescore[3]
-    assert 1 <= rescore[2] < 64
+    assert kernel_passes[0][1:] == (fine // 16, 2050, True)
+    assert 1 <= screen_survivors[0] < 32
+    # a lone surviving class is returned without a rescore
+    rescores = kernel_passes[1:]
+    assert len(rescores) == (screen_survivors[0] > 1)
+    assert all(p[1] == fine and not p[3] for p in rescores)
 
 
-def test_per_candidate_margins_keep_few_survivors(kernel_passes):
+def test_per_candidate_margins_keep_few_survivors(kernel_passes,
+                                                  screen_survivors):
     # bmw-ms-lcs N=64, m_rf=4: one global margin kept 3584 of the 4096
     # candidates of the layer of width 1/8, where m_s = 1 and the mirror
     # leave 32 classes of 128 candidates
     build_codebook("bmw-ms-lcs", 64, 4)
-    widths = [width for width, *_ in kernel_passes]
-    assert widths == [2.0, 2.0, 0.5, 0.5, 0.125, 0.125, 2 / 64, 2 / 64]
-    screen, rescore = kernel_passes[4:6]
-    assert screen[2:] == (32, True) and not rescore[3]
-    assert 1 <= rescore[2] < 512
+    screens = [p for p in kernel_passes if p[3]]
+    assert [width for width, *_ in screens] == [2.0, 0.5, 0.125, 2 / 64]
+    assert screens[2][2] == 32
+    assert 1 <= screen_survivors[2] < 4
+    rescores = [p for p in kernel_passes if not p[3]]
+    assert len(rescores) == sum(kept > 1 for kept in screen_survivors)
+    assert all(p[1] == GdpConfig().points_for(64) for p in rescores)
 
 
 def test_low_resolution_falls_back_to_exhaustive(checked_searches,
@@ -116,11 +142,11 @@ def test_low_resolution_falls_back_to_exhaustive(checked_searches,
 
 @pytest.fixture
 def search_classes(monkeypatch):
-    """Record (labels, exact) of every candidate search, scoring nothing."""
+    """Record the labels of every candidate search, scoring nothing."""
     seen = []
 
-    def search(u_cols, coeffs, interval, cfg, labels=None, exact=False):
-        seen.append((labels, exact))
+    def search(u_cols, coeffs, interval, cfg, labels=None):
+        seen.append(labels)
         return 0
 
     monkeypatch.setattr(codebooks, "_best_candidate", search)
@@ -156,11 +182,8 @@ def test_mirror_offsets_follow_from_the_plan(n, m_rf):
 ])
 def test_class_counts_per_layer(search_classes, n, m_rf, counts):
     build_codebook("bmw-ms-lcs", n, m_rf)
-    assert [np.unique(labels).size for labels, _ in search_classes] == counts
-    # only classes no mirror joined share |A|^2 itself
-    assert [exact for _, exact in search_classes] == [False] * (
-        len(counts) - 1) + [True]
-    for labels, _ in search_classes:
+    assert [np.unique(labels).size for labels in search_classes] == counts
+    for labels in search_classes:
         assert np.all(labels <= np.arange(labels.size))
         assert np.all(labels[labels] == labels)
 
@@ -179,8 +202,7 @@ def test_certificate_refuses_wrong_offsets(search_classes, monkeypatch,
         plan = _plan(64, 2, k)
         iv = codebooks.coverage_interval(k, 1, 2)
         codebooks.lcs_phases(plan, iv)
-        labels, exact = search_classes[-1]
-        assert exact and np.array_equal(labels, np.arange(64 * 64))
+        assert np.array_equal(search_classes[-1], np.arange(64 * 64))
 
 
 @pytest.mark.parametrize("n, grid", [(16, 16), (64, 64), (256, 64),

@@ -68,6 +68,10 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             resolve_config("design", {}, {"n": 12})
 
+    def test_out_of_range_snr_rejected(self):
+        with pytest.raises(ConfigError, match="4000"):
+            resolve_config("simulate", overrides={"snr_db": "4000"})
+
 
 class TestDesignCommand:
     def test_writes_codebook(self, tmp_path, capsys):
@@ -173,6 +177,22 @@ class TestGdpCommand:
         assert header == ["n", "scheme", "gamma_per_db", "gdp"]
         values = {r[1]: float(r[3]) for r in rows}
         assert values["bmw-ms-cf"] > values["ps-dft"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gdp", "--n", "16", "--gamma-per-db", "0,4000"],
+        ["gdp", "--n", "16", "--gamma-per-db=0,-4000"],
+        ["design", "--n", "16", "--gamma-per-db", "4000"],
+        ["cdf", "--n", "16", "--gamma-per-db=-4000"],
+    ])
+    def test_rejects_gamma_before_any_design(self, tmp_path, monkeypatch,
+                                             argv):
+        designs = []
+        monkeypatch.setattr(experiments, "build_codebook",
+                            lambda *args, **kwargs: designs.append(args))
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert designs == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCdfCommand:

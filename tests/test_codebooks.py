@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import re
 import subprocess
@@ -457,7 +459,7 @@ class TestCodebookAccessors:
 
 
 def _with_layer(cb, k, layer):
-    return cb.layers[:k] + [layer] + cb.layers[k + 1:]
+    return cb.layers[:k] + (layer,) + cb.layers[k + 1:]
 
 
 def _edited(cb, k, name, index, value):
@@ -470,7 +472,7 @@ def _edited(cb, k, name, index, value):
 
 def _fault(k, got, want):
     """The message of a layer that does not fit the hierarchy."""
-    return "^" + re.escape(f"layers[{k}] has (layer, branching, C, N, M) = "
+    return "^" + re.escape(f"layers[{k}] has (layer, branching, N) = "
                            f"{got}, expected {want}")
 
 
@@ -491,25 +493,29 @@ class TestConstructorChecks:
          "^n_antennas must be a power of branching=2"),
         (lambda cb: HierarchicalCodebook(cb.scheme, 9, 3, cb.layers[:3], 16,
                                          1.0),
-         _fault(0, (0, 2, 1, 8, 1), (0, 3, 1, 9, 1))),
+         _fault(0, (0, 2, 8), (0, 3, 9))),
         (lambda cb: HierarchicalCodebook(cb.scheme, 4, 2, cb.layers[:3], 16,
                                          1.0),
-         _fault(0, (0, 2, 1, 8, 1), (0, 2, 1, 4, 1))),
+         _fault(0, (0, 2, 8), (0, 2, 4))),
         (lambda cb: HierarchicalCodebook(cb.scheme, 8, 2, cb.layers[:2], 16,
                                          1.0),
          "^layers must hold 4 layers for n_antennas=8, branching=2, got 2"),
         (lambda cb: HierarchicalCodebook(
             cb.scheme, 8, 2, [cb.layers[0], cb.layers[2], cb.layers[1],
                               cb.layers[3]], 16, 1.0),
-         _fault(1, (2, 2, 2, 8, 2), (1, 2, 1, 8, 2))),
+         _fault(1, (2, 2, 8), (1, 2, 8))),
+        (lambda cb: CodebookLayer(2, 2, cb.layers[2].f_rf[:1],
+                                  cb.layers[2].f_bb[:1]),
+         r"^layer=2, branching=2 need \(C, M\) = \(2\*\*1, 2\), "
+         r"got \(1, 2\)"),
+        (lambda cb: CodebookLayer(1, 2, cb.layers[1].f_rf,
+                                  cb.layers[1].f_bb[:, :, :1]),
+         r"^layer=1, branching=2 need \(C, M\) = \(2\*\*0, 2\), "
+         r"got \(1, 1\)"),
         (lambda cb: HierarchicalCodebook(cb.scheme, 8, 2, _with_layer(
-            cb, 2, CodebookLayer(2, 2, cb.layers[2].f_rf[:1],
-                                 cb.layers[2].f_bb[:1])), 16, 1.0),
-         _fault(2, (2, 2, 1, 8, 2), (2, 2, 2, 8, 2))),
-        (lambda cb: HierarchicalCodebook(cb.scheme, 8, 2, _with_layer(
-            cb, 1, CodebookLayer(1, 2, cb.layers[1].f_rf,
-                                 cb.layers[1].f_bb[:, :, :1])), 16, 1.0),
-         _fault(1, (1, 2, 1, 8, 1), (1, 2, 1, 8, 2))),
+            cb, 1, build_bmw_ms(4, 2, "cf", grid_size=16).layers[1]), 16,
+                                         1.0),
+         _fault(1, (1, 2, 4), (1, 2, 8))),
         (lambda cb: CodebookLayer(1, 2, cb.layers[1].f_rf[0],
                                   cb.layers[1].f_bb),
          r"^f_rf \(8, 2\), f_bb \(1, 2, 2\) must be non-empty"),
@@ -540,3 +546,92 @@ class TestConstructorChecks:
         for k, layer in enumerate(cb.layers):
             assert CodebookLayer(k, 2, layer.f_rf.copy(),
                                  layer.f_bb.copy()) == layer
+
+
+def _changed(value):
+    """A value of the same kind as `value` that does not equal it."""
+    if isinstance(value, np.ndarray):
+        out = value.copy()
+        out.flat[-1] += 1e-3
+        return out
+    if isinstance(value, (list, tuple)):
+        return value[::-1]
+    if isinstance(value, AngleInterval):
+        return value.shifted(0.25)
+    if isinstance(value, str):
+        return value + "-x"
+    return value * 2 if isinstance(value, float) else value + 1
+
+
+class TestCodebookValues:
+    """The four codebook types share one equality; a codebook is frozen and
+    each layer refuses a (layer, branching) that does not fit its arrays."""
+
+    @pytest.fixture(scope="class")
+    def cb(self):
+        return build_bmw_ms(8, 2, "cf", grid_size=16)
+
+    @staticmethod
+    def _values(cb):
+        return [cb.codeword(2, 3), cb.composite(2, 2), cb.layers[2], cb]
+
+    @pytest.mark.parametrize("kind", range(4))
+    def test_one_equality_over_every_field(self, cb, kind):
+        values = self._values(cb)
+        value = values[kind]
+        same = copy.deepcopy(value)
+        assert value == same and not value != same
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        for field in dataclasses.fields(value):
+            other = copy.deepcopy(value)
+            # set past the constructor and the frozen guard: only the
+            # comparison is under test
+            object.__setattr__(other, field.name,
+                               _changed(getattr(value, field.name)))
+            assert value != other, field.name
+        for other in values[:kind] + values[kind + 1:] + [None, (1, 2)]:
+            assert value != other
+
+    def test_layer_derived_arrays_are_not_compared(self, cb):
+        layer = copy.deepcopy(cb.layers[2])
+        object.__setattr__(layer, "units", _changed(layer.units))
+        assert layer == cb.layers[2]
+
+    def test_codebook_is_frozen_with_tuple_layers(self, cb):
+        rebuilt = HierarchicalCodebook(cb.scheme, 8, 2, list(cb.layers), 16,
+                                       cb.gamma_per)
+        assert type(cb.layers) is tuple and rebuilt == cb
+        assert type(rebuilt.layers) is tuple
+        for field in dataclasses.fields(cb):
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=field.name):
+                setattr(cb, field.name, getattr(cb, field.name))
+        with pytest.raises(AttributeError, match="pop"):
+            cb.layers.pop()
+
+    @pytest.mark.parametrize("layer, branching, message", [
+        (1.5, 2, "^layer must be an integer >= 0, got 1.5"),
+        (-1, 2, "^layer must be an integer >= 0, got -1"),
+        (2, 2.5, "^branching must be an integer >= 2, got 2.5"),
+        (2, True, "^branching must be an integer >= 2, got True"),
+        (3, 2, r"^layer=3, branching=2 need \(C, M\) = \(2\*\*2, 2\), "
+               r"got \(2, 2\)$"),
+        (2, 3, r"^layer=2, branching=3 need \(C, M\) = \(3\*\*1, 3\), "
+               r"got \(2, 2\)$"),
+        (0, 2, r"^layer=0, branching=2 need \(C, M\) = \(1, 1\), "
+               r"got \(2, 2\)$"),
+        (1100, 2, r"^layer=1100, branching=2 need \(C, M\) = "
+                  r"\(2\*\*1099, 2\)"),
+    ])
+    def test_layer_checks_its_own_place(self, cb, layer, branching, message):
+        # layer 2 of the N=8 codebook: two composites of two members; an
+        # OverflowError is not a ValueError, so none may escape
+        with pytest.raises(ValueError, match=message):
+            CodebookLayer(layer, branching, cb.layers[2].f_rf,
+                          cb.layers[2].f_bb)
+
+    def test_numpy_integer_place_accepted(self, cb):
+        layer = CodebookLayer(np.int64(2), np.int64(2), cb.layers[2].f_rf,
+                              cb.layers[2].f_bb)
+        assert layer == cb.layers[2]

@@ -211,6 +211,14 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             LinkBudget(excess_loss_db=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "pa_saturation_dbm", "carrier_wavelength_m", "distance_m",
+        "bandwidth_hz", "ambient_temp_k", "excess_loss_db"])
+    def test_non_finite_fields_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            LinkBudget(**{name: value})
+
     @pytest.mark.parametrize("value", [0, 2.5, 128.0, True, "128"])
     def test_training_length_must_be_a_positive_integer(self, value):
         with pytest.raises(ValueError,
