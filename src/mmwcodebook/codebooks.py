@@ -251,8 +251,8 @@ def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
     return int(keep[_argmax_with_ties(values)])
 
 
-# Relative residual up to which a certified weight identity holds.  The
-# identities hold exactly in real arithmetic and rounding
+# Relative residual up to which a certified weight identity counts as
+# exact.  The identities hold exactly in real arithmetic and rounding
 # leaves at most about 1e-12; a wrong map misses by a grid phase step.
 _CERT_TOL = 1e-9
 
@@ -502,9 +502,9 @@ class CodebookLayer:
         got = f_bb.shape[::2]
         # m**C > C, so capping the power keeps a huge layer from being raised
         if got != ((m ** min(k - 1, got[0]), m) if k else (1, 1)):
-            raise ValueError(f"layer={k}, branching={m} need (C, M) = "
-                             + (f"({m}**{k - 1}, {m})" if k else "(1, 1)")
-                             + f", got {got}")
+            need = f"({m}**{k - 1}, {m})" if k else "(1, 1)"
+            raise ValueError(f"composites: layer {k} of branching {m} needs "
+                             f"(C, M) = {need}, got {got}")
         n = f_rf.shape[1]
         ca = np.max(np.abs(np.abs(f_rf) - n ** -0.5), axis=(1, 2)) <= 1e-9
         if not np.all(ca):

@@ -10,7 +10,7 @@ and correlating yields
 
     rho[i, j] = l_s * sqrt(p_j) * w_i^H H f_j + eta[i, j]
 
-with eta i.i.d. circular complex Gaussian of variance l_s * n0 — precisely the
+with eta i.i.d. circular complex Gaussian of variance l_s * n0 — the exact
 statistics of correlating l_s unit-power noise symbols, without generating
 the sequences themselves.  Under the per-antenna power constraint, the
 per-stream amplitude sqrt(p_j) is sqrt(p_per) / ||f_j||_inf so that no

@@ -84,51 +84,81 @@ def kernel_passes(monkeypatch):
 
 
 @pytest.fixture
-def screen_survivors(kernel_passes, monkeypatch):
-    """Classes each screen pass keeps, by `_best_candidate`'s margin test."""
-    kernel = codebooks._gdp_values
-    kept = []
+def searches(monkeypatch):
+    """Per candidate search, its labels and the passes it ran.
 
-    def screening(*args, **kw):
-        values = kernel(*args, **kw)
-        if kw.get("nested"):
-            v16, v32 = values
-            margin = 2.0 * np.abs(v16 - v32)
-            tol = codebooks._TIE_RTOL * max(1.0, abs(float(np.max(v16))))
-            kept.append(int(np.sum(
-                v16 + margin >= np.max(v16 - margin) - 2.0 * tol)))
-        return values
+    Each pass is (width, points per unit, scored candidate indices, nested);
+    a scored column is traced back to its index by its exact bytes.
+    """
+    search, kernel = codebooks._best_candidate, codebooks._gdp_values
+    record, index = [], {}
 
-    monkeypatch.setattr(codebooks, "_gdp_values", screening)
-    return kept
+    def recording_search(u_cols, coeffs, interval, cfg, labels=None):
+        index.clear()
+        index.update((col.tobytes(), j) for j, col in enumerate(coeffs.T))
+        assert len(index) == coeffs.shape[1]
+        record.append((labels, []))
+        return search(u_cols, coeffs, interval, cfg, labels=labels)
+
+    def recording_kernel(u_cols, coeffs, interval, cfg, points_per_unit,
+                         **kw):
+        scored = np.array([index[col.tobytes()] for col in coeffs.T])
+        record[-1][1].append((interval.width, points_per_unit, scored,
+                              kw.get("nested", False)))
+        return kernel(u_cols, coeffs, interval, cfg, points_per_unit, **kw)
+
+    monkeypatch.setattr(codebooks, "_best_candidate", recording_search)
+    monkeypatch.setattr(codebooks, "_gdp_values", recording_kernel)
+    return record
 
 
-def test_screen_rescores_few_candidates(kernel_passes, screen_survivors):
+def _surviving_classes(labels, passes, fine):
+    """Classes the screen kept, read from the passes; check their shape.
+
+    The screen scores every class representative once on the coarse
+    grids.  A screen with no pass after it kept one class, returned
+    unscored; otherwise one full-resolution pass rescores, in index
+    order, every member of the classes it kept, and of no other class.
+    """
+    (_, points, screened, nested), *rescores = passes
+    assert nested and points == fine // 16
+    assert np.array_equal(screened,
+                          np.flatnonzero(labels == np.arange(labels.size)))
+    if not rescores:
+        return 1
+    (_, points, rescored, nested), = rescores
+    assert points == fine and not nested
+    kept = np.unique(labels[rescored])
+    assert np.array_equal(rescored, np.flatnonzero(np.isin(labels, kept)))
+    assert kept.size > 1
+    return kept.size
+
+
+def test_screen_rescores_few_candidates(searches):
     # the 64 * 64 candidates of N=32 layer 0 form 2050 mirror classes
     iv = AngleInterval(-1.0, 2.0)
     codebooks.lcs_phases(codebooks.subarray_plan(32, 2, iv), iv)
-    fine = GdpConfig().points_for(32)
-    assert kernel_passes[0][1:] == (fine // 16, 2050, True)
-    assert 1 <= screen_survivors[0] < 32
-    # a lone surviving class is returned without a rescore
-    rescores = kernel_passes[1:]
-    assert len(rescores) == (screen_survivors[0] > 1)
-    assert all(p[1] == fine and not p[3] for p in rescores)
+    (labels, passes), = searches
+    assert np.unique(labels).size == 2050
+    assert 1 <= _surviving_classes(labels, passes,
+                                   GdpConfig().points_for(32)) < 32
+    assert all(scored.size < 64 for _, _, scored, _ in passes[1:])
 
 
-def test_per_candidate_margins_keep_few_survivors(kernel_passes,
-                                                  screen_survivors):
+def test_per_candidate_margins_keep_few_survivors(searches):
     # bmw-ms-lcs N=64, m_rf=4: one global margin kept 3584 of the 4096
     # candidates of the layer of width 1/8, where m_s = 1 and the mirror
     # leave 32 classes of 128 candidates
     build_codebook("bmw-ms-lcs", 64, 4)
-    screens = [p for p in kernel_passes if p[3]]
-    assert [width for width, *_ in screens] == [2.0, 0.5, 0.125, 2 / 64]
-    assert screens[2][2] == 32
-    assert 1 <= screen_survivors[2] < 4
-    rescores = [p for p in kernel_passes if not p[3]]
-    assert len(rescores) == sum(kept > 1 for kept in screen_survivors)
-    assert all(p[1] == GdpConfig().points_for(64) for p in rescores)
+    fine = GdpConfig().points_for(64)
+    assert [passes[0][0] for _, passes in searches] == [2.0, 0.5, 0.125,
+                                                        2 / 64]
+    assert np.unique(searches[2][0]).size == 32
+    kept = [_surviving_classes(labels, passes, fine)
+            for labels, passes in searches]
+    assert kept[2] < 4
+    assert all(scored.size < 512
+               for _, passes in searches for _, _, scored, _ in passes[1:])
 
 
 def test_low_resolution_falls_back_to_exhaustive(checked_searches,

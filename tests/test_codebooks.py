@@ -506,12 +506,12 @@ class TestConstructorChecks:
          _fault(1, (2, 2, 8), (1, 2, 8))),
         (lambda cb: CodebookLayer(2, 2, cb.layers[2].f_rf[:1],
                                   cb.layers[2].f_bb[:1]),
-         r"^layer=2, branching=2 need \(C, M\) = \(2\*\*1, 2\), "
-         r"got \(1, 2\)"),
+         r"^composites: layer 2 of branching 2 needs "
+         r"\(C, M\) = \(2\*\*1, 2\), got \(1, 2\)"),
         (lambda cb: CodebookLayer(1, 2, cb.layers[1].f_rf,
                                   cb.layers[1].f_bb[:, :, :1]),
-         r"^layer=1, branching=2 need \(C, M\) = \(2\*\*0, 2\), "
-         r"got \(1, 1\)"),
+         r"^composites: layer 1 of branching 2 needs "
+         r"\(C, M\) = \(2\*\*0, 2\), got \(1, 1\)"),
         (lambda cb: HierarchicalCodebook(cb.scheme, 8, 2, _with_layer(
             cb, 1, build_bmw_ms(4, 2, "cf", grid_size=16).layers[1]), 16,
                                          1.0),
@@ -615,14 +615,14 @@ class TestCodebookValues:
         (-1, 2, "^layer must be an integer >= 0, got -1"),
         (2, 2.5, "^branching must be an integer >= 2, got 2.5"),
         (2, True, "^branching must be an integer >= 2, got True"),
-        (3, 2, r"^layer=3, branching=2 need \(C, M\) = \(2\*\*2, 2\), "
-               r"got \(2, 2\)$"),
-        (2, 3, r"^layer=2, branching=3 need \(C, M\) = \(3\*\*1, 3\), "
-               r"got \(2, 2\)$"),
-        (0, 2, r"^layer=0, branching=2 need \(C, M\) = \(1, 1\), "
-               r"got \(2, 2\)$"),
-        (1100, 2, r"^layer=1100, branching=2 need \(C, M\) = "
-                  r"\(2\*\*1099, 2\)"),
+        (3, 2, r"^composites: layer 3 of branching 2 needs "
+               r"\(C, M\) = \(2\*\*2, 2\), got \(2, 2\)$"),
+        (2, 3, r"^composites: layer 2 of branching 3 needs "
+               r"\(C, M\) = \(3\*\*1, 3\), got \(2, 2\)$"),
+        (0, 2, r"^composites: layer 0 of branching 2 needs "
+               r"\(C, M\) = \(1, 1\), got \(2, 2\)$"),
+        (1100, 2, r"^composites: layer 1100 of branching 2 needs "
+                  r"\(C, M\) = \(2\*\*1099, 2\)"),
     ])
     def test_layer_checks_its_own_place(self, cb, layer, branching, message):
         # layer 2 of the N=8 codebook: two composites of two members; an

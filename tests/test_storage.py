@@ -283,6 +283,16 @@ class TestBoundaryChecks:
                            match=r"\$\.layers\[1\]\.f_rf \(0,\).* non-empty"):
             deserialize(text)
 
+    def test_layer_short_of_a_composite(self, books):
+        # layer 2 of N=8 holds 2**1 composites; the message reads as the
+        # path to the composites whose count is wrong
+        text = self.mutated(books[("bmw-ms-cf", 8)], lambda d: d["layers"][2]
+                            ["composites"].pop())
+        with pytest.raises(CodebookFormatError, match=re.escape(
+                "$.layers[2].composites: layer 2 of branching 2 needs "
+                "(C, M) = (2**1, 2), got (1, 2)")):
+            deserialize(text)
+
     @pytest.mark.parametrize("field, counts", [("digital_columns", "1 and 2"),
                                                ("members", "2 and 1")])
     def test_composite_holds_one_digital_column_per_member(self, books, field,
