@@ -12,6 +12,8 @@ read-only, so a caller can hold and share them without copying.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,29 +37,54 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_integer(name: str, value, lo: int, hi: int | None = None) -> None:
-    """Refuse a value that is not an integer in [lo, hi]; a bool is not one."""
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < lo or (hi is not None and value > hi)):
-        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+def _check_integer(name: str, value, lo: int, hi: int = 2 ** 63 - 1) -> None:
+    """Refuse a value that is not an integer in [lo, hi]; a bool is not one.
+    By default `hi` is the int64 maximum, above every size and count."""
+    integer = type(value) is not bool and isinstance(value, (int, np.integer))
+    if not (integer and lo <= value <= hi):
+        huge = integer and value > hi
+        bounds = f"in [{lo}, {hi}]" if huge or hi < 2 ** 63 - 1 else f">= {lo}"
         raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _check_real(name: str, value, lo: float | None = None,
+                hi: float | None = None, above: bool = False) -> float:
+    """`value` as a float; refuse a bool, a non-real, a value past the finite
+    float range, and one below `lo` (at `lo` when `above`) or above `hi`."""
+    top = sys.float_info.max
+    real = type(value) is not bool and isinstance(value, numbers.Real)
+    x = float(value) if real and -top <= value <= top else math.nan
+    if (math.isnan(x) or (hi is not None and x > hi)
+            or (lo is not None and (x < lo or (above and x == lo)))):
+        low = ("" if lo is None else " and positive" if lo == 0 and above
+               else f" and {'>' if above else '>='} {lo}")
+        high = "" if hi is None else f" and <= {hi}"
+        raise ValueError(f"{name} must be finite{low}{high}, got {value!r}")
+    return x
+
+
+def _check_finite(name: str, values, dtype=np.complex128) -> np.ndarray:
+    """`values` as an array of `dtype`; refuse one with a non-finite entry."""
+    try:
+        arr = np.asarray(values, dtype=dtype)
+    except OverflowError:
+        arr = np.array(math.nan)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def as_weights(w) -> np.ndarray:
     """Validate and coerce an antenna weight vector to complex128."""
-    arr = np.asarray(w, dtype=np.complex128)
+    arr = _check_finite("weights", w)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("weights must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError("weights must be finite")
     return arr
 
 
 def wrap_angle(omega):
     """Wrap a cosine angle (scalar or array) into [-1, 1) by 2-periodicity."""
-    om = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(om)):
-        raise ValueError("cosine angles must be finite")
+    om = _check_finite("cosine angles", omega, float)
     return np.mod(om + 1.0, 2.0) - 1.0
 
 
@@ -172,8 +199,7 @@ class AngleInterval:
     def __post_init__(self):
         if not (-1.0 <= self.start < 1.0):
             raise ValueError(f"interval start must be in [-1, 1), got {self.start}")
-        if not self.width > 0.0:
-            raise ValueError(f"interval width must be positive, got {self.width}")
+        _check_real("interval width", self.width, 0, 2.0, above=True)
         if self.start + self.width > 1.0 + 1e-12:
             raise ValueError(
                 f"interval [{self.start}, {self.start + self.width}] exceeds +1"

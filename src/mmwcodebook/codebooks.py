@@ -30,7 +30,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .arraymath import AngleInterval, _check_integer, steering_vector, wrap_angle
+from .arraymath import (AngleInterval, _check_finite, _check_integer,
+                        steering_vector, wrap_angle)
 from .metrics import GdpConfig, _check_gamma_per, _gdp_values
 
 __all__ = [
@@ -109,7 +110,9 @@ def subarray_plan(n: int, m_rf: int, interval: AngleInterval) -> SubArrayPlan:
     must hold exactly, m_s is promoted to the smallest divisor of N at or
     above that ceiling (e.g. N=32, B=1 gives ceiling 3, promoted to 4).
     """
-    if m_rf < 1 or n < m_rf:
+    _check_integer("n", n, 1)
+    _check_integer("m_rf", m_rf, 1)
+    if n < m_rf:
         raise GeometryError(f"need n >= m_rf >= 1, got n={n}, m_rf={m_rf}")
     b = interval.width
     m_s_min = math.ceil(math.sqrt(b * n / (2.0 * m_rf)) - 1e-9)
@@ -156,7 +159,7 @@ def _subarray_blocks(plan: SubArrayPlan, theta) -> np.ndarray:
     on antennas m*n_s .. (m+1)*n_s - 1 (0-based) and zero elsewhere, so
     every block entry has modulus 1/sqrt(N).
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_finite("theta", theta, float)
     if theta.shape != (plan.m_rf, plan.m_s):
         raise ValueError(
             f"phase matrix shape {theta.shape} does not match plan "
@@ -375,7 +378,7 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     over the uniform grid {0, 2*pi/grid_size, ...}; near-ties resolve to the
     lexicographically smallest (phi1, phi2).
     """
-    _check_grid_size(grid_size)
+    _check_integer("grid_size", grid_size, 8)
     cfg = cfg or GdpConfig()
     # sub-array (i, m) -> column i * m_s + m (0-based, i-major)
     u_cols = _subarray_blocks(plan, np.zeros((plan.m_rf, plan.m_s))).reshape(
@@ -594,11 +597,6 @@ class HierarchicalCodebook:
         return arrays._codeword(*divmod(index - 1, arrays.awv.shape[1]))
 
 
-def _check_grid_size(grid_size: int) -> None:
-    # lcs_phases takes any sub-array plan, so it checks only its grid
-    _check_integer("grid_size", grid_size, 8)
-
-
 def check_design(scheme: str, n: int, m_rf: int, grid_size: int) -> int:
     """Depth log_m_rf(n) of a design request every builder accepts.
 
@@ -630,7 +628,7 @@ def _check_sizes(n: int, m: int, grid_size: int, n_layers: int | None = None,
     if size != n:
         raise ValueError(f"{n_name} must be a power of {m_name}={m} with "
                          f"{n_name} >= {m_name}, got {n}")
-    _check_grid_size(grid_size)
+    _check_integer("grid_size", grid_size, 8)
     if n_layers not in (None, depth + 1):
         raise ValueError(f"layers must hold {depth + 1} layers for "
                          f"n_antennas={n}, branching={m}, got {n_layers}")
@@ -689,7 +687,7 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
     unit-normalized sum over the layer coverage.  The bottom layer reduces
     to pure steering vectors.
     """
-    depth = check_design(SCHEME_PS_DFT, n, branching, grid_size)
+    depth = _check_sizes(n, branching, grid_size, names=("n", "branching"))
     cfg = cfg or GdpConfig()
     layers = []
     for k in range(depth + 1):

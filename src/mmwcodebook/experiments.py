@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arraymath import beam_pattern, normalize
+from .arraymath import _check_integer, beam_pattern, normalize
 from .codebooks import (
     SCHEME_BMW_CF,
     SCHEME_PS_DFT,
@@ -244,6 +244,8 @@ def _validate(command: str, cfg: dict) -> None:
             for n in cfg["n"] if command == "gdp" else [cfg["n"]]:
                 for scheme in cfg["schemes"]:
                     check_design(scheme, n, cfg["m_rf"], cfg["grid_size"])
+        elif command == "beampattern":
+            _check_integer("points", cfg["points"], 2)
         for gdb in np.atleast_1d(cfg.get("gamma_per_db", [])).tolist():
             _gdp_cfg(gdb)
         if command == "simulate":
@@ -254,11 +256,8 @@ def _validate(command: str, cfg: dict) -> None:
                                                    cfg["excess_max_db"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if command == "beampattern":
-        if cfg["codebook"] is None:
-            raise ConfigError("a codebook file is required (--codebook)")
-        if cfg["points"] < 2:
-            raise ConfigError("points must be >= 2")
+    if command == "beampattern" and cfg["codebook"] is None:
+        raise ConfigError("a codebook file is required (--codebook)")
 
 
 # keys that cannot change results: the output location, which would break

@@ -19,12 +19,13 @@ alarm but does not change codeword comparisons, so it is not a tunable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arraymath import (AngleInterval, _check_integer, as_weights,
-                        inf_norm_sq, response_matrix)
+from .arraymath import (AngleInterval, _check_integer, _check_real,
+                        as_weights, inf_norm_sq, response_matrix)
 
 __all__ = [
     "GdpConfig",
@@ -43,26 +44,20 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 
 
 def db_to_linear(x_db: float) -> float:
+    x = _check_real("x_db", x_db)
     try:
-        value = 10.0 ** (x_db / 10.0)
+        return 10.0 ** (x / 10.0)
     except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"{x_db} dB is outside the float range")
-    return value
+        raise ValueError(f"x_db={x} dB is outside the float range") from None
 
 
 def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"dB conversion needs a positive value, got {x}")
-    return 10.0 * math.log10(x)
+    return 10.0 * math.log10(_check_real("x", x, 0, above=True))
 
 
 def _check_gamma_per(gamma_per: float) -> None:
     # GdpConfig, HierarchicalCodebook and the codebook reader share this
-    if not (math.isfinite(gamma_per) and gamma_per > 0.0):
-        raise ValueError(
-            f"gamma_per must be finite and positive, got {gamma_per}")
+    _check_real("gamma_per", gamma_per, 0, above=True)
 
 
 @dataclass(frozen=True)
@@ -108,6 +103,8 @@ _BLOCK_BYTES = 1 << 22
 _CHUNK = 128
 
 
+# gamma_per * |A|^2 may overflow to inf, where the integrand is exactly 1
+@np.errstate(over="ignore")
 def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
                 interval: AngleInterval, cfg: GdpConfig,
                 points_per_unit: int, *, nested: bool = False
@@ -188,10 +185,11 @@ def gdp(w, interval: AngleInterval, cfg: GdpConfig | None = None) -> float:
 
 def mtp(w, p_per: float) -> float:
     """Maximal transmission power p_per / max_n |[w]_n|^2 under the PAPC."""
+    p_per = _check_real("p_per", p_per, 0, above=True)
     c = inf_norm_sq(w)
     if c == 0.0:
         raise ValueError("maximal transmission power of the zero vector is undefined")
-    return p_per / c
+    return _check_real("p_per / max_n |[w]_n|^2", p_per / c)
 
 
 def ideal_gdp_bound(c: float, b: float) -> float:
@@ -202,10 +200,8 @@ def ideal_gdp_bound(c: float, b: float) -> float:
     unit-norm codeword's gain power averages to 1 over a full period, so a
     perfectly flat in-coverage pattern sits at level 2/b.
     """
-    if not c > 0.0:
-        raise ValueError(f"entry power must be positive, got {c}")
-    if not 0.0 < b <= 2.0:
-        raise ValueError(f"coverage width must be in (0, 2], got {b}")
+    c = _check_real("c", c, 0, above=True)
+    b = _check_real("b", b, 0, 2.0, above=True)
     return math.exp(-c / (c + 2.0 / b))
 
 
@@ -230,16 +226,12 @@ class LinkBudget:
     excess_loss_db: float = 0.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if name != "training_length" and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _check_real("pa_saturation_dbm", self.pa_saturation_dbm)
         for name in ("carrier_wavelength_m", "distance_m", "bandwidth_hz",
                      "ambient_temp_k"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            _check_real(name, getattr(self, name), 0, above=True)
         _check_integer("training_length", self.training_length, 1)
-        if self.excess_loss_db < 0.0:
-            raise ValueError("excess_loss_db must be >= 0")
+        _check_real("excess_loss_db", self.excess_loss_db, 0)
 
     @property
     def path_loss_db(self) -> float:
@@ -271,11 +263,12 @@ def link_budget_report(lb: LinkBudget,
 
     The returned gamma_per_range_db sweeps the excess propagation loss over
     `excess_loss_range_db` with the other inputs fixed; a range outside
-    0 <= min <= max raises ValueError.
+    0 <= min <= max, or one past the float range, raises ValueError.
     """
     lo, hi = excess_loss_range_db
-    if not 0.0 <= lo <= hi:
-        raise ValueError("excess loss range must be 0 <= min <= max")
+    if not 0.0 <= lo <= hi <= sys.float_info.max:
+        raise ValueError(f"excess_loss_range_db must be finite with "
+                         f"0 <= min <= max, got {excess_loss_range_db!r}")
     base = replace(lb, excess_loss_db=0.0)
     gamma_db = (base.received_dbm - base.noise_dbm + base.spreading_gain_db)
     notes = [

@@ -33,11 +33,13 @@ key's state in turn, so every cell draws the same bytes as
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymath import _check_integer, steering_vector
+from .arraymath import (_check_finite, _check_integer, _check_real,
+                        steering_vector)
 from .codebooks import CompositeCodeword, HierarchicalCodebook
 from .metrics import db_to_linear
 
@@ -70,20 +72,11 @@ class SimConfig:
     def __post_init__(self):
         _check_integer("l_paths", self.l_paths, 1)
         _check_integer("l_s", self.l_s, 1)
-        _check_n0(self.n0)
+        # the noise variance l_s * n0 must be a float
+        _check_real("n0", self.n0, 0, sys.float_info.max / self.l_s)
         _check_integer("seed", self.seed, 0, 2 ** 64 - 1)
         # each trial index is one 32-bit word of its substream keys
         _check_integer("trials", self.trials, 1, 2 ** 32)
-
-
-def _check_n0(n0: float) -> None:
-    if not (math.isfinite(n0) and n0 >= 0.0):
-        raise ValueError(f"n0 must be finite and >= 0, got {n0}")
-
-
-def _check_power(p: float) -> None:
-    if not (math.isfinite(p) and p > 0.0):
-        raise ValueError(f"p must be finite and positive, got {p}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +88,12 @@ class ChannelRealization:
     aod: np.ndarray    # cos(AoD) per path, Tx side
     m_an: int
     n_an: int
+
+    def __post_init__(self):
+        for name, kind in ("gains", complex), ("aoa", float), ("aod", float):
+            _check_finite(name, getattr(self, name), kind)
+        _check_integer("m_an", self.m_an, 1)
+        _check_integer("n_an", self.n_an, 1)
 
     def matrix(self) -> np.ndarray:
         """Channel matrix sqrt(m*n) * sum_l gain_l a(n,aoa_l) a(m,aod_l)^H."""
@@ -164,6 +163,14 @@ def _check_channel(h: np.ndarray, n_rx: int, n_tx: int) -> None:
         raise ValueError(
             f"channel shape {np.shape(h)} does not match Rx {n_rx} x "
             f"Tx {n_tx} antennas")
+    _check_finite("h", h)
+
+
+def _normals(rng: np.random.Generator | None, n0: float, shape):
+    """Standard normals of `shape` for noise of power n0 (None at n0 = 0)."""
+    if n0 > 0.0 and rng is None:
+        raise ValueError("a random generator is required when n0 > 0")
+    return None if n0 == 0.0 else rng.standard_normal(shape)
 
 
 def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
@@ -173,23 +180,18 @@ def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
     """One composite-pair measurement: rho[i, j] for Rx member i, Tx member j.
 
     `p` is the per-stream power (the per-antenna saturation power under
-    `papc`); noise variance is l_s * n0 per entry.  Dimensions of the
-    channel must match the codeword lengths.  A bad `p`, `n0` or `l_s`
-    raises ValueError naming it.
+    `papc`); noise variance is l_s * n0 per entry, which must be a float.
+    The channel must be finite and match the codeword lengths.  A bad
+    `p`, `n0`, `l_s` or `h` raises ValueError naming it.
     """
-    _check_power(p)
-    _check_n0(n0)
+    _check_real("p", p, 0, above=True)
     _check_integer("l_s", l_s, 1)
+    _check_real("n0", n0, 0, sys.float_info.max / l_s)
     _check_channel(h, rx.f_rf.shape[0], tx.f_rf.shape[0])
     rho = _correlate(_rx_product(rx.member_matrix, h), tx.member_matrix,
                      tx.member_inf_norms, math.sqrt(p), l_s, papc)
-    if n0 > 0.0:
-        if rng is None:
-            raise ValueError("a random generator is required when n0 > 0")
-        re = rng.standard_normal(rho.shape)
-        im = rng.standard_normal(rho.shape)
-        rho = _add_noise(rho, re, im, l_s, n0)
-    return rho
+    noise = _normals(rng, n0, (2,) + rho.shape)
+    return rho if noise is None else _add_noise(rho, *noise, l_s, n0)
 
 
 def select_best(rho: np.ndarray) -> tuple[int, int]:
@@ -197,7 +199,7 @@ def select_best(rho: np.ndarray) -> tuple[int, int]:
 
     Ties resolve to the smallest (j, i) pair in lexicographic order.
     """
-    rho = np.asarray(rho)
+    rho = _check_finite("rho", rho)
     if rho.size == 0:
         raise ValueError("empty measurement matrix")
     j, i = divmod(int(_best_flat(rho)), rho.shape[0])
@@ -351,12 +353,8 @@ def hierarchical_search(tx_cb: HierarchicalCodebook,
     """
     check_search(cfg.l_s, (tx_cb.branching, rx_cb.branching))
     _check_channel(h, rx_cb.n_antennas, tx_cb.n_antennas)
-    _check_power(p)
-    noise = None
-    if cfg.n0 > 0.0:
-        if rng is None:
-            raise ValueError("a random generator is required when n0 > 0")
-        noise = rng.standard_normal((1, 1, _noise_size(tx_cb, rx_cb)))
+    _check_real("p", p, 0, above=True)
+    noise = _normals(rng, cfg.n0, (1, 1, _noise_size(tx_cb, rx_cb)))
     j, i, rho, best = _search_cells(tx_cb, rx_cb, h[None],
                                     np.full((1, 1), math.sqrt(p)), cfg, noise)
     j_t, i_r = int(j[0, 0]) + 1, int(i[0, 0]) + 1
@@ -632,7 +630,7 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
             f"all schemes in one sweep must share the array sizes, got {sizes}")
     check_search(cfg.l_s, [cb.branching for _, tx, rx in schemes
                            for cb in (tx, rx)], workers)
-    snr_db = [float(x) for x in snr_db]
+    snr_db = [_check_real("snr_db", x) for x in snr_db]
     succ, rate = _trial_block(schemes, snr_powers(snr_db, cfg.n0), cfg)
     rows = []
     for si, snr in enumerate(snr_db):
