@@ -74,6 +74,12 @@ def _check_finite(name: str, values, dtype=np.complex128) -> np.ndarray:
     return arr
 
 
+def _squared_moduli(name: str, values: np.ndarray) -> np.ndarray:
+    """|values|^2; refuse finite values whose squares pass the float range."""
+    with np.errstate(over="ignore"):
+        return _check_finite(name, np.abs(values) ** 2, float)
+
+
 def as_weights(w) -> np.ndarray:
     """Validate and coerce an antenna weight vector to complex128."""
     arr = _check_finite("weights", w)
@@ -149,7 +155,7 @@ def beam_pattern(w, grid) -> np.ndarray:
     if grid.size == 0:
         raise ValueError("angle grid must be non-empty")
     g = beam_gains(w, grid)
-    return _freeze(np.abs(g) ** 2)
+    return _freeze(_squared_moduli("squared beam gains of weights", g))
 
 
 def phase_rotate(w, delta: float) -> np.ndarray:
@@ -167,7 +173,7 @@ def phase_rotate(w, delta: float) -> np.ndarray:
 def inf_norm_sq(w) -> float:
     """Largest entry power max_n |[w]_n|^2."""
     w = as_weights(w)
-    return float(np.max(np.abs(w) ** 2))
+    return float(np.max(_squared_moduli("entry powers of weights", w)))
 
 
 def normalize(w, mode: str = "unit") -> np.ndarray:
@@ -178,14 +184,14 @@ def normalize(w, mode: str = "unit") -> np.ndarray:
     constraint.
     """
     w = as_weights(w)
-    if mode == "unit":
-        s = np.linalg.norm(w)
-    elif mode == "papc":
-        s = np.max(np.abs(w))
-    else:
+    if mode not in ("unit", "papc"):
         raise ValueError(f"unknown normalization mode {mode!r}")
+    # the 2-norm squares finite entries, and a modulus may pass the range
+    with np.errstate(over="ignore"):
+        s = np.linalg.norm(w) if mode == "unit" else np.max(np.abs(w))
     if s == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    _check_real(f"{mode} normalization scale of weights", s)
     return _freeze(w / s)
 
 

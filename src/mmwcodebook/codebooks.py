@@ -557,7 +557,8 @@ class HierarchicalCodebook:
 
     grid_size and gamma_per record the phase-search grid and the linear
     per-antenna SNR the codebook was designed with.  N = M^d, and layer k
-    (k = 0..d) is `CodebookLayer` k of branching M over N antennas.
+    (k = 0..d) is `CodebookLayer` k of branching M over N antennas.  The
+    accessors refuse a layer outside [0, d] and an index outside [1, count].
     """
 
     scheme: str
@@ -586,15 +587,23 @@ class HierarchicalCodebook:
         """Index of the bottom layer, log_M(N)."""
         return len(self.layers) - 1
 
+    def _layer(self, layer: int) -> CodebookLayer:
+        _check_integer("layer", layer, 0, self.depth)
+        return self.layers[layer]
+
     def composite(self, layer: int, index: int) -> CompositeCodeword:
-        return self.layers[layer][index - 1]
+        arrays = self._layer(layer)
+        _check_integer("index", index, 1, len(arrays))
+        return arrays[index - 1]
 
     def layer_codewords(self, layer: int) -> list[Codeword]:
-        return [cw for comp in self.layers[layer] for cw in comp.members]
+        return [cw for comp in self._layer(layer) for cw in comp.members]
 
     def codeword(self, layer: int, index: int) -> Codeword:
-        arrays = self.layers[layer]
-        return arrays._codeword(*divmod(index - 1, arrays.awv.shape[1]))
+        arrays = self._layer(layer)
+        composites, members = arrays.awv.shape[:2]
+        _check_integer("index", index, 1, composites * members)
+        return arrays._codeword(*divmod(index - 1, members))
 
 
 def check_design(scheme: str, n: int, m_rf: int, grid_size: int) -> int:

@@ -19,7 +19,6 @@ from .codebooks import (
     SCHEME_BMW_CF,
     SCHEME_PS_DFT,
     SCHEMES,
-    HierarchicalCodebook,
     build_codebook,
     check_design,
     subarray_plan,
@@ -67,17 +66,18 @@ def _parse_float(text) -> float:
     return value
 
 
-def _parse_floats(text) -> list[float]:
-    items = (text if isinstance(text, (list, tuple))
-             else [tok for tok in str(text).split(",") if tok.strip()])
+def _parse_list(text) -> list:
+    """A list value as given, or the comma-separated tokens of a text (a
+    scheme tag is checked by `check_design`); refuses an empty list."""
+    items = (list(text) if isinstance(text, (list, tuple))
+             else [tok.strip() for tok in str(text).split(",") if tok.strip()])
     if not items:
         raise ConfigError(f"expected at least one value, got {text!r}")
-    try:
-        return [_parse_float(v) for v in items]
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+    return items
+
+
+def _parse_floats(text) -> list[float]:
+    return [_parse_float(v) for v in _parse_list(text)]
 
 
 def _parse_ints(text) -> list[int]:
@@ -85,16 +85,6 @@ def _parse_ints(text) -> list[int]:
     if not all(v.is_integer() for v in values):
         raise ConfigError(f"expected comma-separated integers, got {text!r}")
     return [int(v) for v in values]
-
-
-def _parse_schemes(text) -> list[str]:
-    if isinstance(text, (list, tuple)):
-        names = [str(v) for v in text]
-    else:
-        names = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    if not names:
-        raise ConfigError("at least one scheme is required")
-    return names
 
 
 # rows several commands share
@@ -128,7 +118,7 @@ COMMAND_KEYS = {
     },
     "gdp": {
         "n": (_parse_ints, [16, 32, 64], "comma-separated antenna counts"),
-        "schemes": (_parse_schemes, list(SCHEMES), _TAGS),
+        "schemes": (_parse_list, list(SCHEMES), _TAGS),
         "m_rf": _M_RF,
         "grid_size": _GRID,
         "gamma_per_db": (_parse_floats, [0.0, 2.0],
@@ -137,7 +127,7 @@ COMMAND_KEYS = {
     },
     "cdf": {
         "n": _N,
-        "schemes": (_parse_schemes, list(SCHEMES), _TAGS),
+        "schemes": (_parse_list, list(SCHEMES), _TAGS),
         "m_rf": _M_RF,
         "grid_size": _GRID,
         "gamma_per_db": _GAMMA,
@@ -146,7 +136,7 @@ COMMAND_KEYS = {
     "simulate": {
         "n": _N,
         "m_rf": _M_RF,
-        "schemes": (_parse_schemes, [SCHEME_BMW_CF, SCHEME_PS_DFT], _TAGS),
+        "schemes": (_parse_list, [SCHEME_BMW_CF, SCHEME_PS_DFT], _TAGS),
         "grid_size": _GRID,
         "snr_db": (_parse_floats, [-40.0, -35.0, -30.0, -25.0, -20.0, -15.0,
                                    -10.0], "comma-separated SNR grid in dB"),
@@ -156,8 +146,6 @@ COMMAND_KEYS = {
                  " --no-papc fixes the total power instead"),
         "l_s": (int, 32, "training length, at least m_rf"),
         "l_paths": (int, 1, "multipath count"),
-        "workers": (int, 1, "accepted (>= 1) and has no effect: sweeps run "
-                    "in one process"),
         "out": _OUT,
     },
     "linkbudget": {
@@ -228,6 +216,17 @@ def _link_budget(cfg: dict) -> LinkBudget:
     )
 
 
+def _designs(cfg: dict) -> list[tuple[str, int, int, int]]:
+    """(scheme, n, m_rf, grid_size) of every codebook a command designs,
+    in the order it builds them; none for a command without `m_rf`."""
+    if "m_rf" not in cfg:
+        return []
+    schemes = [cfg["scheme"]] if "scheme" in cfg else cfg["schemes"]
+    ns = cfg["n"] if isinstance(cfg["n"], list) else [cfg["n"]]
+    return [(scheme, n, cfg["m_rf"], cfg["grid_size"])
+            for n in ns for scheme in schemes]
+
+
 def _validate(command: str, cfg: dict) -> None:
     """Refuse a configuration before any codebook is designed.
 
@@ -237,20 +236,15 @@ def _validate(command: str, cfg: dict) -> None:
     `link_budget_report`), whose ValueError becomes a ConfigError.
     """
     try:
-        if command == "design":
-            check_design(cfg["scheme"], cfg["n"], cfg["m_rf"],
-                         cfg["grid_size"])
-        elif command in ("gdp", "cdf", "simulate"):
-            for n in cfg["n"] if command == "gdp" else [cfg["n"]]:
-                for scheme in cfg["schemes"]:
-                    check_design(scheme, n, cfg["m_rf"], cfg["grid_size"])
-        elif command == "beampattern":
+        for design in _designs(cfg):
+            check_design(*design)
+        if command == "beampattern":
             _check_integer("points", cfg["points"], 2)
         for gdb in np.atleast_1d(cfg.get("gamma_per_db", [])).tolist():
             _gdp_cfg(gdb)
         if command == "simulate":
             snr_powers(cfg["snr_db"], _sim_config(cfg).n0)
-            check_search(cfg["l_s"], [cfg["m_rf"]], cfg["workers"])
+            check_search(cfg["l_s"], [cfg["m_rf"]])
         elif command == "linkbudget":
             link_budget_report(_link_budget(cfg), (cfg["excess_min_db"],
                                                    cfg["excess_max_db"]))
@@ -258,18 +252,6 @@ def _validate(command: str, cfg: dict) -> None:
         raise ConfigError(str(exc)) from exc
     if command == "beampattern" and cfg["codebook"] is None:
         raise ConfigError("a codebook file is required (--codebook)")
-
-
-# keys that cannot change results: the output location, which would break
-# byte-identity across reruns, and `workers`, which has no effect
-_PROVENANCE_SKIP = {"out", "workers"}
-
-
-def _config_comment(command: str, cfg: dict) -> str:
-    parts = [f"{k}={cfg[k]}" for k in sorted(cfg)
-             if cfg[k] is not None and k not in _PROVENANCE_SKIP]
-    return f"# config: command={command} " + " ".join(parts) + \
-        f" version={__version__}"
 
 
 def _fmt_cell(v) -> str:
@@ -286,6 +268,20 @@ def write_csv(path: str | Path, header: list[str], rows,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_rows(command: str, cfg: dict, header: list[str], rows: list,
+                echo) -> None:
+    """A command's CSV to `out`, if given, and where its rows went.  The
+    `# config:` line omits `out`, so a rerun elsewhere writes equal bytes."""
+    if not cfg["out"]:
+        echo(f"{command}: {len(rows)} rows (no --out given)")
+        return
+    config = " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)
+                      if cfg[k] is not None and k != "out")
+    write_csv(cfg["out"], header, rows,
+              f"# config: command={command} {config} version={__version__}")
+    echo(f"wrote {cfg['out']} ({len(rows)} rows)")
+
+
 def _gdp_cfg(gamma_per_db: float) -> GdpConfig:
     return GdpConfig(gamma_per=db_to_linear(gamma_per_db))
 
@@ -293,8 +289,8 @@ def _gdp_cfg(gamma_per_db: float) -> GdpConfig:
 def cmd_design(cfg: dict, echo=print) -> None:
     """Build a codebook, report per-layer geometry/GDP, write the file."""
     gdp_cfg = _gdp_cfg(cfg["gamma_per_db"])
-    cb = build_codebook(cfg["scheme"], cfg["n"], cfg["m_rf"],
-                        cfg["grid_size"], gdp_cfg)
+    (design,) = _designs(cfg)
+    cb = build_codebook(*design, gdp_cfg)
     echo(f"scheme={cb.scheme} n={cb.n_antennas} branching={cb.branching} "
          f"layers={cb.depth + 1}")
     for k in range(cb.depth + 1):
@@ -314,28 +310,21 @@ def cmd_design(cfg: dict, echo=print) -> None:
         echo(f"wrote {cfg['out']}")
 
 
-def _load_codebook(path: str) -> HierarchicalCodebook:
-    return deserialize(Path(path).read_text())
-
-
 def cmd_beampattern(cfg: dict, echo=print) -> None:
     """Sample |A|^2 in dB for selected codewords, both normalizations.
 
     codeword_id encodes scheme, layer, in-layer index and normalization,
     e.g. "bmw-ms-cf/L1/N2/papc"; 'unit' rows are for a unit 2-norm
-    codeword, 'papc' rows for max-entry-amplitude 1.
+    codeword, 'papc' rows for max-entry-amplitude 1.  The codebook's
+    accessor refuses a layer or index outside it.
     """
-    cb = _load_codebook(cfg["codebook"])
+    cb = deserialize(Path(cfg["codebook"]).read_text())
     layers = cfg["layers"] if cfg["layers"] is not None else list(
         range(cb.depth + 1))
     grid = np.linspace(-1.0, 1.0, cfg["points"])
     rows = []
     for k in layers:
-        if not 0 <= k <= cb.depth:
-            raise ConfigError(f"layer {k} out of range 0..{cb.depth}")
         for idx in cfg["indices"]:
-            if not 1 <= idx <= cb.branching ** k:
-                raise ConfigError(f"index {idx} out of range at layer {k}")
             cw = cb.codeword(k, idx)
             for mode in ("unit", "papc"):
                 gains = beam_pattern(normalize(cw.awv, mode), grid)
@@ -343,31 +332,20 @@ def cmd_beampattern(cfg: dict, echo=print) -> None:
                 tag = f"{cb.scheme}/L{k}/N{idx}/{mode}"
                 rows.extend((float(a), tag, float(g))
                             for a, g in zip(grid, gains_db))
-    comment = _config_comment("beampattern", cfg)
-    if cfg["out"]:
-        write_csv(cfg["out"], ["angle", "codeword_id", "gain_db"], rows, comment)
-        echo(f"wrote {cfg['out']} ({len(rows)} rows)")
-    else:
-        echo(f"beampattern: {len(rows)} rows (no --out given)")
+    _write_rows("beampattern", cfg, ["angle", "codeword_id", "gain_db"], rows,
+                echo)
 
 
 def cmd_gdp(cfg: dict, echo=print) -> None:
     """Layer-1 codeword GDP over an antenna-count / scheme / gamma sweep."""
     rows = []
-    design_cfg = GdpConfig()
-    for n in cfg["n"]:
-        for scheme in cfg["schemes"]:
-            cb = build_codebook(scheme, n, cfg["m_rf"], cfg["grid_size"],
-                                design_cfg)
-            cw = cb.codeword(1, 1)
-            for gdb in cfg["gamma_per_db"]:
-                value = gdp(cw.unit_awv, cw.coverage, _gdp_cfg(gdb))
-                rows.append((n, scheme, float(gdb), value))
-    comment = _config_comment("gdp", cfg)
-    if cfg["out"]:
-        write_csv(cfg["out"], ["n", "scheme", "gamma_per_db", "gdp"], rows,
-                  comment)
-        echo(f"wrote {cfg['out']} ({len(rows)} rows)")
+    for design in _designs(cfg):
+        cw = build_codebook(*design).codeword(1, 1)
+        scheme, n = design[:2]
+        for gdb in cfg["gamma_per_db"]:
+            value = gdp(cw.unit_awv, cw.coverage, _gdp_cfg(gdb))
+            rows.append((n, scheme, float(gdb), value))
+    _write_rows("gdp", cfg, ["n", "scheme", "gamma_per_db", "gdp"], rows, echo)
     for n, scheme, gdb, value in rows:
         echo(f"n={n} scheme={scheme} gamma_per={gdb:g}dB gdp={value:.6f}")
 
@@ -375,36 +353,26 @@ def cmd_gdp(cfg: dict, echo=print) -> None:
 def cmd_cdf(cfg: dict, echo=print) -> None:
     """Element-power CDF per scheme (layer-pooled, unit-norm codewords)."""
     rows = []
-    for scheme in cfg["schemes"]:
-        cb = build_codebook(scheme, cfg["n"], cfg["m_rf"], cfg["grid_size"],
-                            _gdp_cfg(cfg["gamma_per_db"]))
+    for design in _designs(cfg):
+        cb = build_codebook(*design, _gdp_cfg(cfg["gamma_per_db"]))
         powers, fracs = element_power_cdf([cb])
-        rows.extend((scheme, float(p), float(f))
+        rows.extend((cb.scheme, float(p), float(f))
                     for p, f in zip(powers, fracs))
-        echo(f"scheme={scheme} max element power={powers[-1]:.6f}")
-    if cfg["out"]:
-        write_csv(cfg["out"], ["scheme", "power", "cdf"], rows,
-                  _config_comment("cdf", cfg))
-        echo(f"wrote {cfg['out']} ({len(rows)} rows)")
+        echo(f"scheme={cb.scheme} max element power={powers[-1]:.6f}")
+    _write_rows("cdf", cfg, ["scheme", "power", "cdf"], rows, echo)
 
 
 def cmd_simulate(cfg: dict, echo=print) -> None:
     """Monte Carlo success-rate / achievable-rate sweep over SNR."""
-    sim = _sim_config(cfg)
-    design_cfg = GdpConfig()
     schemes = []
-    for scheme in cfg["schemes"]:
-        cb = build_codebook(scheme, cfg["n"], cfg["m_rf"], cfg["grid_size"],
-                            design_cfg)
-        schemes.append((scheme, cb, cb))
-    rows_dicts = run_monte_carlo(schemes, cfg["snr_db"], sim,
-                                 workers=cfg["workers"])
+    for design in _designs(cfg):
+        cb = build_codebook(*design)
+        schemes.append((design[0], cb, cb))
+    rows_dicts = run_monte_carlo(schemes, cfg["snr_db"], _sim_config(cfg))
     header = ["snr_db", "scheme", "success_rate", "rate_bps_hz", "trials",
               "stderr"]
     rows = [tuple(r[h] for h in header) for r in rows_dicts]
-    if cfg["out"]:
-        write_csv(cfg["out"], header, rows, _config_comment("simulate", cfg))
-        echo(f"wrote {cfg['out']} ({len(rows)} rows)")
+    _write_rows("simulate", cfg, header, rows, echo)
     for r in rows_dicts:
         echo(f"snr={r['snr_db']:g}dB {r['scheme']}: "
              f"success={r['success_rate']:.4f} rate={r['rate_bps_hz']:.3f}")
@@ -426,16 +394,13 @@ def cmd_linkbudget(cfg: dict, echo=print) -> None:
          f"excess loss: [{lo:.2f}, {hi:.2f}] dB")
     for note in report["notes"]:
         echo(f"note: {note}")
-    if cfg["out"]:
-        rows = [(key, float(report[key])) for key in
-                ("pa_saturation_dbm", "path_loss_db", "received_dbm",
-                 "noise_dbm", "snr_db", "spreading_gain_db",
-                 "gamma_per_db_no_excess")]
-        rows.append(("gamma_per_min_db", float(lo)))
-        rows.append(("gamma_per_max_db", float(hi)))
-        write_csv(cfg["out"], ["quantity", "value_db"], rows,
-                  _config_comment("linkbudget", cfg))
-        echo(f"wrote {cfg['out']}")
+    rows = [(key, float(report[key])) for key in
+            ("pa_saturation_dbm", "path_loss_db", "received_dbm",
+             "noise_dbm", "snr_db", "spreading_gain_db",
+             "gamma_per_db_no_excess")]
+    rows.append(("gamma_per_min_db", float(lo)))
+    rows.append(("gamma_per_max_db", float(hi)))
+    _write_rows("linkbudget", cfg, ["quantity", "value_db"], rows, echo)
 
 
 COMMANDS = {

@@ -177,7 +177,9 @@ def gdp(w, interval: AngleInterval, cfg: GdpConfig | None = None) -> float:
     """
     w = as_weights(w)
     cfg = cfg or GdpConfig()
-    if abs(np.linalg.norm(w) - 1.0) > 1e-9:
+    with np.errstate(over="ignore"):  # the norm squares finite entries
+        norm = np.linalg.norm(w)
+    if abs(norm - 1.0) > 1e-9:
         raise ValueError("gdp requires a unit 2-norm codeword")
     return float(_gdp_values(w[:, None], np.ones((1, 1)), interval, cfg,
                              cfg.points_for(w.size))[0])
@@ -226,17 +228,33 @@ class LinkBudget:
     excess_loss_db: float = 0.0
 
     def __post_init__(self):
-        _check_real("pa_saturation_dbm", self.pa_saturation_dbm)
+        pa = _check_real("pa_saturation_dbm", self.pa_saturation_dbm)
         for name in ("carrier_wavelength_m", "distance_m", "bandwidth_hz",
                      "ambient_temp_k"):
             _check_real(name, getattr(self, name), 0, above=True)
         _check_integer("training_length", self.training_length, 1)
-        _check_real("excess_loss_db", self.excess_loss_db, 0)
+        excess = _check_real("excess_loss_db", self.excess_loss_db, 0)
+        # the dB figures take the logarithms of these two
+        _check_real("path-loss ratio 4*pi*distance_m/carrier_wavelength_m",
+                    self._path_loss_ratio, 0, above=True)
+        _check_real("noise power k*ambient_temp_k*bandwidth_hz",
+                    self._noise_mw, 0, above=True)
+        _check_real("received power pa_saturation_dbm - path loss - "
+                    "excess_loss_db", pa - self.path_loss_db - excess)
+
+    @property
+    def _path_loss_ratio(self) -> float:
+        return (4.0 * math.pi * float(self.distance_m)
+                / float(self.carrier_wavelength_m))
+
+    @property
+    def _noise_mw(self) -> float:
+        return (BOLTZMANN_J_PER_K * float(self.ambient_temp_k)
+                * float(self.bandwidth_hz) * 1e3)
 
     @property
     def path_loss_db(self) -> float:
-        return 20.0 * math.log10(4.0 * math.pi * self.distance_m
-                                 / self.carrier_wavelength_m)
+        return 20.0 * math.log10(self._path_loss_ratio)
 
     @property
     def received_dbm(self) -> float:
@@ -244,8 +262,7 @@ class LinkBudget:
 
     @property
     def noise_dbm(self) -> float:
-        noise_mw = BOLTZMANN_J_PER_K * self.ambient_temp_k * self.bandwidth_hz * 1e3
-        return 10.0 * math.log10(noise_mw)
+        return 10.0 * math.log10(self._noise_mw)
 
     @property
     def spreading_gain_db(self) -> float:

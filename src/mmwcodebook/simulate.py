@@ -328,13 +328,12 @@ def _search_cells(tx, rx, h: np.ndarray,
     return j, i, rho, best
 
 
-def check_search(l_s: int, branchings, workers: int = 1) -> None:
+def check_search(l_s: int, branchings) -> None:
     """Raise ValueError unless l_s training symbols keep the sequences of
-    every branching orthogonal and at least one worker is asked for."""
+    every branching orthogonal."""
     if l_s < max(branchings):
         raise ValueError(f"l_s={l_s} cannot keep {max(branchings)} training "
                          f"sequences orthogonal")
-    _check_integer("workers", workers, 1)
 
 
 def hierarchical_search(tx_cb: HierarchicalCodebook,
@@ -602,11 +601,12 @@ def snr_powers(snr_db, n0: float) -> list[float]:
     """
     powers = []
     for snr in snr_db:
-        power = n0 * db_to_linear(snr) if n0 > 0 else db_to_linear(snr)
-        if not 0.0 < power < math.inf:
-            raise ValueError(f"snr_db={snr!r} gives the per-stream power "
-                             f"{power!r}, outside the positive float range")
-        powers.append(power)
+        try:
+            power = n0 * db_to_linear(snr) if n0 > 0 else db_to_linear(snr)
+            powers.append(_check_real("its per-stream power", power, 0,
+                                      above=True))
+        except ValueError as exc:
+            raise ValueError(f"snr_db={snr!r}: {exc}") from None
     return powers
 
 
@@ -619,7 +619,7 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
     (total power otherwise).  Every sweep runs in this process; `workers`
     is validated and has no effect.  Returns one row dict per (snr,
     scheme) in sweep order.  Raises ValueError before any trial runs for
-    an l_s below a codebook's branching or workers < 1 (`check_search`).
+    an l_s below a codebook's branching (`check_search`) or workers < 1.
     """
     schemes = [tuple(s) for s in schemes]
     if not schemes:
@@ -629,7 +629,8 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
         raise ValueError(
             f"all schemes in one sweep must share the array sizes, got {sizes}")
     check_search(cfg.l_s, [cb.branching for _, tx, rx in schemes
-                           for cb in (tx, rx)], workers)
+                           for cb in (tx, rx)])
+    _check_integer("workers", workers, 1)
     snr_db = [_check_real("snr_db", x) for x in snr_db]
     succ, rate = _trial_block(schemes, snr_powers(snr_db, cfg.n0), cfg)
     rows = []

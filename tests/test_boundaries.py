@@ -7,7 +7,9 @@ boundary values.  A probe must raise a ValueError that names the parameter
 (or the noun its owner check uses for that kind), or give finite values;
 no OverflowError, TypeError or numpy warning may escape (the suite turns
 warnings into errors).  A class is probed by constructing it, and
-`GdpConfig` and `SimConfig` through the call each one configures.
+`GdpConfig`, `SimConfig` and `LinkBudget` through the call each one
+configures.  `JOINT_PROBES` set several parameters at once, and the
+codebook accessors are probed at the edges of their index ranges.
 """
 
 import cmath
@@ -69,16 +71,23 @@ ANGLE = "cosine angle"
 WEIGHTS = "weight vector"
 CHANNEL = "channel matrix"
 ANALOG = "constant-amplitude analog matrix"
+DIGITAL = "digital matrix"
 ARRAY = "finite array"
 
 PROBES = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0, "-1": -1,
     "2.5": 2.5, "True": True, "np.float64": np.float64(1e308),
     "np.int64": np.int64(3), "1e308": 1e308, "10**400": 10 ** 400,
+    "1e200": 1e200,
 }
 NON_FINITE = {"nan", "inf", "-inf"}
+# an array parameter is probed with one entry of each of these; a finite
+# entry near the float maximum may give finite values or a ValueError, but
+# no overflow warning
+ARRAY_PROBES = NON_FINITE | {"1e200"}
+SCALAR_PROBES = [label for label in PROBES if label != "1e200"]
 # the probes each kind must refuse; any other probe may also give finite
-# values.  An array parameter is probed with one non-finite entry.
+# values
 REFUSED = {
     INTEGER: NON_FINITE | {"2.5", "True", "np.float64", "1e308", "10**400"},
     POSITIVE: NON_FINITE | {"0", "-1", "True", "10**400"},
@@ -88,7 +97,7 @@ REFUSED = {
 }
 # the noun an owner check uses for a kind, whatever the parameter's name
 NOUNS = {WEIGHTS: "weights", ANGLE: "cosine angles",
-         ANALOG: "analog_columns"}
+         ANALOG: "analog_columns", DIGITAL: "digital_columns"}
 
 IV = AngleInterval(-1.0, 1.0)
 W = steering_vector(8, 0.1)
@@ -116,7 +125,7 @@ CONTRACT = {
         lambda layer=1, branching=2, f_rf=CB.layers[1].f_rf,
         f_bb=CB.layers[1].f_bb: CodebookLayer(layer, branching, f_rf, f_bb),
         {"layer": INTEGER, "branching": INTEGER, "f_rf": ANALOG,
-         "f_bb": ARRAY}),
+         "f_bb": DIGITAL}),
     # views and results that only a checked owner builds
     "Codeword": (None, {}),
     "CompositeCodeword": (None, {}),
@@ -134,7 +143,7 @@ CONTRACT = {
         {"n_antennas": INTEGER, "branching": INTEGER, "grid_size": INTEGER,
          "gamma_per": POSITIVE}),
     "LinkBudget": (
-        lambda **kw: LinkBudget(**kw),
+        lambda **kw: link_budget_report(LinkBudget(**kw)),
         {"pa_saturation_dbm": REAL, "carrier_wavelength_m": POSITIVE,
          "distance_m": POSITIVE, "bandwidth_hz": POSITIVE,
          "ambient_temp_k": POSITIVE, "training_length": INTEGER,
@@ -244,17 +253,20 @@ def _default(call, param):
     return None if found is None else found.default
 
 
-# the search squares its correlator outputs, and at a power near the float
-# maximum |rho|^2 overflows; a sweep at such an SNR does the same
+# the search squares its correlator outputs, and at a power or a channel
+# entry near the float maximum |rho|^2 overflows; a sweep at such an SNR
+# does the same, and so does `select_best` given such a rho
 KNOWN_GAPS = {("hierarchical_search", "p", "1e308"),
-              ("hierarchical_search", "p", "np.float64")}
+              ("hierarchical_search", "p", "np.float64"),
+              ("hierarchical_search", "h", "1e200"),
+              ("select_best", "rho", "1e200")}
 
 
 def _cases():
     for name, (call, kinds) in sorted(CONTRACT.items()):
         for param in kinds:
             array = isinstance(_default(call, param), np.ndarray)
-            for label in NON_FINITE if array else PROBES:
+            for label in ARRAY_PROBES if array else SCALAR_PROBES:
                 marks = ()
                 if (name, param, label) in KNOWN_GAPS:
                     marks = pytest.mark.xfail(raises=RuntimeWarning,
@@ -279,3 +291,43 @@ def test_probe(name, param, label):
         return
     assert label not in REFUSED.get(kind, NON_FINITE), result
     assert _finite(result), result
+
+
+# probes of several parameters at once, each to be refused naming one of
+# them: kTB underflows to 0 although each factor is positive
+JOINT_PROBES = [
+    ("LinkBudget", {"bandwidth_hz": 1e-300, "ambient_temp_k": 1e-300}),
+]
+
+
+@pytest.mark.parametrize("name, probe", JOINT_PROBES)
+def test_joint_probe(name, probe):
+    with pytest.raises(ValueError) as exc:
+        CONTRACT[name][0](**probe)
+    assert any(param in str(exc.value) for param in probe), exc.value
+
+
+# The codebook accessors own their ranges: a layer in [0, depth] and a
+# 1-based index in [1, count] of that layer.  Each is called at layer 1 of
+# CB (depth 3), whose count is 2 codewords, 1 composite and 2 codewords.
+ACCESSORS = {
+    "codeword": (lambda layer=1, index=1: CB.codeword(layer, index), 2),
+    "composite": (lambda layer=1, index=1: CB.composite(layer, index), 1),
+    "layer_codewords": (lambda layer=1: CB.layer_codewords(layer), 2),
+}
+PLACES = ("0", "-1", "depth + 1", "count + 1", "True", "2.5")
+
+
+@pytest.mark.parametrize("name, param, label", [
+    (name, param, label) for name, (call, _) in sorted(ACCESSORS.items())
+    for param in inspect.signature(call).parameters for label in PLACES])
+def test_accessor_probe(name, param, label):
+    call, count = ACCESSORS[name]
+    probe = {"0": 0, "-1": -1, "depth + 1": CB.depth + 1,
+             "count + 1": count + 1, "True": True, "2.5": 2.5}[label]
+    lo, hi = (0, CB.depth) if param == "layer" else (1, count)
+    if type(probe) is int and lo <= probe <= hi:
+        assert call(**{param: probe})
+    else:
+        with pytest.raises(ValueError, match=f"^{param} must be an integer"):
+            call(**{param: probe})

@@ -60,6 +60,15 @@ class TestConfigHandling:
                            match=f"bad value for '{key}': expected at least"):
             resolve_config(command, values)
 
+    def test_workers_is_unknown(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("workers = 2\n")
+        assert main(["simulate", "--config", str(cfgfile)]) == 2
+        assert "unknown configuration key 'workers'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--workers", "2"])
+        assert exc.value.code == 2
+
     def test_ranges_validated_before_compute(self):
         with pytest.raises(ConfigError):
             resolve_config("simulate", {}, {"trials": 0})
@@ -131,6 +140,19 @@ class TestBeampatternCommand:
         assert run(["beampattern", "--codebook", str(codebook_file),
                     "--out", str(out)]) == 2
         assert "outside the float range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--layers", "5"], "layer must be an integer in [0, 4], got 5"),
+        (["--indices", "0"], "index must be an integer in [1, 1], got 0"),
+    ])
+    def test_codeword_outside_the_codebook_exits_2(self, codebook_file,
+                                                    tmp_path, capsys, flags,
+                                                    message):
+        out = tmp_path / "bp.csv"
+        assert run(["beampattern", "--codebook", str(codebook_file),
+                    "--out", str(out)] + flags) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_bottom_layer_peak(self, codebook_file, tmp_path):
@@ -287,7 +309,7 @@ SAMPLES = {
     "gamma_per_db": "1.5", "codebook": "cb.txt", "layers": "1,2",
     "indices": "2", "points": "5", "schemes": "ps-dft,bmw-ms-cf",
     "snr_db": "-5,-3", "trials": "3", "seed": "7", "papc": "false",
-    "l_s": "8", "l_paths": "2", "workers": "2", "pa_dbm": "10",
+    "l_s": "8", "l_paths": "2", "pa_dbm": "10",
     "wavelength_m": "0.02", "distance_m": "50", "bandwidth_hz": "1e9",
     "temp_k": "290", "excess_min_db": "1", "excess_max_db": "2",
     "out": "o.csv",
@@ -374,12 +396,15 @@ class TestGeneratedFlags:
         ["simulate", "--l-s", "1"],
         ["simulate", "--seed=-1"],
         ["simulate", "--seed", "18446744073709551616"],
-        ["simulate", "--workers", "0"],
+        ["simulate", "--l-paths", "0"],
         ["gdp", "--n", ""],
         ["gdp", "--gamma-per-db", ""],
         # checked before the file is read, which would exit 4 here
         ["beampattern", "--codebook", "cb.txt", "--layers", ""],
         ["linkbudget", "--excess-min-db", "5", "--excess-max-db", "1"],
+        # 4*pi*d/lambda overflows, and kTB underflows to 0
+        ["linkbudget", "--distance-m", "1e308"],
+        ["linkbudget", "--bandwidth-hz", "1e-300", "--temp-k", "1e-300"],
     ])
     def test_bad_value_exits_2_and_writes_nothing(self, argv, tmp_path,
                                                   capsys):
@@ -414,6 +439,16 @@ class TestIntegerLists:
 
     def test_integral_values_still_accepted(self):
         assert resolve_config("gdp", {"n": "16.0, 32"})["n"] == [16, 32]
+
+
+def test_readme_key_table_matches_command_keys():
+    # the README's CLI table lists each command's keys in a code span; the
+    # flags are generated from COMMAND_KEYS, so the two must agree
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \|.*\| `([\w ]+)` \|$", text,
+                      re.MULTILINE)
+    assert {command: keys.split() for command, keys in rows} == {
+        command: list(spec) for command, spec in COMMAND_KEYS.items()}
 
 
 def test_pyproject_version_matches_package():
