@@ -228,20 +228,13 @@ def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
     rounding alone (at most 3.3e-15 over every class of the builders'
     layers, far inside `_TIE_RTOL`), so its lowest index is the
     exhaustive choice and it is returned unscored.
-    Below 8*N points per unit the coarse grids no longer resolve an
-    N-antenna beam, and every candidate is scored at full resolution
-    instead.
     """
-    n = u_cols.shape[0]
-    fine = cfg.points_for(n)
+    fine = cfg.points_for(u_cols.shape[0])
     if labels is None:
         labels = np.arange(coeffs.shape[1])
     reps = np.flatnonzero(labels == np.arange(labels.size))
     if reps.size == 1:
         return int(reps[0])
-    if fine // 32 < 8 * n:
-        return _argmax_with_ties(
-            _gdp_values(u_cols, coeffs, interval, cfg, fine))
     v16, v32 = _gdp_values(u_cols, coeffs[:, reps], interval, cfg,
                            fine // 16, nested=True)
     margin = 2.0 * np.abs(v16 - v32)
@@ -369,7 +362,7 @@ def _one_pattern(u_cols: np.ndarray, coeffs: np.ndarray) -> bool:
 
 
 def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
-               cfg: GdpConfig | None = None,
+               cfg: GdpConfig = GdpConfig(),
                grid_size: int = 64) -> tuple[float, float, np.ndarray]:
     """Grid-search the equal-difference phase parameters maximizing GDP.
 
@@ -379,7 +372,6 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     lexicographically smallest (phi1, phi2).
     """
     _check_integer("grid_size", grid_size, 8)
-    cfg = cfg or GdpConfig()
     # sub-array (i, m) -> column i * m_s + m (0-based, i-major)
     u_cols = _subarray_blocks(plan, np.zeros((plan.m_rf, plan.m_s))).reshape(
         plan.n_antennas, plan.n_subarrays)
@@ -658,7 +650,7 @@ def _rotated_layer(layer: int, branching: int, cols: np.ndarray,
 
 
 def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
-                 cfg: GdpConfig | None = None,
+                 cfg: GdpConfig = GdpConfig(),
                  grid_size: int = 64) -> HierarchicalCodebook:
     """Build the multi-RF-chain sub-array codebook ("cf" or "lcs" phases).
 
@@ -671,7 +663,6 @@ def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
         raise ValueError(f"phase solver must be 'cf' or 'lcs', got {scheme!r}")
     tag = SCHEME_BMW_CF if scheme == "cf" else SCHEME_BMW_LCS
     depth = check_design(tag, n, m_rf, grid_size)
-    cfg = cfg or GdpConfig()
     layers = []
     for k in range(depth + 1):
         interval = coverage_interval(k, 1, m_rf)
@@ -687,7 +678,7 @@ def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
 
 
 def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
-                 cfg: GdpConfig | None = None) -> HierarchicalCodebook:
+                 cfg: GdpConfig = GdpConfig()) -> HierarchicalCodebook:
     """Build the phase-shifted DFT baseline codebook.
 
     Layer k's first codeword sums n/branching^k full-array steering
@@ -697,7 +688,6 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
     to pure steering vectors.
     """
     depth = _check_sizes(n, branching, grid_size, names=("n", "branching"))
-    cfg = cfg or GdpConfig()
     layers = []
     for k in range(depth + 1):
         m_k = n // branching ** k
@@ -726,7 +716,7 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
 
 def build_codebook(scheme: str, n: int, m_rf: int = 2,
                    grid_size: int = 64,
-                   cfg: GdpConfig | None = None) -> HierarchicalCodebook:
+                   cfg: GdpConfig = GdpConfig()) -> HierarchicalCodebook:
     """Build any of the supported schemes from its public tag."""
     check_design(scheme, n, m_rf, grid_size)
     if scheme == SCHEME_PS_DFT:

@@ -64,24 +64,21 @@ def _check_gamma_per(gamma_per: float) -> None:
 class GdpConfig:
     """Evaluation settings for the GDP integral.
 
-    gamma_per is the linear per-antenna SNR (1.0 = 0 dB).
-    integration_points counts quadrature samples per unit cosine angle, an
-    integer (not a bool) of at least 256; the phase searches divide it by
-    16 and 32.  None selects 256*N for an N-antenna codeword (sampling the
-    narrowest bottom-layer lobes at least 256 times) with a floor of 4096
-    so that small arrays still converge below 1e-7 per resolution doubling.
+    gamma_per is the linear per-antenna SNR (1.0 = 0 dB).  The quadrature
+    takes `points_for(N)` samples per unit cosine angle for an N-antenna
+    codeword, and the phase searches screen at 1/16 and 1/32 of that.
     """
 
     gamma_per: float = 1.0
-    integration_points: int | None = None
 
     def __post_init__(self):
         _check_gamma_per(self.gamma_per)
-        if self.integration_points is not None:
-            _check_integer("integration_points", self.integration_points, 256)
 
     def points_for(self, n_antennas: int) -> int:
-        return self.integration_points or max(256 * n_antennas, 4096)
+        """256*N samples per unit, so the narrowest bottom-layer lobes get
+        at least 256 each, with a floor of 4096 so that small arrays still
+        converge below 1e-7 per resolution doubling."""
+        return max(256 * n_antennas, 4096)
 
 
 def quadrature_grid(interval: AngleInterval, points_per_unit: int) -> np.ndarray:
@@ -169,18 +166,18 @@ def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
     return tuple(values) if nested else values
 
 
-def gdp(w, interval: AngleInterval, cfg: GdpConfig | None = None) -> float:
+def gdp(w, interval: AngleInterval, cfg: GdpConfig = GdpConfig()) -> float:
     """Generalized detection probability of a unit-norm codeword.
 
     Raises ValueError when w is not unit 2-norm (within 1e-9): the metric's
     ||w||_inf^2 term presumes unit total power.
     """
     w = as_weights(w)
-    cfg = cfg or GdpConfig()
     with np.errstate(over="ignore"):  # the norm squares finite entries
         norm = np.linalg.norm(w)
     if abs(norm - 1.0) > 1e-9:
-        raise ValueError("gdp requires a unit 2-norm codeword")
+        raise ValueError(f"w must have unit 2-norm for gdp, got "
+                         f"{float(norm)!r}")
     return float(_gdp_values(w[:, None], np.ones((1, 1)), interval, cfg,
                              cfg.points_for(w.size))[0])
 
@@ -280,7 +277,8 @@ def link_budget_report(lb: LinkBudget,
 
     The returned gamma_per_range_db sweeps the excess propagation loss over
     `excess_loss_range_db` with the other inputs fixed; a range outside
-    0 <= min <= max, or one past the float range, raises ValueError.
+    0 <= min <= max, or one whose gamma_per ends leave the float range,
+    raises ValueError.
     """
     lo, hi = excess_loss_range_db
     if not 0.0 <= lo <= hi <= sys.float_info.max:
@@ -288,6 +286,8 @@ def link_budget_report(lb: LinkBudget,
                          f"0 <= min <= max, got {excess_loss_range_db!r}")
     base = replace(lb, excess_loss_db=0.0)
     gamma_db = (base.received_dbm - base.noise_dbm + base.spreading_gain_db)
+    ends = tuple(_check_real("gamma_per_db_no_excess - excess_loss_range_db",
+                             gamma_db - x) for x in (hi, lo))
     notes = [
         "the published example states a -74 dBm noise floor for a labeled "
         "100 MHz bandwidth, but 10log10(kTB*1e3) gives -74 dBm only at "
@@ -306,6 +306,6 @@ def link_budget_report(lb: LinkBudget,
         "snr_db": base.received_dbm - base.noise_dbm,
         "spreading_gain_db": base.spreading_gain_db,
         "gamma_per_db_no_excess": gamma_db,
-        "gamma_per_range_db": (gamma_db - hi, gamma_db - lo),
+        "gamma_per_range_db": ends,
         "notes": notes,
     }

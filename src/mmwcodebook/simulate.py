@@ -174,24 +174,22 @@ def _normals(rng: np.random.Generator | None, n0: float, shape):
 
 
 def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
-            p: float, n0: float, l_s: int,
-            rng: np.random.Generator | None = None,
-            papc: bool = False) -> np.ndarray:
+            cfg: SimConfig, rng: np.random.Generator | None = None,
+            p: float = 1.0) -> np.ndarray:
     """One composite-pair measurement: rho[i, j] for Rx member i, Tx member j.
 
-    `p` is the per-stream power (the per-antenna saturation power under
-    `papc`); noise variance is l_s * n0 per entry, which must be a float.
-    The channel must be finite and match the codeword lengths.  A bad
-    `p`, `n0`, `l_s` or `h` raises ValueError naming it.
+    `cfg` gives the training length l_s, the noise power n0 (variance
+    l_s * n0 per entry) and `papc`; `p` is the per-stream power (the
+    per-antenna saturation power under `cfg.papc`).  The channel must be
+    finite and match the codeword lengths.  A bad `p` or `h` raises
+    ValueError naming it.
     """
     _check_real("p", p, 0, above=True)
-    _check_integer("l_s", l_s, 1)
-    _check_real("n0", n0, 0, sys.float_info.max / l_s)
     _check_channel(h, rx.f_rf.shape[0], tx.f_rf.shape[0])
     rho = _correlate(_rx_product(rx.member_matrix, h), tx.member_matrix,
-                     tx.member_inf_norms, math.sqrt(p), l_s, papc)
-    noise = _normals(rng, n0, (2,) + rho.shape)
-    return rho if noise is None else _add_noise(rho, *noise, l_s, n0)
+                     tx.member_inf_norms, math.sqrt(p), cfg.l_s, cfg.papc)
+    noise = _normals(rng, cfg.n0, (2,) + rho.shape)
+    return rho if noise is None else _add_noise(rho, *noise, cfg.l_s, cfg.n0)
 
 
 def select_best(rho: np.ndarray) -> tuple[int, int]:

@@ -4,12 +4,13 @@
 with valid keyword defaults and to the kind of each scalar or array
 parameter it takes.  Every such parameter is probed with a fixed set of
 boundary values.  A probe must raise a ValueError that names the parameter
-(or the noun its owner check uses for that kind), or give finite values;
-no OverflowError, TypeError or numpy warning may escape (the suite turns
-warnings into errors).  A class is probed by constructing it, and
-`GdpConfig`, `SimConfig` and `LinkBudget` through the call each one
-configures.  `JOINT_PROBES` set several parameters at once, and the
-codebook accessors are probed at the edges of their index ranges.
+as a whole word (or the noun its owner check uses for that kind), or give
+finite values; no OverflowError, TypeError or numpy warning may escape
+(the suite turns warnings into errors).  A class is probed by
+constructing it, and `GdpConfig`, `SimConfig` and `LinkBudget` through a
+call each one configures.  `JOINT_PROBES` set several parameters at
+once, and the codebook accessors are probed at the edges of their index
+ranges.
 """
 
 import cmath
@@ -17,6 +18,7 @@ import dataclasses
 import inspect
 import math
 import numbers
+import re
 
 import numpy as np
 import pytest
@@ -132,9 +134,8 @@ CONTRACT = {
     "SearchResult": (None, {}),
     "SubArrayPlan": (None, {}),
     "GdpConfig": (
-        lambda gamma_per=1.0, integration_points=4096: gdp(
-            W, IV, GdpConfig(gamma_per, integration_points)),
-        {"gamma_per": POSITIVE, "integration_points": INTEGER}),
+        lambda gamma_per=1.0: gdp(W, IV, GdpConfig(gamma_per)),
+        {"gamma_per": POSITIVE}),
     "GeometryError": (None, {}),
     "HierarchicalCodebook": (
         lambda n_antennas=8, branching=2, grid_size=8, gamma_per=1.0:
@@ -197,9 +198,11 @@ CONTRACT = {
         lambda excess_loss_range_db=np.array([0.0, 15.0]): link_budget_report(
             LinkBudget(), tuple(excess_loss_range_db)),
         {"excess_loss_range_db": ARRAY}),
+    # l_s and n0 reach a measurement through its SimConfig
     "measure": (
         lambda h=H, p=1.0, n0=1.0, l_s=8: measure(
-            CB.layers[1][0], CB.layers[1][0], h, p, n0, l_s, _rng()),
+            CB.layers[1][0], CB.layers[1][0], h, SimConfig(l_s=l_s, n0=n0),
+            _rng(), p),
         {"h": CHANNEL, "p": POSITIVE, "n0": NON_NEGATIVE, "l_s": INTEGER}),
     "mtp": (lambda w=W, p_per=1.0: mtp(w, p_per),
             {"w": WEIGHTS, "p_per": POSITIVE}),
@@ -247,6 +250,12 @@ def test_contract_covers_every_public_callable_and_class():
     assert set(CONTRACT) == public
 
 
+def _names(word, message) -> bool:
+    """Whether `message` holds `word` as a whole word (`w` is not in
+    "codeword")."""
+    return re.search(rf"\b{re.escape(word)}\b", message) is not None
+
+
 def _default(call, param):
     """The valid value the contract's call gives `param`, or None."""
     found = inspect.signature(call).parameters.get(param)
@@ -287,7 +296,8 @@ def test_probe(name, param, label):
     try:
         result = call(**{param: probe})
     except ValueError as exc:
-        assert param in str(exc) or NOUNS.get(kind, param) in str(exc), exc
+        assert (_names(param, str(exc))
+                or _names(NOUNS.get(kind, param), str(exc))), exc
         return
     assert label not in REFUSED.get(kind, NON_FINITE), result
     assert _finite(result), result
@@ -304,7 +314,7 @@ JOINT_PROBES = [
 def test_joint_probe(name, probe):
     with pytest.raises(ValueError) as exc:
         CONTRACT[name][0](**probe)
-    assert any(param in str(exc.value) for param in probe), exc.value
+    assert any(_names(param, str(exc.value)) for param in probe), exc.value
 
 
 # The codebook accessors own their ranges: a layer in [0, depth] and a

@@ -58,14 +58,17 @@ def test_every_layer_matches_exhaustive(checked_searches, scheme, n, m_rf,
     assert len(checked_searches) == cb.depth + 1
 
 
-def test_odd_screen_interval_count_matches_exhaustive(checked_searches):
-    # 5000 points per unit: the 1/16 screen grid of the bottom layer (width
-    # 1/8) has 39 intervals and takes a 40th to nest the half grid
-    cfg = GdpConfig(integration_points=5000)
-    assert math.ceil(5000 // 16 * 0.125) == 39
-    cb = build_codebook("bmw-ms-lcs", 16, 2, cfg=cfg)
-    assert checked_searches[-1] == 0.125
+def test_odd_screen_interval_count_matches_exhaustive(checked_searches,
+                                                      kernel_passes):
+    # bmw-ms-lcs N=9, m_rf=3 screens at 4096 // 16 = 256 points per unit:
+    # the grids of layers 1 and 2 (widths 2/3 and 2/9) have 171 and 57
+    # intervals, and each takes one more to nest the half grid
+    cb = build_codebook("bmw-ms-lcs", 9, 3)
     assert len(checked_searches) == cb.depth + 1
+    screens = [(width, points) for width, points, _, nested in kernel_passes
+               if nested]
+    assert [math.ceil(points * width) for width, points in screens] == [
+        512, 171, 57]
 
 
 @pytest.fixture
@@ -159,15 +162,6 @@ def test_per_candidate_margins_keep_few_survivors(searches):
     assert kept[2] < 4
     assert all(scored.size < 512
                for _, passes in searches for _, _, scored, _ in passes[1:])
-
-
-def test_low_resolution_falls_back_to_exhaustive(checked_searches,
-                                                 kernel_passes):
-    # 256 points per unit is below 32 * 8 * N for N = 8: no coarse screen
-    build_codebook("bmw-ms-lcs", 8, 2, grid_size=16,
-                   cfg=GdpConfig(integration_points=256))
-    assert len(checked_searches) == 4
-    assert [p[1:] for p in kernel_passes] == [(256, 16 * 16, False)] * 4
 
 
 @pytest.fixture

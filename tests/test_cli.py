@@ -405,6 +405,8 @@ class TestGeneratedFlags:
         # 4*pi*d/lambda overflows, and kTB underflows to 0
         ["linkbudget", "--distance-m", "1e308"],
         ["linkbudget", "--bandwidth-hz", "1e-300", "--temp-k", "1e-300"],
+        # finite inputs whose gamma_per range overflows to -inf
+        ["linkbudget", "--pa-dbm=-1.7e308", "--excess-max-db", "1.7e308"],
     ])
     def test_bad_value_exits_2_and_writes_nothing(self, argv, tmp_path,
                                                   capsys):

@@ -35,11 +35,13 @@ def random_problem(n, n_cols, n_cand, seed):
     return u_cols, coeffs
 
 
-def reference_values(gdp_reference, u_cols, coeffs, interval, cfg):
+def reference_values(gdp_reference, u_cols, coeffs, interval, cfg,
+                     points=None):
     out = []
     for c in range(coeffs.shape[1]):
         w = u_cols @ coeffs[:, c]
-        out.append(gdp_reference(w / np.linalg.norm(w), interval, cfg))
+        out.append(gdp_reference(w / np.linalg.norm(w), interval, cfg,
+                                 points))
     return np.array(out)
 
 
@@ -78,13 +80,13 @@ def test_kernel_matches_gdp_on_both_association_paths(gdp_reference, n,
 def test_block_boundaries(monkeypatch, gdp_reference, block_bytes, rows, n,
                           n_cols, n_cand):
     interval = AngleInterval(0.25, 0.25)
-    cfg = GdpConfig(integration_points=4096)
+    cfg = GdpConfig()
     assert math.ceil(4096 * interval.width) + 1 == 1025
     assert min(1025, max(1, block_bytes // (16 * 128))) == rows
     monkeypatch.setattr(metrics, "_BLOCK_BYTES", block_bytes)
     u_cols, coeffs = random_problem(n, n_cols, n_cand, seed=block_bytes % 97)
     values = _gdp_values(u_cols, coeffs, interval, cfg, 4096)
-    ref = reference_values(gdp_reference, u_cols, coeffs, interval, cfg)
+    ref = reference_values(gdp_reference, u_cols, coeffs, interval, cfg, 4096)
     assert np.max(np.abs(values - ref)) <= 1e-12
 
 
@@ -108,8 +110,8 @@ def test_nested_half_grid(monkeypatch, gdp_reference, points, block_bytes,
     values, half = _gdp_values(u_cols, coeffs, interval, GdpConfig(), points,
                                nested=True)
     for got, ref_points in [(values, 4096), (half, 2048)]:
-        cfg = GdpConfig(integration_points=ref_points)
-        ref = reference_values(gdp_reference, u_cols, coeffs, interval, cfg)
+        ref = reference_values(gdp_reference, u_cols, coeffs, interval,
+                               GdpConfig(), ref_points)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
 

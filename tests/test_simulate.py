@@ -1,3 +1,4 @@
+import inspect
 import math
 import resource
 import tracemalloc
@@ -90,6 +91,15 @@ class TestSampleChannel:
 
 
 class TestMeasure:
+    def test_takes_the_search_settings(self):
+        # one measurement is configured as a whole search is: the same
+        # (cfg, rng, p) tail with the same defaults, so PAPC follows cfg
+        def tail(fn):
+            params = list(inspect.signature(fn).parameters.values())[3:]
+            return [(q.name, q.annotation, q.default) for q in params]
+
+        assert tail(measure) == tail(hierarchical_search)
+
     def test_matched_pair_noise_free(self):
         cb = build_bmw_ms(16, 2, "cf")
         bottom = cb.depth
@@ -98,7 +108,7 @@ class TestMeasure:
         aod = tx.members[0].coverage.center
         aoa = rx.members[0].coverage.center
         h = rank_one_channel(16, 16, aod, aoa)
-        rho = measure(tx, rx, h, p=1.0, n0=0.0, l_s=32)
+        rho = measure(tx, rx, h, SimConfig(l_s=32, n0=0.0, papc=False))
         # the steering match dominates the composite and carries ~l_s*sqrt(MN)
         assert abs(rho[0, 0]) > abs(rho[1, 1])
         assert abs(rho[0, 0]) == pytest.approx(
@@ -115,7 +125,7 @@ class TestMeasure:
         aod = comp.members[0].coverage.center
         aoa = comp.members[0].coverage.center
         h = rank_one_channel(8, 8, aod, aoa)
-        rho = measure(comp, comp, h, p=1.0, n0=0.0, l_s=32)
+        rho = measure(comp, comp, h, SimConfig(l_s=32, n0=0.0, papc=False))
         assert abs(rho[0, 0]) == pytest.approx(32 * math.sqrt(64), rel=1e-9)
 
     def test_orthogonal_tx_is_null(self):
@@ -125,7 +135,7 @@ class TestMeasure:
         comp = cb.composite(cb.depth, 1)  # members cover bins 1 and 2
         other_bin = cb.codeword(cb.depth, 5).coverage.center
         h = rank_one_channel(8, 8, other_bin, 0.25)
-        rho = measure(comp, comp, h, p=1.0, n0=0.0, l_s=16)
+        rho = measure(comp, comp, h, SimConfig(l_s=16, n0=0.0, papc=False))
         assert np.max(np.abs(rho)) == pytest.approx(0.0, abs=1e-9)
 
     def test_noise_variance(self):
@@ -134,7 +144,8 @@ class TestMeasure:
         h = np.zeros((8, 8), dtype=complex)
         rng = np.random.default_rng(11)
         l_s, n0 = 16, 0.5
-        draws = [measure(tx, rx, h, 1.0, n0, l_s, rng) for _ in range(2500)]
+        cfg = SimConfig(l_s=l_s, n0=n0, papc=False)
+        draws = [measure(tx, rx, h, cfg, rng) for _ in range(2500)]
         var = float(np.mean(np.abs(np.stack(draws)) ** 2))
         assert var == pytest.approx(l_s * n0, rel=0.05)
 
@@ -143,16 +154,17 @@ class TestMeasure:
         tx = rx = cb.composite(2, 1)
         h = rank_one_channel(8, 8, -0.6, 0.3, gain=1.0 + 0.5j)
         alpha = 0.7 - 1.3j
-        a = measure(tx, rx, alpha * h, 1.0, 0.0, 16)
-        b = measure(tx, rx, h, 1.0, 0.0, 16)
+        cfg = SimConfig(l_s=16, n0=0.0, papc=False)
+        a = measure(tx, rx, alpha * h, cfg)
+        b = measure(tx, rx, h, cfg)
         assert np.allclose(a, alpha * b, atol=1e-12)
 
     def test_papc_scales_per_stream(self):
         cb = build_bmw_ms(8, 2, "cf")
         tx = rx = cb.composite(1, 1)
         h = rank_one_channel(8, 8, -0.9, -0.9)
-        plain = measure(tx, rx, h, 1.0, 0.0, 16, papc=False)
-        papc = measure(tx, rx, h, 1.0, 0.0, 16, papc=True)
+        plain = measure(tx, rx, h, SimConfig(l_s=16, n0=0.0, papc=False))
+        papc = measure(tx, rx, h, SimConfig(l_s=16, n0=0.0, papc=True))
         scales = 1.0 / tx.member_inf_norms
         assert np.allclose(papc, plain * scales[None, :], atol=1e-9)
 
@@ -160,13 +172,15 @@ class TestMeasure:
         cb = build_bmw_ms(8, 2, "cf")
         with pytest.raises(ValueError):
             measure(cb.composite(1, 1), cb.composite(1, 1),
-                    np.zeros((4, 4), dtype=complex), 1.0, 0.0, 16)
+                    np.zeros((4, 4), dtype=complex),
+                    SimConfig(l_s=16, n0=0.0))
 
     def test_rng_required_with_noise(self):
         cb = build_bmw_ms(8, 2, "cf")
         with pytest.raises(ValueError):
             measure(cb.composite(1, 1), cb.composite(1, 1),
-                    np.zeros((8, 8), dtype=complex), 1.0, 1.0, 16, rng=None)
+                    np.zeros((8, 8), dtype=complex),
+                    SimConfig(l_s=16, n0=1.0), rng=None)
 
     @pytest.mark.parametrize("field, value", [
         ("p", math.nan), ("p", math.inf), ("p", 0.0), ("p", -1.0),
@@ -177,7 +191,8 @@ class TestMeasure:
         link = {"p": 1.0, "n0": 0.5, "l_s": 16, field: value}
         with pytest.raises(ValueError, match=f"^{field} must"):
             measure(comp, comp, np.zeros((8, 8), dtype=complex),
-                    rng=np.random.default_rng(0), **link)
+                    SimConfig(l_s=link["l_s"], n0=link["n0"]),
+                    np.random.default_rng(0), link["p"])
 
 
 class TestDetectionProbability:
@@ -189,6 +204,7 @@ class TestDetectionProbability:
 
     def test_hit_rate_matches_gdp(self):
         l_s, n0 = 32, 1.0
+        cfg = SimConfig(l_s=l_s, n0=n0)
         rng = np.random.default_rng(2024)
         # the trials are the antennas of a virtual Rx array whose members
         # are one-hot, so each measure call draws BLOCK one-antenna trials
@@ -211,8 +227,8 @@ class TestDetectionProbability:
                 for gamma in (1.0, 0.05):
                     p = gamma * n0 / l_s
                     rho = np.concatenate([
-                        measure(tx, rx, h[b:b + self.BLOCK], p, n0, l_s, rng,
-                                papc=True)[:, 0]
+                        measure(tx, rx, h[b:b + self.BLOCK], cfg, rng,
+                                p)[:, 0]
                         for b in range(0, self.TRIALS, self.BLOCK)])
                     hits = np.mean(np.abs(rho) ** 2 > l_s * n0)
                     ref = gdp(cw.unit_awv, cw.coverage,
@@ -277,7 +293,7 @@ class TestHierarchicalSearch:
         j_t = i_r = 1
         for k in range(1, 5):
             rho = measure(tx_cb.composite(k, j_t), rx_cb.composite(k, i_r),
-                          h, 100.0, cfg.n0, cfg.l_s, rng, papc=True)
+                          h, cfg, rng, 100.0)
             j_s, i_s = select_best(rho)
             j_t = 2 * (j_t - 1) + j_s
             i_r = 2 * (i_r - 1) + i_s
@@ -292,7 +308,7 @@ class TestHierarchicalSearch:
         prev = tx_cb.codeword(0, 1).coverage
         for k in range(1, 6):
             rho = measure(tx_cb.composite(k, j_t), rx_cb.composite(k, i_r),
-                          h, 10.0, cfg.n0, cfg.l_s, rng, papc=True)
+                          h, cfg, rng, 10.0)
             j_s, _ = select_best(rho)
             j_t = 2 * (j_t - 1) + j_s
             assert 1 <= j_t <= 2 ** k
@@ -533,7 +549,7 @@ def oracle_search(tx_cb, rx_cb, h, power, cfg, rng):
         tx_on, rx_on = k <= tx_cb.depth, k <= rx_cb.depth
         tx = tx_cb.composite(k, j_t) if tx_on else held_bottom(tx_cb, j_t)
         rx = rx_cb.composite(k, i_r) if rx_on else held_bottom(rx_cb, i_r)
-        rho = measure(tx, rx, h, power, cfg.n0, cfg.l_s, rng, papc=cfg.papc)
+        rho = measure(tx, rx, h, cfg, rng, power)
         j_s, i_s = select_best(rho)
         if tx_on:
             j_t = tx_cb.branching * (j_t - 1) + j_s
