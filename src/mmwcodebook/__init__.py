@@ -29,7 +29,6 @@ from .codebooks import (
     HierarchicalCodebook,
     SubArrayPlan,
     assemble_codeword,
-    build_bmw_ms,
     build_codebook,
     build_ps_dft,
     cf_phases,
@@ -69,7 +68,7 @@ __all__ = [
     "LinkBudget", "SCHEMES", "SCHEME_BMW_CF", "SCHEME_BMW_LCS",
     "SCHEME_PS_DFT", "SearchResult", "SimConfig", "SubArrayPlan",
     "assemble_codeword", "beam_gain", "beam_gains", "beam_pattern",
-    "build_bmw_ms", "build_codebook", "build_ps_dft", "cf_phases",
+    "build_codebook", "build_ps_dft", "cf_phases",
     "db_to_linear", "deserialize", "element_power_cdf",
     "gamma_per_from_link_budget", "gdp", "hierarchical_search",
     "ideal_gdp_bound", "inf_norm_sq", "lcs_phases", "linear_to_db",

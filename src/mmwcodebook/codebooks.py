@@ -6,13 +6,14 @@ log_M(N) + 1 layers: layer k holds M^k codewords, the n-th covering
 composite codeword that is transmitted in one multi-stream measurement and
 therefore shares a single constant-amplitude analog matrix.
 
-Two construction families are provided:
+`build_codebook` builds each scheme from its tag alone.  Two construction
+families are provided:
 
-* beam widening with multi-RF-chain sub-arrays ("bmw-ms"): each RF chain is
-  split into contiguous sub-arrays steered across the coverage with an
+* beam widening with multi-RF-chain sub-arrays: each RF chain is split
+  into contiguous sub-arrays steered across the coverage with an
   interleaved angle gap, with per-sub-array phases chosen either in closed
-  form (flat-pattern relations, "cf") or by a two-parameter grid search
-  maximizing the GDP metric ("lcs");
+  form (flat-pattern relations, "bmw-ms-cf") or by a two-parameter grid
+  search maximizing the GDP metric ("bmw-ms-lcs");
 * the phase-shifted DFT baseline ("ps-dft"): one full-array steering vector
   per virtual RF chain at adjacent bin centers, combined with an
   equal-difference phase sequence selected by a 1-D GDP grid search.
@@ -46,7 +47,6 @@ __all__ = [
     "HierarchicalCodebook",
     "SubArrayPlan",
     "assemble_codeword",
-    "build_bmw_ms",
     "build_codebook",
     "build_ps_dft",
     "cf_phases",
@@ -649,34 +649,6 @@ def _rotated_layer(layer: int, branching: int, cols: np.ndarray,
     return CodebookLayer(layer, branching, f_rf, f_bb)
 
 
-def build_bmw_ms(n: int, m_rf: int, scheme: str = "cf",
-                 cfg: GdpConfig = GdpConfig(),
-                 grid_size: int = 64) -> HierarchicalCodebook:
-    """Build the multi-RF-chain sub-array codebook ("cf" or "lcs" phases).
-
-    Layer k's first codeword covers [-1, -1 + 2/m_rf^k] via a sub-array
-    plan plus the chosen phase solver; the rest of the layer consists of
-    phase-rotated copies grouped into composites.  Requires n to be a power
-    of m_rf with m_rf >= 2.
-    """
-    if scheme not in ("cf", "lcs"):
-        raise ValueError(f"phase solver must be 'cf' or 'lcs', got {scheme!r}")
-    tag = SCHEME_BMW_CF if scheme == "cf" else SCHEME_BMW_LCS
-    depth = check_design(tag, n, m_rf, grid_size)
-    layers = []
-    for k in range(depth + 1):
-        interval = coverage_interval(k, 1, m_rf)
-        plan = subarray_plan(n, m_rf, interval)
-        if scheme == "cf":
-            theta = cf_phases(plan)
-        else:
-            _, _, theta = lcs_phases(plan, interval, cfg, grid_size)
-        cols, _ = assemble_codeword(plan, theta)
-        layers.append(_rotated_layer(k, m_rf, cols))
-    return HierarchicalCodebook(tag, n, m_rf, layers, grid_size,
-                                cfg.gamma_per)
-
-
 def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
                  cfg: GdpConfig = GdpConfig()) -> HierarchicalCodebook:
     """Build the phase-shifted DFT baseline codebook.
@@ -717,9 +689,27 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
 def build_codebook(scheme: str, n: int, m_rf: int = 2,
                    grid_size: int = 64,
                    cfg: GdpConfig = GdpConfig()) -> HierarchicalCodebook:
-    """Build any of the supported schemes from its public tag."""
-    check_design(scheme, n, m_rf, grid_size)
+    """Build any of the supported schemes from its public tag.
+
+    For the two bmw-ms tags, layer k's first codeword covers
+    [-1, -1 + 2/m_rf^k] via a sub-array plan plus the tag's phase solver
+    (closed form for bmw-ms-cf, GDP grid search for bmw-ms-lcs); the rest
+    of the layer consists of phase-rotated copies grouped into composites.
+    ps-dft is `build_ps_dft`.  Requires n to be a power of m_rf with
+    m_rf >= 2.
+    """
+    depth = check_design(scheme, n, m_rf, grid_size)
     if scheme == SCHEME_PS_DFT:
         return build_ps_dft(n, m_rf, grid_size, cfg)
-    solver = "cf" if scheme == SCHEME_BMW_CF else "lcs"
-    return build_bmw_ms(n, m_rf, solver, cfg, grid_size)
+    layers = []
+    for k in range(depth + 1):
+        interval = coverage_interval(k, 1, m_rf)
+        plan = subarray_plan(n, m_rf, interval)
+        if scheme == SCHEME_BMW_CF:
+            theta = cf_phases(plan)
+        else:
+            _, _, theta = lcs_phases(plan, interval, cfg, grid_size)
+        cols, _ = assemble_codeword(plan, theta)
+        layers.append(_rotated_layer(k, m_rf, cols))
+    return HierarchicalCodebook(scheme, n, m_rf, layers, grid_size,
+                                cfg.gamma_per)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,7 +222,6 @@ class LinkBudget:
     bandwidth_hz: float = 1.0e10
     ambient_temp_k: float = 300.0
     training_length: int = 128
-    excess_loss_db: float = 0.0
 
     def __post_init__(self):
         pa = _check_real("pa_saturation_dbm", self.pa_saturation_dbm)
@@ -230,14 +229,13 @@ class LinkBudget:
                      "ambient_temp_k"):
             _check_real(name, getattr(self, name), 0, above=True)
         _check_integer("training_length", self.training_length, 1)
-        excess = _check_real("excess_loss_db", self.excess_loss_db, 0)
         # the dB figures take the logarithms of these two
         _check_real("path-loss ratio 4*pi*distance_m/carrier_wavelength_m",
                     self._path_loss_ratio, 0, above=True)
         _check_real("noise power k*ambient_temp_k*bandwidth_hz",
                     self._noise_mw, 0, above=True)
-        _check_real("received power pa_saturation_dbm - path loss - "
-                    "excess_loss_db", pa - self.path_loss_db - excess)
+        _check_real("received power pa_saturation_dbm - path loss",
+                    pa - self.path_loss_db)
 
     @property
     def _path_loss_ratio(self) -> float:
@@ -255,7 +253,7 @@ class LinkBudget:
 
     @property
     def received_dbm(self) -> float:
-        return self.pa_saturation_dbm - self.path_loss_db - self.excess_loss_db
+        return self.pa_saturation_dbm - self.path_loss_db
 
     @property
     def noise_dbm(self) -> float:
@@ -284,8 +282,7 @@ def link_budget_report(lb: LinkBudget,
     if not 0.0 <= lo <= hi <= sys.float_info.max:
         raise ValueError(f"excess_loss_range_db must be finite with "
                          f"0 <= min <= max, got {excess_loss_range_db!r}")
-    base = replace(lb, excess_loss_db=0.0)
-    gamma_db = (base.received_dbm - base.noise_dbm + base.spreading_gain_db)
+    gamma_db = lb.received_dbm - lb.noise_dbm + lb.spreading_gain_db
     ends = tuple(_check_real("gamma_per_db_no_excess - excess_loss_range_db",
                              gamma_db - x) for x in (hi, lo))
     notes = [
@@ -300,11 +297,11 @@ def link_budget_report(lb: LinkBudget,
     ]
     return {
         "pa_saturation_dbm": lb.pa_saturation_dbm,
-        "path_loss_db": base.path_loss_db,
-        "received_dbm": base.received_dbm,
-        "noise_dbm": base.noise_dbm,
-        "snr_db": base.received_dbm - base.noise_dbm,
-        "spreading_gain_db": base.spreading_gain_db,
+        "path_loss_db": lb.path_loss_db,
+        "received_dbm": lb.received_dbm,
+        "noise_dbm": lb.noise_dbm,
+        "snr_db": lb.received_dbm - lb.noise_dbm,
+        "spreading_gain_db": lb.spreading_gain_db,
         "gamma_per_db_no_excess": gamma_db,
         "gamma_per_range_db": ends,
         "notes": notes,

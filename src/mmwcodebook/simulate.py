@@ -148,13 +148,14 @@ def _add_noise(rho: np.ndarray, re: np.ndarray, im: np.ndarray, l_s: int,
 
 
 def _best_flat(rho: np.ndarray) -> np.ndarray:
-    """Flat index j * rows + i of the largest |rho[..., i, j]|^2 per cell.
+    """Flat index j * rows + i of the largest |rho[..., i, j]| per cell.
 
-    argmax keeps the first maximum, so ties go to the smallest (j, i) pair
-    in lexicographic order.
+    The modulus ranks as its square does but cannot overflow.  argmax
+    keeps the first maximum, so ties go to the smallest (j, i) pair in
+    lexicographic order.
     """
-    power = np.abs(rho) ** 2
-    flat = power.swapaxes(-1, -2).reshape(power.shape[:-2] + (-1,))
+    mag = np.abs(rho)
+    flat = mag.swapaxes(-1, -2).reshape(mag.shape[:-2] + (-1,))
     return flat.argmax(axis=-1)
 
 
@@ -182,8 +183,10 @@ def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
     l_s * n0 per entry) and `papc`; `p` is the per-stream power (the
     per-antenna saturation power under `cfg.papc`).  The channel must be
     finite and match the codeword lengths.  A bad `p` or `h` raises
-    ValueError naming it.
+    ValueError naming it, and an l_s below a composite's member count
+    raises `check_search`'s ValueError.
     """
+    check_search(cfg.l_s, (len(tx.members), len(rx.members)))
     _check_real("p", p, 0, above=True)
     _check_channel(h, rx.f_rf.shape[0], tx.f_rf.shape[0])
     rho = _correlate(_rx_product(rx.member_matrix, h), tx.member_matrix,
@@ -193,7 +196,7 @@ def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
 
 
 def select_best(rho: np.ndarray) -> tuple[int, int]:
-    """argmax over |rho[i, j]|^2, returned 1-based as (j_star, i_star).
+    """argmax over |rho[i, j]|, returned 1-based as (j_star, i_star).
 
     Ties resolve to the smallest (j, i) pair in lexicographic order.
     """
@@ -582,11 +585,13 @@ def _score_cells(tx, rx, h: np.ndarray, aoa: np.ndarray, aod: np.ndarray,
     amp = _rx_products(rx, rx.depth + 1, i_r, h) @ f_units
     link = np.array([abs(x) ** 2 for x in amp.ravel()]).reshape(succ.shape)
     p_eff = np.asarray(powers)
-    if cfg.papc:
-        # squared one numpy scalar at a time, as a search per cell does
-        p_eff = p_eff / np.array([x ** 2 for x in f_inf.ravel()]).reshape(
-            succ.shape)
-    gain = 1.0 + p_eff * link / cfg.n0
+    # a gain past the float range is refused by `run_monte_carlo`
+    with np.errstate(over="ignore"):
+        if cfg.papc:
+            # squared one numpy scalar at a time, as a search per cell does
+            p_eff = p_eff / np.array([x ** 2 for x in f_inf.ravel()]).reshape(
+                succ.shape)
+        gain = 1.0 + p_eff * link / cfg.n0
     rate = np.array([math.log2(x) for x in gain.ravel().tolist()])
     return succ, rate.reshape(succ.shape)
 
@@ -617,7 +622,9 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
     (total power otherwise).  Every sweep runs in this process; `workers`
     is validated and has no effect.  Returns one row dict per (snr,
     scheme) in sweep order.  Raises ValueError before any trial runs for
-    an l_s below a codebook's branching (`check_search`) or workers < 1.
+    an l_s below a codebook's branching (`check_search`) or workers < 1,
+    and, when n0 > 0, after the trials for an SNR whose rate overflows the
+    float range (at n0 = 0 every rate is inf).
     """
     schemes = [tuple(s) for s in schemes]
     if not schemes:
@@ -631,6 +638,10 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
     _check_integer("workers", workers, 1)
     snr_db = [_check_real("snr_db", x) for x in snr_db]
     succ, rate = _trial_block(schemes, snr_powers(snr_db, cfg.n0), cfg)
+    overflow = ~np.isfinite(rate).all(axis=(0, 2))
+    if cfg.n0 > 0.0 and overflow.any():
+        raise ValueError(f"snr_db={snr_db[int(np.argmax(overflow))]!r}: its "
+                         f"rate log2(1 + p |w_r^H H w_t|^2 / n0) overflows")
     rows = []
     for si, snr in enumerate(snr_db):
         for ci, (name, _, _) in enumerate(schemes):

@@ -17,7 +17,7 @@ from mmwcodebook import (
     SimConfig,
     assemble_codeword,
     beam_pattern,
-    build_bmw_ms,
+    build_codebook,
     build_ps_dft,
     cf_phases,
     db_to_linear,
@@ -108,8 +108,8 @@ def test_criterion_3_gdp_properties():
             assert abs(gdp(phase_rotate(w, delta), iv.shifted(delta))
                        - gdp(w, iv)) <= 1e-6
         # property 3: upper bound across all generated codewords
-        books = [build_bmw_ms(n, 2, "cf") for n in (8, 16, 32)]
-        books += [build_bmw_ms(16, 2, "lcs", grid_size=32)]
+        books = [build_codebook("bmw-ms-cf", n, 2) for n in (8, 16, 32)]
+        books += [build_codebook("bmw-ms-lcs", 16, 2, grid_size=32)]
         books += [build_ps_dft(n, 2, grid_size=32) for n in (8, 16, 32)]
         for cb in books:
             for k in range(cb.depth + 1):
@@ -129,11 +129,11 @@ def test_criterion_3_gdp_properties():
 
 def test_criterion_4_element_power_cdf():
     with criterion(4, "element-power CDF levels", 30.0):
-        for scheme in ("cf", "lcs"):
-            cb = build_bmw_ms(32, 2, scheme)
+        for scheme in ("bmw-ms-cf", "bmw-ms-lcs"):
+            cb = build_codebook(scheme, 32, 2)
             powers, _ = element_power_cdf([cb])
             assert 0.04 <= powers[-1] <= 0.08, \
-                f"bmw-ms/{scheme} max element power {powers[-1]:.4f}"
+                f"{scheme} max element power {powers[-1]:.4f}"
         ps = build_ps_dft(32, 2)
         powers, _ = element_power_cdf([ps])
         assert powers[-1] > 0.2, f"ps-dft max element power {powers[-1]:.4f}"
@@ -147,13 +147,7 @@ def test_criterion_5_gdp_comparison():
             for n in (16, 32, 64):
                 values = {}
                 for scheme in ("bmw-ms-cf", "bmw-ms-lcs", "ps-dft"):
-                    if scheme == "bmw-ms-cf":
-                        cb = build_bmw_ms(n, 2, "cf")
-                    elif scheme == "bmw-ms-lcs":
-                        cb = build_bmw_ms(n, 2, "lcs")
-                    else:
-                        cb = build_ps_dft(n, 2)
-                    cw = cb.codeword(1, 1)
+                    cw = build_codebook(scheme, n, 2).codeword(1, 1)
                     values[scheme] = gdp(cw.unit_awv, cw.coverage, eval_cfg)
                 assert abs(values["bmw-ms-lcs"] - values["bmw-ms-cf"]) <= 0.02
                 assert min(values["bmw-ms-lcs"],
@@ -222,7 +216,7 @@ def test_criterion_6_lcs_bruteforce_oracle(gdp_reference):
 
 def test_criterion_7_noise_free_search():
     with criterion(7, "noise-free hierarchical search", 60.0):
-        cb = build_bmw_ms(32, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 32, 2)
         cfg = SimConfig(l_paths=1, l_s=32, n0=0.0, papc=True)
         rng = np.random.default_rng(555)
         successes = 0
@@ -243,7 +237,7 @@ def test_criterion_7_noise_free_search():
 def test_criterion_8_snr_sweep_trends():
     with criterion(8, "success/rate SNR trends", 600.0):
         snr_db = [-40.0, -35.0, -30.0, -25.0, -20.0, -15.0, -10.0]
-        cf = build_bmw_ms(32, 2, "cf")
+        cf = build_codebook("bmw-ms-cf", 32, 2)
         ps = build_ps_dft(32, 2)
         cfg = SimConfig(l_paths=1, l_s=32, n0=1.0, papc=True, seed=2024,
                         trials=2000)

@@ -268,12 +268,13 @@ class TestSimulateCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("snr", ["4000", "-4000"])
+    # 3060 dB is a finite power whose rate overflows in some of 20 trials
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "3060"])
     def test_rejects_out_of_range_snr(self, tmp_path, capsys, snr):
         out = tmp_path / "sweep.csv"
-        assert run(["simulate", "--n", "8", "--trials", "1", "--l-s", "8",
+        assert run(["simulate", "--n", "8", "--trials", "20", "--l-s", "8",
                     f"--snr-db=-20,{snr}", "--out", str(out)]) == 2
-        assert "4000" in capsys.readouterr().err
+        assert snr in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_snr_before_any_design(self, tmp_path, capsys,

@@ -16,7 +16,6 @@ from mmwcodebook import (
     assemble_codeword,
     beam_gain,
     beam_pattern,
-    build_bmw_ms,
     build_codebook,
     build_ps_dft,
     cf_phases,
@@ -204,13 +203,13 @@ class TestLcsPhases:
 
 class TestBmwMsCodebook:
     def test_layer_sizes(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         assert cb.depth == 3
         sizes = [len(cb.layer_codewords(k)) for k in range(4)]
         assert sizes == [1, 2, 4, 8]
 
     def test_coverage_grid(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         for k in range(cb.depth + 1):
             for n, cw in enumerate(cb.layer_codewords(k), start=1):
                 assert cw.index == n
@@ -219,7 +218,7 @@ class TestBmwMsCodebook:
                 assert cw.coverage.width == pytest.approx(2.0 / 2 ** k)
 
     def test_coverage_tiles_without_gaps(self):
-        cb = build_bmw_ms(16, 2, "lcs", grid_size=16)
+        cb = build_codebook("bmw-ms-lcs", 16, 2, grid_size=16)
         for k in range(cb.depth + 1):
             cws = cb.layer_codewords(k)
             assert cws[0].coverage.start == -1.0
@@ -228,15 +227,15 @@ class TestBmwMsCodebook:
             assert cws[-1].coverage.end == pytest.approx(1.0)
 
     def test_constant_amplitude_analog_entries(self):
-        for scheme in ("cf", "lcs"):
-            cb = build_bmw_ms(8, 2, scheme, grid_size=16)
+        for scheme in ("bmw-ms-cf", "bmw-ms-lcs"):
+            cb = build_codebook(scheme, 8, 2, grid_size=16)
             for layer in cb.layers:
                 for comp in layer:
                     assert np.max(np.abs(np.abs(comp.f_rf)
                                          - 1 / math.sqrt(8))) <= 1e-9
 
     def test_rotated_copies_share_moduli(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         for k in range(cb.depth + 1):
             cws = cb.layer_codewords(k)
             ref = np.abs(cws[0].awv)
@@ -244,7 +243,7 @@ class TestBmwMsCodebook:
                 assert np.allclose(np.abs(cw.awv), ref, atol=1e-12)
 
     def test_members_derivable_from_composite(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         for k in range(1, cb.depth + 1):
             for comp in cb.layers[k]:
                 base = comp.f_rf @ comp.f_bb[:, 0]
@@ -254,7 +253,7 @@ class TestBmwMsCodebook:
                     assert np.array_equal(cw.awv, derived)
 
     def test_rotation_matches_layer_head(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         for k in range(1, cb.depth + 1):
             head = cb.codeword(k, 1).awv
             for n in range(2, 2 ** k + 1):
@@ -267,7 +266,7 @@ class TestBmwMsCodebook:
         # at the exact coverage endpoints (crossover with the neighboring
         # beam) it may roll off, but never below 0.09 * (2/B)
         for n in (16, 32):
-            cb = build_bmw_ms(n, 2, "cf")
+            cb = build_codebook("bmw-ms-cf", n, 2)
             for k in range(1, cb.depth + 1):
                 cw = cb.codeword(k, 1)
                 plan = subarray_plan(n, 2, cw.coverage)
@@ -283,8 +282,8 @@ class TestBmwMsCodebook:
     def test_cf_and_lcs_patterns_agree(self):
         # the closed-form phases track the searched optimum: in-coverage
         # gains of the two variants stay within a few dB of each other
-        cf = build_bmw_ms(8, 2, "cf")
-        lcs = build_bmw_ms(8, 2, "lcs")
+        cf = build_codebook("bmw-ms-cf", 8, 2)
+        lcs = build_codebook("bmw-ms-lcs", 8, 2)
         for k in range(1, cf.depth + 1):
             a = cf.codeword(k, 1)
             b = lcs.codeword(k, 1)
@@ -295,8 +294,9 @@ class TestBmwMsCodebook:
             assert np.max(np.abs(ga - gb)) < 6.0
 
     def test_gdp_grows_with_operating_snr(self):
-        for builder in (lambda: build_bmw_ms(16, 2, "cf"),
-                        lambda: build_bmw_ms(16, 2, "lcs", grid_size=16),
+        for builder in (lambda: build_codebook("bmw-ms-cf", 16, 2),
+                        lambda: build_codebook("bmw-ms-lcs", 16, 2,
+                                               grid_size=16),
                         lambda: build_ps_dft(16, 2, grid_size=16)):
             cw = builder().codeword(1, 1)
             low = gdp(cw.unit_awv, cw.coverage, GdpConfig(gamma_per=1.0))
@@ -306,11 +306,9 @@ class TestBmwMsCodebook:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            build_bmw_ms(12, 2, "cf")
+            build_codebook("bmw-ms-cf", 12, 2)
         with pytest.raises(ValueError):
-            build_bmw_ms(8, 1, "cf")
-        with pytest.raises(ValueError):
-            build_bmw_ms(8, 2, "exhaustive")
+            build_codebook("bmw-ms-cf", 8, 1)
 
 
 class TestPsDftCodebook:
@@ -339,7 +337,7 @@ class TestPsDftCodebook:
     def test_papc_midpoint_gain_below_bmw(self):
         # under max-entry normalization the sub-array scheme radiates much
         # more power toward the coverage midpoint than the DFT-sum baseline
-        cf = build_bmw_ms(32, 2, "cf").codeword(1, 1)
+        cf = build_codebook("bmw-ms-cf", 32, 2).codeword(1, 1)
         ps = build_ps_dft(32, 2).codeword(1, 1)
         mid = cf.coverage.center
         gain_cf = beam_pattern(normalize(cf.awv, "papc"), [mid])[0]
@@ -348,7 +346,7 @@ class TestPsDftCodebook:
 
     def test_element_power_disperses_more_than_bmw(self):
         ps = build_ps_dft(32, 2)
-        cf = build_bmw_ms(32, 2, "cf")
+        cf = build_codebook("bmw-ms-cf", 32, 2)
         spread_ps = max(np.abs(ps.codeword(k, 1).unit_awv).max() ** 2
                         for k in range(1, 6))
         spread_cf = max(np.abs(cf.codeword(k, 1).unit_awv).max() ** 2
@@ -421,7 +419,7 @@ class TestDesignChecks:
 
 class TestCodebookAccessors:
     def test_codeword_lookup_consistent(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         for k in range(cb.depth + 1):
             for n, cw in enumerate(cb.layer_codewords(k), start=1):
                 assert cb.codeword(k, n) == cw
@@ -449,7 +447,7 @@ class TestCodebookAccessors:
                     assert cb.codeword(k, c * members + j + 1) == cw
 
     def test_composite_grouping(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         for k in range(1, cb.depth + 1):
             assert len(cb.layers[k]) == 2 ** (k - 1)
             for c, comp in enumerate(cb.layers[k], start=1):
@@ -482,7 +480,7 @@ class TestConstructorChecks:
 
     @pytest.fixture(scope="class")
     def cb(self):
-        return build_bmw_ms(8, 2, "cf", grid_size=16)
+        return build_codebook("bmw-ms-cf", 8, 2, grid_size=16)
 
     @pytest.mark.parametrize("make, message", [
         (lambda cb: HierarchicalCodebook(cb.scheme, True, 2, cb.layers, 16,
@@ -513,8 +511,9 @@ class TestConstructorChecks:
          r"^composites: layer 1 of branching 2 needs "
          r"\(C, M\) = \(2\*\*0, 2\), got \(1, 1\)"),
         (lambda cb: HierarchicalCodebook(cb.scheme, 8, 2, _with_layer(
-            cb, 1, build_bmw_ms(4, 2, "cf", grid_size=16).layers[1]), 16,
-                                         1.0),
+            cb, 1,
+            build_codebook("bmw-ms-cf", 4, 2, grid_size=16).layers[1]),
+                                         16, 1.0),
          _fault(1, (1, 2, 4), (1, 2, 8))),
         (lambda cb: CodebookLayer(1, 2, cb.layers[1].f_rf[0],
                                   cb.layers[1].f_bb),
@@ -569,7 +568,7 @@ class TestCodebookValues:
 
     @pytest.fixture(scope="class")
     def cb(self):
-        return build_bmw_ms(8, 2, "cf", grid_size=16)
+        return build_codebook("bmw-ms-cf", 8, 2, grid_size=16)
 
     @staticmethod
     def _values(cb):

@@ -7,7 +7,7 @@ from mmwcodebook import (
     AngleInterval,
     GdpConfig,
     LinkBudget,
-    build_bmw_ms,
+    build_codebook,
     db_to_linear,
     gamma_per_from_link_budget,
     gdp,
@@ -93,7 +93,7 @@ class TestGdp:
         # gdp's resolution against twice it, on the kernel gdp calls
         cfg = GdpConfig()
         for n in (8, 16, 32, 64):
-            cb = build_bmw_ms(n, 2, "cf")
+            cb = build_codebook("bmw-ms-cf", n, 2)
             pts = cfg.points_for(n)
             for k in range(cb.depth + 1):
                 cw = cb.codeword(k, 1)
@@ -187,11 +187,6 @@ class TestLinkBudget:
         assert linear_to_db(gamma_per_from_link_budget(lb)) == pytest.approx(
             expect_db, abs=1e-9)
 
-    def test_excess_loss_lowers_gamma(self):
-        base = gamma_per_from_link_budget(LinkBudget())
-        lossy = gamma_per_from_link_budget(LinkBudget(excess_loss_db=15.0))
-        assert linear_to_db(base) - linear_to_db(lossy) == pytest.approx(15.0)
-
     def test_report_notes_discrepancy(self):
         report = link_budget_report(LinkBudget())
         assert len(report["notes"]) == 2
@@ -201,13 +196,11 @@ class TestLinkBudget:
     def test_validation(self):
         with pytest.raises(ValueError):
             LinkBudget(distance_m=0.0)
-        with pytest.raises(ValueError):
-            LinkBudget(excess_loss_db=-1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
         "pa_saturation_dbm", "carrier_wavelength_m", "distance_m",
-        "bandwidth_hz", "ambient_temp_k", "excess_loss_db"])
+        "bandwidth_hz", "ambient_temp_k"])
     def test_non_finite_fields_refused(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             LinkBudget(**{name: value})

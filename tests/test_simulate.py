@@ -15,7 +15,6 @@ from mmwcodebook import (
     CompositeCodeword,
     GdpConfig,
     SimConfig,
-    build_bmw_ms,
     build_codebook,
     build_ps_dft,
     element_power_cdf,
@@ -101,7 +100,7 @@ class TestMeasure:
         assert tail(measure) == tail(hierarchical_search)
 
     def test_matched_pair_noise_free(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         bottom = cb.depth
         tx = cb.composite(bottom, 1)
         rx = cb.composite(bottom, 1)
@@ -139,7 +138,7 @@ class TestMeasure:
         assert np.max(np.abs(rho)) == pytest.approx(0.0, abs=1e-9)
 
     def test_noise_variance(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         tx = rx = cb.composite(1, 1)
         h = np.zeros((8, 8), dtype=complex)
         rng = np.random.default_rng(11)
@@ -150,7 +149,7 @@ class TestMeasure:
         assert var == pytest.approx(l_s * n0, rel=0.05)
 
     def test_linearity_in_channel(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         tx = rx = cb.composite(2, 1)
         h = rank_one_channel(8, 8, -0.6, 0.3, gain=1.0 + 0.5j)
         alpha = 0.7 - 1.3j
@@ -160,7 +159,7 @@ class TestMeasure:
         assert np.allclose(a, alpha * b, atol=1e-12)
 
     def test_papc_scales_per_stream(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         tx = rx = cb.composite(1, 1)
         h = rank_one_channel(8, 8, -0.9, -0.9)
         plain = measure(tx, rx, h, SimConfig(l_s=16, n0=0.0, papc=False))
@@ -169,25 +168,33 @@ class TestMeasure:
         assert np.allclose(papc, plain * scales[None, :], atol=1e-9)
 
     def test_dimension_mismatch(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         with pytest.raises(ValueError):
             measure(cb.composite(1, 1), cb.composite(1, 1),
                     np.zeros((4, 4), dtype=complex),
                     SimConfig(l_s=16, n0=0.0))
 
     def test_rng_required_with_noise(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         with pytest.raises(ValueError):
             measure(cb.composite(1, 1), cb.composite(1, 1),
                     np.zeros((8, 8), dtype=complex),
                     SimConfig(l_s=16, n0=1.0), rng=None)
+
+    def test_l_s_too_short_rejected(self):
+        # one measurement refuses the l_s that a search refuses
+        comp = build_codebook("bmw-ms-cf", 8, 2).composite(1, 1)
+        with pytest.raises(ValueError, match="^l_s=1 cannot keep 2 training "
+                                             "sequences orthogonal"):
+            measure(comp, comp, np.zeros((8, 8), dtype=complex),
+                    SimConfig(l_s=1, n0=0.0))
 
     @pytest.mark.parametrize("field, value", [
         ("p", math.nan), ("p", math.inf), ("p", 0.0), ("p", -1.0),
         ("n0", math.nan), ("n0", math.inf), ("n0", -1.0),
         ("l_s", 0), ("l_s", 8.5), ("l_s", True)])
     def test_bad_link_inputs_rejected(self, field, value):
-        comp = build_bmw_ms(8, 2, "cf").composite(1, 1)
+        comp = build_codebook("bmw-ms-cf", 8, 2).composite(1, 1)
         link = {"p": 1.0, "n0": 0.5, "l_s": 16, field: value}
         with pytest.raises(ValueError, match=f"^{field} must"):
             measure(comp, comp, np.zeros((8, 8), dtype=complex),
@@ -203,11 +210,13 @@ class TestDetectionProbability:
     TRIALS, BLOCK = 4096, 256
 
     def test_hit_rate_matches_gdp(self):
-        l_s, n0 = 32, 1.0
+        # the trials are the antennas of a virtual Rx array whose members
+        # are one-hot, so each measure call draws BLOCK one-antenna trials;
+        # its BLOCK members need l_s >= BLOCK orthogonal training sequences,
+        # and only gamma_per = l_s*p/n0 sets the hit rate
+        l_s, n0 = self.BLOCK, 1.0
         cfg = SimConfig(l_s=l_s, n0=n0)
         rng = np.random.default_rng(2024)
-        # the trials are the antennas of a virtual Rx array whose members
-        # are one-hot, so each measure call draws BLOCK one-antenna trials
         whole = AngleInterval(-1.0, 2.0)
         rx = CompositeCodeword(
             0, 1, np.zeros((self.BLOCK, 1)), np.zeros((1, self.BLOCK)),
@@ -264,7 +273,7 @@ class TestSelectBest:
 
 class TestHierarchicalSearch:
     def test_noise_free_bin_centers(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         cfg = SimConfig(l_s=8, n0=0.0, papc=True)
         for j_true in (1, 5, 16):
             for i_true in (2, 9):
@@ -275,7 +284,7 @@ class TestHierarchicalSearch:
                 assert (res.j_t, res.i_r) == (j_true, i_true)
 
     def test_overhead_accounting(self):
-        cb = build_bmw_ms(32, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 32, 2)
         cfg = SimConfig(l_s=17, n0=0.0)
         res = hierarchical_search(cb, cb, rank_one_channel(32, 32, 0.1, 0.1),
                                   cfg)
@@ -284,7 +293,7 @@ class TestHierarchicalSearch:
     def test_replay_oracle_reproduces_descent(self):
         # replaying the same noise stream layer by layer must reproduce
         # the exact descent of the search
-        tx_cb = rx_cb = build_bmw_ms(16, 2, "cf")
+        tx_cb = rx_cb = build_codebook("bmw-ms-cf", 16, 2)
         cfg = SimConfig(l_s=8, n0=1.0, papc=True)
         h = sample_channel(2, 16, 16, np.random.default_rng(5)).matrix()
         res = hierarchical_search(tx_cb, rx_cb, h, cfg,
@@ -300,7 +309,7 @@ class TestHierarchicalSearch:
         assert (res.j_t, res.i_r) == (j_t, i_r)
 
     def test_nested_coverage_descent(self):
-        tx_cb = rx_cb = build_bmw_ms(32, 2, "cf")
+        tx_cb = rx_cb = build_codebook("bmw-ms-cf", 32, 2)
         cfg = SimConfig(l_s=8, n0=0.5)
         h = sample_channel(1, 32, 32, np.random.default_rng(8)).matrix()
         rng = np.random.default_rng(21)
@@ -318,8 +327,8 @@ class TestHierarchicalSearch:
             prev = cov
 
     def test_unequal_depths_hold_shallow_side(self):
-        tx_cb = build_bmw_ms(32, 2, "cf")
-        rx_cb = build_bmw_ms(8, 2, "cf")
+        tx_cb = build_codebook("bmw-ms-cf", 32, 2)
+        rx_cb = build_codebook("bmw-ms-cf", 8, 2)
         cfg = SimConfig(l_s=8, n0=0.0)
         aod = -1.0 + 9 / 32
         aoa = -1.0 + 3 / 8
@@ -330,7 +339,7 @@ class TestHierarchicalSearch:
         assert rx_cb.codeword(3, res.i_r).coverage.contains(aoa)
 
     def test_h1_matrix_shape_and_rank(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         cfg = SimConfig(l_s=8, n0=0.0)
         h = rank_one_channel(16, 16, 0.2, -0.4)
         res = hierarchical_search(cb, cb, h, cfg)
@@ -340,28 +349,30 @@ class TestHierarchicalSearch:
 
     def test_zero_channel_ties_to_first_pair(self):
         # every measurement is exactly 0, so each layer keeps member (1, 1)
-        tx_cb, rx_cb = build_bmw_ms(16, 2, "cf"), build_bmw_ms(8, 2, "cf")
+        tx_cb = build_codebook("bmw-ms-cf", 16, 2)
+        rx_cb = build_codebook("bmw-ms-cf", 8, 2)
         res = hierarchical_search(tx_cb, rx_cb,
                                   np.zeros((8, 16), dtype=complex),
                                   SimConfig(l_s=8, n0=0.0))
         assert (res.j_t, res.i_r) == (1, 1)
 
     def test_l_s_too_short_rejected(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         with pytest.raises(ValueError):
             hierarchical_search(cb, cb, np.zeros((8, 8), dtype=complex),
                                 SimConfig(l_s=1, n0=0.0))
 
     @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
     def test_bad_power_rejected(self, p):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         with pytest.raises(ValueError, match="^p must be finite and positive"):
             hierarchical_search(cb, cb, np.zeros((8, 8), dtype=complex),
                                 SimConfig(l_s=8, n0=0.0), p=p)
 
     @pytest.mark.parametrize("shape", [(16, 16), (32, 8), (256,)])
     def test_bad_channel_shape_rejected(self, shape):
-        tx_cb, rx_cb = build_bmw_ms(32, 2, "cf"), build_bmw_ms(8, 2, "cf")
+        tx_cb = build_codebook("bmw-ms-cf", 32, 2)
+        rx_cb = build_codebook("bmw-ms-cf", 8, 2)
         with pytest.raises(ValueError, match="channel shape"):
             hierarchical_search(tx_cb, rx_cb, np.zeros(shape, dtype=complex),
                                 SimConfig(l_s=8, n0=0.0))
@@ -369,7 +380,8 @@ class TestHierarchicalSearch:
     def test_single_search_stacks_no_layer(self):
         # a search gathers its operands from the codebooks' layer arrays,
         # so it allocates far less than one layer's stacked member columns
-        cb, other = build_bmw_ms(256, 2, "cf"), build_bmw_ms(256, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 256, 2)
+        other = build_codebook("bmw-ms-cf", 256, 2)
         h = rank_one_channel(256, 256, 0.3, -0.2)
         cfg = SimConfig(l_s=8, n0=0.0)
         same = hierarchical_search(cb, cb, h, cfg)
@@ -385,7 +397,7 @@ class TestHierarchicalSearch:
 
 class TestMonteCarlo:
     def test_noise_free_success_is_one(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         cfg = SimConfig(l_paths=1, l_s=8, n0=0.0, papc=True, seed=3,
                         trials=50)
         rows = run_monte_carlo([("bmw-ms-cf", cb, cb)], [0.0], cfg)
@@ -393,7 +405,7 @@ class TestMonteCarlo:
         assert math.isinf(rows[0]["rate_bps_hz"])
 
     def test_worker_count_does_not_change_results(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         cfg = SimConfig(l_paths=2, l_s=8, n0=1.0, papc=True, seed=11,
                         trials=24)
         rows1 = run_monte_carlo([("bmw-ms-cf", cb, cb)], [-20.0, -10.0], cfg,
@@ -403,7 +415,7 @@ class TestMonteCarlo:
         assert rows1 == rows4
 
     def test_sweep_starts_no_child_process(self):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         cfg = SimConfig(l_paths=2, l_s=8, n0=1.0, seed=11, trials=24)
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         run_monte_carlo([("bmw-ms-cf", cb, cb)], [-20.0, -10.0], cfg,
@@ -424,7 +436,7 @@ class TestMonteCarlo:
         # log2(1 + p_eff*M*N*|gain|^2/n0) caps the single-stream rate; at a
         # bin-centered channel the selected pair comes close to it
         n = 16
-        cb = build_bmw_ms(n, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", n, 2)
         cfg = SimConfig(l_paths=1, l_s=16, n0=1.0, papc=True, seed=9,
                         trials=20)
         rows = run_monte_carlo([("bmw-ms-cf", cb, cb)], [0.0], cfg)
@@ -445,7 +457,7 @@ class TestMonteCarlo:
         assert rows  # sweep itself ran
 
     def test_row_grid_order(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         cfg = SimConfig(l_s=8, n0=1.0, seed=1, trials=4)
         rows = run_monte_carlo(
             [("a", cb, cb), ("b", cb, cb)], [-20.0, -10.0], cfg)
@@ -471,7 +483,7 @@ class TestMonteCarlo:
             SimConfig(seed=seed)
 
     def test_seed_range_ends_accepted(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         for seed in (0, 2 ** 64 - 1):
             rows = run_monte_carlo([("a", cb, cb)], [-10.0],
                                    SimConfig(l_s=8, seed=seed, trials=2))
@@ -480,7 +492,8 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("tx_m, rx_m", [(2, 2), (4, 2), (2, 4)])
     def test_l_s_below_a_branching_rejected_before_trials(self, tx_m, rx_m,
                                                           monkeypatch):
-        tx, rx = build_bmw_ms(16, tx_m, "cf"), build_bmw_ms(16, rx_m, "cf")
+        tx = build_codebook("bmw-ms-cf", 16, tx_m)
+        rx = build_codebook("bmw-ms-cf", 16, rx_m)
         keys = substream_keys(monkeypatch)
         l_s = max(tx_m, rx_m) - 1
         with pytest.raises(ValueError, match="orthogonal"):
@@ -490,7 +503,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, True])
     def test_workers_below_one_rejected(self, workers):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         with pytest.raises(ValueError, match="workers"):
             run_monte_carlo([("a", cb, cb)], [-10.0],
                             SimConfig(l_s=8, trials=3), workers=workers)
@@ -516,7 +529,7 @@ class TestMonteCarlo:
             sample_channel(l_paths, 8, 8, np.random.default_rng(0))
 
     def test_numpy_integer_settings_accepted(self):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         plain = SimConfig(l_s=8, seed=2 ** 64 - 1, trials=3)
         wide = SimConfig(l_paths=np.int64(1), l_s=np.int32(8),
                          seed=np.uint64(2 ** 64 - 1), trials=np.int64(3))
@@ -526,7 +539,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("snr_db", [4000.0, -4000.0])
     def test_out_of_range_snr_rejected_before_trials(self, snr_db,
                                                      monkeypatch):
-        cb = build_bmw_ms(8, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 8, 2)
         keys = substream_keys(monkeypatch)
         with pytest.raises(ValueError, match="4000"):
             run_monte_carlo([("a", cb, cb)], [-10.0, snr_db],
@@ -607,7 +620,8 @@ class TestBatchedSweep:
     def test_matches_per_cell_oracle(self, case):
         n_tx, n_rx = case["sizes"]
         m_rf = case["m_rf"]
-        tx_cf, rx_cf = build_bmw_ms(n_tx, m_rf, "cf"), build_bmw_ms(n_rx, m_rf, "cf")
+        tx_cf = build_codebook("bmw-ms-cf", n_tx, m_rf)
+        rx_cf = build_codebook("bmw-ms-cf", n_rx, m_rf)
         tx_ps = build_ps_dft(n_tx, m_rf, grid_size=16)
         rx_ps = rx_cf if n_rx != n_tx else tx_ps
         schemes = [("cf", tx_cf, rx_cf), ("mixed", tx_ps, rx_ps)]
@@ -623,7 +637,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("sizes", [(32, 8), (8, 32)])
     @pytest.mark.parametrize("papc", [True, False])
     def test_single_search_matches_oracle(self, sizes, papc):
-        tx_cb = build_bmw_ms(sizes[0], 2, "cf")
+        tx_cb = build_codebook("bmw-ms-cf", sizes[0], 2)
         rx_cb = build_ps_dft(sizes[1], 2, grid_size=16)
         cfg = SimConfig(l_paths=2, l_s=8, n0=1.0, papc=papc)
         for seed in range(8):
@@ -634,7 +648,7 @@ class TestBatchedSweep:
                 tx_cb, rx_cb, h, 30.0, cfg, np.random.default_rng([seed, 1]))
 
     def test_one_generator_per_trial_and_cell(self, monkeypatch):
-        cb = build_bmw_ms(16, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 16, 2)
         ps = build_ps_dft(16, 2, grid_size=16)
         keys = substream_keys(monkeypatch)
         cfg = SimConfig(l_s=16, n0=1.0, seed=4, trials=11)
@@ -712,7 +726,7 @@ class TestSubstreams:
 
 class TestElementPowerCdf:
     def test_unit_power_per_codeword(self):
-        cb = build_bmw_ms(32, 2, "cf")
+        cb = build_codebook("bmw-ms-cf", 32, 2)
         powers, cdf = element_power_cdf([cb])
         assert powers.size == 32 * 5  # N entries per layer, layers 1..5
         assert cdf[-1] == 1.0

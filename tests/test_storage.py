@@ -11,7 +11,6 @@ from mmwcodebook import (
     CodebookFormatError,
     GdpConfig,
     HierarchicalCodebook,
-    build_bmw_ms,
     build_codebook,
     deserialize,
     serialize,
@@ -70,7 +69,7 @@ class TestRoundTrip:
     def test_deterministic_bytes(self, books):
         cb = books[("bmw-ms-lcs", 8)]
         assert serialize(cb) == serialize(cb)
-        rebuilt = build_bmw_ms(8, 2, "lcs", grid_size=16)
+        rebuilt = build_codebook("bmw-ms-lcs", 8, 2, grid_size=16)
         assert serialize(rebuilt) == serialize(cb)
 
     def test_seventeen_significant_digits(self, books):
