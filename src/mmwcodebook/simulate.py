@@ -20,9 +20,14 @@ antenna exceeds the PA limit.
 Tx/Rx composite pair per layer and descending into the winning pair's
 children; `run_monte_carlo` wraps it into a seeded, bit-reproducible
 sweep.  Sweeps run the same search over blocks of (trial, snr) cells at
-once, one layer at a time as stacked matrix products, and write the same
-bytes as a search per cell.  Both gather their operands straight from the
-codebooks' `CodebookLayer` arrays, so a search stacks nothing itself.
+once and over all schemes in lockstep, one layer at a time as stacked
+matrix products, and write the same bytes as a search per cell.  At each
+layer, the Rx member rows of every scheme that measures two or more
+members meet each trial's channel in one matrix product: a row of a gemm
+product has the bits of that row computed alone.  A side that measures
+one member keeps its own product, which numpy runs as gemv with other
+bits.  Both gather their operands straight from the codebooks'
+`CodebookLayer` arrays, so a search stacks no codebook layer itself.
 Sweep substreams are seeded in bulk: each block's SeedSequence mixing
 runs as one numpy pass over its keys, and one reused PCG64 takes each
 key's state in turn, so every cell draws the same bytes as
@@ -256,6 +261,53 @@ def _rx_products(cb, k: int, idx: np.ndarray, h: np.ndarray) -> np.ndarray:
     return wh[np.arange(idx.shape[0])[:, None], pos]
 
 
+def _stack_buffers(pairs, cells: int, n_r: int,
+                   n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row and product buffers for `_rx_stack`: room for one
+    conjugated member row w_i^H, and its w_i^H H, per cell and Rx member of
+    every (tx, rx) pair."""
+    rows = cells * sum(rx.branching for _, rx in pairs)
+    return (np.empty(rows * n_r, dtype=np.complex128),
+            np.empty(rows * n_t, dtype=np.complex128))
+
+
+def _rx_stack(sides, k: int, h: np.ndarray, buffers):
+    """Yield w^H H (trials, snrs, M, N_t) at search layer k of each side
+    (rx, i) in turn, where i (trials, snrs) holds the side's Rx entries and
+    h (trials, N_r, N_t) each trial's channel; take each before the next.
+
+    Every side that measures M >= 2 members writes the conjugated member
+    rows of each trial's distinct entries into one (trials, rows, N_r)
+    stack in `buffers`, which meets the channel in one matrix product per
+    trial.  A row of a gemm product has the bits of the same row computed
+    alone, so each side reads what `_rx_products` gives.  A side that
+    measures one member keeps `_rx_products`: numpy runs a one-row product
+    as gemv, whose bits differ from a gemm row's.
+    """
+    trials, n_r, n_t = h.shape
+    stacked = {s: _distinct_per_row(i) for s, (rx, i) in enumerate(sides)
+               if _members(rx, k) > 1}
+    total = sum(values.shape[1] * sides[s][0].branching
+                for s, (values, _) in stacked.items())
+    rows = buffers[0][:trials * total * n_r].reshape(trials, total, n_r)
+    prod = buffers[1][:trials * total * n_t].reshape(trials, total, n_t)
+    blocks, start = {}, 0
+    for s, (values, _) in stacked.items():
+        rx = sides[s][0]
+        stop = start + values.shape[1] * rx.branching
+        # (trials, width, M, N) views of this side's rows of the stack
+        shape = values.shape + (rx.branching, -1)
+        np.conjugate(_gather(rx, k, values)[0].swapaxes(-1, -2),
+                     out=rows[:, start:stop].reshape(shape))
+        blocks[s] = prod[:, start:stop].reshape(shape)
+        start = stop
+    np.matmul(rows, h, out=prod)
+    trial = np.arange(trials)[:, None]
+    for s, (rx, i) in enumerate(sides):
+        yield (blocks[s][trial, stacked[s][1]] if s in stacked
+               else _rx_products(rx, k, i, h))
+
+
 def _covers(cb, idx: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Whether the 0-based bottom codewords idx (trials, snrs) cover each
     trial's angle, with `codebooks.coverage_interval`'s arithmetic."""
@@ -290,43 +342,51 @@ def _distinct_per_row(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, pos
 
 
-def _search_cells(tx, rx, h: np.ndarray,
-                  sqrt_p: np.ndarray, cfg: SimConfig,
-                  noise: np.ndarray | None):
-    """Layer-by-layer beam search of a block of (trial, snr) cells at once.
+def _search_cells(pairs, h: np.ndarray, sqrt_p: np.ndarray, cfg: SimConfig,
+                  noises: list, buffers) -> list[tuple]:
+    """Layer-by-layer beam search of a block of (trial, snr) cells at once,
+    for every (tx, rx) codebook pair of `pairs` in lockstep.
 
     `h` (trials, N_r, N_t) holds each trial's channel and `sqrt_p` (trials,
-    snrs) each cell's stream amplitude; `noise` (trials, snrs, total) holds
-    each cell's standard normals laid out re, im of layer 1, re, im of
-    layer 2, ... (None when n0 = 0).  Each layer gathers the cells'
-    composites, forms w^H H once per distinct Rx composite of a trial,
-    measures all cells as stacked matrix products and descends into the
-    winners.  Returns each cell's final 0-based Tx and Rx bottom codeword
+    snrs) each cell's stream amplitude; `noises[n]` (trials, snrs, total)
+    holds pair n's standard normals per cell, laid out re, im of layer 1,
+    re, im of layer 2, ... (None when n0 = 0), and `buffers` comes from
+    `_stack_buffers`.  Each layer gathers the cells' composites, forms
+    w^H H of every pair's distinct Rx composites of a trial in one product
+    (`_rx_stack`), measures all cells as stacked matrix products and
+    descends into the winners; a pair whose layers have run out drops out.
+    Returns, per pair, each cell's final 0-based Tx and Rx bottom codeword
     positions, and the last layer's rho and `_best_flat` winner.
     """
     shape = sqrt_p.shape
-    j = np.zeros(shape, dtype=np.intp)
-    i = np.zeros(shape, dtype=np.intp)
-    offset = 0
-    for k in range(1, max(tx.depth, rx.depth) + 1):
-        f_units, f_inf = _gather(tx, k, j)
-        rho = _correlate(_rx_products(rx, k, i, h), f_units, f_inf, sqrt_p,
-                         cfg.l_s, cfg.papc)
-        rows, cols = rho.shape[-2:]
-        if noise is not None:
-            size = rows * cols
-            draws = noise[..., offset:offset + 2 * size]
-            rho = _add_noise(rho, draws[..., :size].reshape(rho.shape),
-                             draws[..., size:].reshape(rho.shape),
-                             cfg.l_s, cfg.n0)
-            offset += 2 * size
-        best = _best_flat(rho)
-        j_star, i_star = np.divmod(best, rows)
-        if k <= tx.depth:
-            j = tx.branching * j + j_star
-        if k <= rx.depth:
-            i = rx.branching * i + i_star
-    return j, i, rho, best
+    j = [np.zeros(shape, dtype=np.intp) for _ in pairs]
+    i = [np.zeros(shape, dtype=np.intp) for _ in pairs]
+    last = [None] * len(pairs)
+    offset = [0] * len(pairs)
+    for k in range(1, max(max(tx.depth, rx.depth) for tx, rx in pairs) + 1):
+        live = [n for n, (tx, rx) in enumerate(pairs)
+                if k <= max(tx.depth, rx.depth)]
+        whs = _rx_stack([(pairs[n][1], i[n]) for n in live], k, h, buffers)
+        for n, wh in zip(live, whs):
+            tx, rx = pairs[n]
+            f_units, f_inf = _gather(tx, k, j[n])
+            rho = _correlate(wh, f_units, f_inf, sqrt_p, cfg.l_s, cfg.papc)
+            rows, cols = rho.shape[-2:]
+            if noises[n] is not None:
+                size = rows * cols
+                draws = noises[n][..., offset[n]:offset[n] + 2 * size]
+                rho = _add_noise(rho, draws[..., :size].reshape(rho.shape),
+                                 draws[..., size:].reshape(rho.shape),
+                                 cfg.l_s, cfg.n0)
+                offset[n] += 2 * size
+            best = _best_flat(rho)
+            j_star, i_star = np.divmod(best, rows)
+            if k <= tx.depth:
+                j[n] = tx.branching * j[n] + j_star
+            if k <= rx.depth:
+                i[n] = rx.branching * i[n] + i_star
+            last[n] = rho, best
+    return [(j[n], i[n], *last[n]) for n in range(len(pairs))]
 
 
 def check_search(l_s: int, branchings) -> None:
@@ -355,8 +415,10 @@ def hierarchical_search(tx_cb: HierarchicalCodebook,
     _check_channel(h, rx_cb.n_antennas, tx_cb.n_antennas)
     _check_real("p", p, 0, above=True)
     noise = _normals(rng, cfg.n0, (1, 1, _noise_size(tx_cb, rx_cb)))
-    j, i, rho, best = _search_cells(tx_cb, rx_cb, h[None],
-                                    np.full((1, 1), math.sqrt(p)), cfg, noise)
+    pairs = [(tx_cb, rx_cb)]
+    [(j, i, rho, best)] = _search_cells(
+        pairs, h[None], np.full((1, 1), math.sqrt(p)), cfg, [noise],
+        _stack_buffers(pairs, 1, *h.shape))
     j_t, i_r = int(j[0, 0]) + 1, int(i[0, 0]) + 1
     j_star, i_star = divmod(int(best[0, 0]), rho.shape[-2])
     return SearchResult(
@@ -512,7 +574,8 @@ def _channel_block(cfg: SimConfig, streams,
 
 
 # trials per sub-block are capped so that their stacked channel matrices
-# stay under this many bytes
+# stay under this many bytes; each layer reads a trial's channel once, in
+# one product with every scheme's Rx rows (`_rx_stack`)
 _SUB_BLOCK_BYTES = 1 << 20
 
 
@@ -523,11 +586,11 @@ def _trial_block(schemes, powers: list[float],
     All randomness derives from (seed, trial) for the channel and
     (seed, trial, snr index, scheme index) for measurement noise, making
     each cell independent of how trials are grouped.  Trials run in
-    sub-blocks, and each scheme's cells of a sub-block are searched
-    together.
+    sub-blocks, and every scheme's cells of a sub-block are searched
+    together, layer by layer in lockstep.
     """
-    m_an = schemes[0][1].n_antennas
-    n_an = schemes[0][2].n_antennas
+    pairs = [(tx, rx) for _, tx, rx in schemes]
+    m_an, n_an = pairs[0][0].n_antennas, pairs[0][1].n_antennas
     snrs = len(powers)
     sqrt_p = np.array([math.sqrt(p) for p in powers])
     succ = np.zeros((cfg.trials, snrs, len(schemes)))
@@ -538,29 +601,25 @@ def _trial_block(schemes, powers: list[float],
     trial_keys = np.arange(cfg.trials)
     channels = _substreams(cfg.seed, trial_keys)
     h_buf = np.empty((step, n_an, m_an), dtype=np.complex128)
-    noise_draws = []
-    if cfg.n0 > 0.0:
-        for ci, (_, tx, rx) in enumerate(schemes):
-            size = _noise_size(tx, rx)
-            noise_draws.append((np.empty((step, snrs, size)), _substreams(
-                cfg.seed, trial_keys[:, None], np.arange(snrs), ci)))
+    buffers = _stack_buffers(pairs, step * snrs, n_an, m_an)
+    noise_draws = [
+        (np.empty((step, snrs, _noise_size(tx, rx))),
+         _substreams(cfg.seed, trial_keys[:, None], np.arange(snrs), ci))
+        for ci, (tx, rx) in enumerate(pairs)] if cfg.n0 > 0.0 else []
     for first in range(0, cfg.trials, step):
         trials = range(first, min(first + step, cfg.trials))
         h = h_buf[:len(trials)]
         aoa, aod = _channel_block(cfg, channels, h)
-        cells = (len(trials), snrs)
+        noises = [None] * len(pairs)
+        for ci, (buf, streams) in enumerate(noise_draws):
+            noises[ci] = buf[:len(trials)]
+            for draws, gen in zip(noises[ci].reshape(-1, buf.shape[-1]),
+                                  streams):
+                gen.standard_normal(out=draws)
+        found = _search_cells(pairs, h, np.broadcast_to(
+            sqrt_p, (len(trials), snrs)), cfg, noises, buffers)
         rows = slice(trials.start, trials.stop)
-        for ci, (_, tx, rx) in enumerate(schemes):
-            noise = None
-            if noise_draws:
-                buf, streams = noise_draws[ci]
-                noise = buf[:len(trials)]
-                for draws, gen in zip(noise.reshape(-1, noise.shape[-1]),
-                                      streams):
-                    gen.standard_normal(out=draws)
-            j_t, i_r, _, _ = _search_cells(tx, rx, h,
-                                           np.broadcast_to(sqrt_p, cells),
-                                           cfg, noise)
+        for ci, ((tx, rx), (j_t, i_r, _, _)) in enumerate(zip(pairs, found)):
             succ[rows, :, ci], rate[rows, :, ci] = _score_cells(
                 tx, rx, h, aoa, aod, j_t, i_r, powers, cfg)
     return succ, rate

@@ -157,8 +157,10 @@ def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
     """A list of n finite [re, im] number pairs as a complex vector.
 
     A well-formed column converts in one `np.array` call.  Anything else
-    (strings, null, integers past int64, ragged or non-finite entries)
-    takes the per-pair loop, which names the first bad entry.
+    (strings, null, booleans, integers past int64, ragged or non-finite
+    entries) takes the per-pair loop, which names the first bad entry.
+    `np.array` reads a JSON true or false as a number, so the fast path
+    looks for them first: the writer never prints one.
     """
     if not isinstance(raw, list) or len(raw) != n:
         raise CodebookFormatError(f"{path} must list {n} complex entries")
@@ -168,14 +170,16 @@ def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
         pairs = None
     out = np.empty(n, dtype=np.complex128)
     if (pairs is not None and pairs.dtype.kind in "fi"
-            and pairs.shape == (n, 2) and np.all(np.isfinite(pairs))):
+            and pairs.shape == (n, 2) and np.all(np.isfinite(pairs))
+            and not any(type(re) is bool or type(im) is bool
+                        for re, im in raw)):
         # filled part by part: re + 1j*im would turn -0.0 into +0.0
         out.real = pairs[:, 0]
         out.imag = pairs[:, 1]
         return out
     for p, pair in enumerate(raw):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
+                or not all(type(v) in (int, float) for v in pair)):
             raise CodebookFormatError(f"{path}[{p}] must be a [re, im] pair")
         out[p] = complex(_to_float(pair[0], f"{path}[{p}]"),
                          _to_float(pair[1], f"{path}[{p}]"))

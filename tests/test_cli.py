@@ -261,6 +261,15 @@ class TestSimulateCommand:
                           "trials", "stderr"]
         assert len(rows) == 1
 
+    def test_rows_echoed_without_out(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--n", "8", "--trials", "2", "--l-s", "8",
+                    "--snr-db=-20,-10", "--schemes", "bmw-ms-cf"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "simulate: 2 rows (no --out given)"
+        assert len(out) == 3  # then one line per row
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_non_finite_snr(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert run(["simulate", "--n", "8", "--trials", "1", "--l-s", "8",

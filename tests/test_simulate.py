@@ -404,6 +404,17 @@ class TestMonteCarlo:
         assert rows[0]["success_rate"] == 1.0
         assert math.isinf(rows[0]["rate_bps_hz"])
 
+    def test_no_scheme_rejected(self):
+        with pytest.raises(ValueError, match="at least one scheme"):
+            run_monte_carlo([], [0.0], SimConfig(l_s=8))
+
+    def test_schemes_of_other_array_sizes_rejected(self):
+        small = build_codebook("bmw-ms-cf", 8, 2)
+        large = build_codebook("bmw-ms-cf", 16, 2)
+        with pytest.raises(ValueError, match="share the array sizes"):
+            run_monte_carlo([("a", small, small), ("b", small, large)], [0.0],
+                            SimConfig(l_s=8))
+
     def test_worker_count_does_not_change_results(self):
         cb = build_codebook("bmw-ms-cf", 8, 2)
         cfg = SimConfig(l_paths=2, l_s=8, n0=1.0, papc=True, seed=11,
@@ -555,6 +566,14 @@ def held_bottom(cb, index):
                              np.zeros((1, 1)), [cw])
 
 
+def sweep_book(spec):
+    """The codebook of a (scheme, n, m_rf) spec; ps-dft on a coarse grid."""
+    scheme, n, m_rf = spec
+    if scheme == "ps-dft":
+        return build_ps_dft(n, m_rf, grid_size=16)
+    return build_codebook(scheme, n, m_rf)
+
+
 def oracle_search(tx_cb, rx_cb, h, power, cfg, rng):
     """(j_t, i_r, rho*) of a search from measure + select_best, layer by layer."""
     j_t = i_r = 1
@@ -616,15 +635,30 @@ class TestBatchedSweep:
         dict(sizes=(64, 64), m_rf=4, l_paths=3, trials=37),
         # a two-word seed: three-word channel keys, five-word noise keys
         dict(sizes=(16, 16), m_rf=2, l_paths=2, trials=10, seed=2 ** 32 + 7),
+        # branchings 2 and 4 in one sweep: the m_rf = 4 pair runs out after
+        # layer 2 while the others run on, and the mixed pair measures one
+        # Rx member past its depth beside a stacked side
+        dict(schemes=[("cf2", ("bmw-ms-cf", 16, 2), ("bmw-ms-cf", 16, 2)),
+                      ("cf4", ("bmw-ms-cf", 16, 4), ("bmw-ms-cf", 16, 4)),
+                      ("mix", ("bmw-ms-cf", 16, 2), ("bmw-ms-cf", 16, 4))],
+             l_paths=2, trials=12),
+        # three members per side: odd row counts in the stacked product
+        dict(sizes=(27, 27), m_rf=3, l_paths=2, trials=10),
+        # one trial per sub-block at N = 256, as in a large-array sweep
+        dict(sizes=(256, 256), m_rf=2, l_paths=3, trials=3),
     ])
     def test_matches_per_cell_oracle(self, case):
-        n_tx, n_rx = case["sizes"]
-        m_rf = case["m_rf"]
-        tx_cf = build_codebook("bmw-ms-cf", n_tx, m_rf)
-        rx_cf = build_codebook("bmw-ms-cf", n_rx, m_rf)
-        tx_ps = build_ps_dft(n_tx, m_rf, grid_size=16)
-        rx_ps = rx_cf if n_rx != n_tx else tx_ps
-        schemes = [("cf", tx_cf, rx_cf), ("mixed", tx_ps, rx_ps)]
+        if "schemes" in case:
+            schemes = [(name, sweep_book(tx), sweep_book(rx))
+                       for name, tx, rx in case["schemes"]]
+        else:
+            n_tx, n_rx = case["sizes"]
+            m_rf = case["m_rf"]
+            tx_cf = build_codebook("bmw-ms-cf", n_tx, m_rf)
+            rx_cf = build_codebook("bmw-ms-cf", n_rx, m_rf)
+            tx_ps = build_ps_dft(n_tx, m_rf, grid_size=16)
+            rx_ps = rx_cf if n_rx != n_tx else tx_ps
+            schemes = [("cf", tx_cf, rx_cf), ("mixed", tx_ps, rx_ps)]
         cfg = SimConfig(l_paths=case.get("l_paths", 1), l_s=16,
                         n0=case.get("n0", 1.0), papc=case.get("papc", True),
                         seed=case.get("seed", 29), trials=case["trials"])
@@ -633,6 +667,54 @@ class TestBatchedSweep:
                for r in rows]
         assert got == oracle_sweep(schemes, self.SNR_DB, cfg)
         assert run_monte_carlo(schemes, self.SNR_DB, cfg, workers=3) == rows
+
+    def test_stacked_rows_match_measure(self):
+        # one product of every side's member rows gives each composite the
+        # bits of the w^H H that `measure` forms for it alone, for sides of
+        # two and four members and for a side past its depth (one member)
+        books = [build_codebook("bmw-ms-cf", 16, 2),
+                 build_codebook("bmw-ms-cf", 16, 4),
+                 build_ps_dft(16, 2, grid_size=16)]
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((3, 16, 8)) + 1j * rng.standard_normal(
+            (3, 16, 8))
+        # stale entries in the buffers must never be read
+        buffers = simulate._stack_buffers([(None, cb) for cb in books],
+                                          3 * 5, 16, 8)
+        for buf in buffers:
+            buf.fill(np.nan)
+        for k in range(1, 5):
+            # composites of layer k, or bottom codewords past the depth
+            sides = [(cb, rng.integers(
+                0, cb.branching ** min(k - 1, cb.depth), (3, 5)))
+                     for cb in books]
+            for (cb, i), wh in zip(sides, simulate._rx_stack(sides, k, h,
+                                                              buffers)):
+                for t, s in np.ndindex(i.shape):
+                    comp = (cb.composite(k, i[t, s] + 1) if k <= cb.depth
+                            else held_bottom(cb, i[t, s] + 1))
+                    ref = simulate._rx_product(comp.member_matrix, h[t])
+                    assert wh[t, s].tobytes() == ref.tobytes()
+
+    def test_sweep_memory_is_its_buffers(self):
+        # two schemes at N = 32, seven SNRs and two full sub-blocks of 64
+        # trials
+        cf = build_codebook("bmw-ms-cf", 32, 2)
+        ps = build_codebook("ps-dft", 32, 2)
+        cfg = SimConfig(l_s=32, seed=3, trials=128)
+        snr_db = [-40.0, -35.0, -30.0, -25.0, -20.0, -15.0, -10.0]
+        tracemalloc.start()
+        try:
+            run_monte_carlo([("cf", cf, cf), ("ps", ps, ps)], snr_db, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the search's row and product buffers: one row of 32 complex
+        # entries per cell (64 trials x 7 SNRs) and Rx member (2 + 2) each
+        stack = 2 * 64 * 7 * (2 + 2) * 32 * 16
+        # the sweep peaked at 4.4-4.7 MB at this shape before it stacked
+        # its products; the stack may add its buffers and nothing more
+        assert peak < 4.8e6 + stack
 
     @pytest.mark.parametrize("sizes", [(32, 8), (8, 32)])
     @pytest.mark.parametrize("papc", [True, False])

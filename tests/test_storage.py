@@ -94,7 +94,7 @@ class TestRoundTrip:
         [[-0.0, 0.0], [0.0, -0.0]],
         [[5e-324, -1e308], [1, -2]],
         [[2 ** 63, 1], [3, -2 ** 62]],
-        [[True, 1.5], [0.25, False]],
+        [[1, 1.5], [0.25, 0]],
     ])
     def test_bulk_column_parse_matches_pair_loop(self, raw):
         # a well-formed column converts in one call; its bits must be those
@@ -110,6 +110,10 @@ class TestRoundTrip:
         ([[1.0, 2.0], [3.0]], r"\$\.col\[1\] must be a \[re, im\] pair"),
         ([[10 ** 30, 2], [3, 10 ** 400]], r"\$\.col\[1\] is outside"),
         ([[1.0, 2.0], [float("nan"), 4.0]], r"\$\.col\[1\] must be finite"),
+        # numpy reads a boolean as a number; the writer never prints one
+        ([[1.0, 2.0], [True, 4.0]], r"\$\.col\[1\] must be a \[re, im\]"),
+        ([[1.0, 0.0], [0.5, False]], r"\$\.col\[1\] must be a \[re, im\]"),
+        ([[True, False], [1.0, 0.0]], r"\$\.col\[0\] must be a \[re, im\]"),
     ])
     def test_bad_columns_name_the_first_bad_entry(self, raw, message):
         from mmwcodebook.storage import _parse_complex_vector
@@ -216,6 +220,17 @@ class TestBoundaryChecks:
         text = self.mutated(books[("bmw-ms-cf", 8)], edit)
         with pytest.raises(CodebookFormatError,
                            match=r"composites\[1\]\.digital_columns\[1\]\[0\]"):
+            deserialize(text)
+
+    @pytest.mark.parametrize("entry", [[True, False], [True, 0.0]])
+    def test_boolean_digital_entry(self, entry):
+        # in place of [1.0, 0.0], which it would equal as a number
+        def edit(d):
+            d["layers"][0]["composites"][0]["digital_columns"][0][0] = entry
+
+        text = self.mutated(build_codebook("bmw-ms-cf", 4, 2), edit)
+        path = r"\$\.layers\[0\]\.composites\[0\]\.digital_columns\[0\]\[0\]"
+        with pytest.raises(CodebookFormatError, match=path + " must be a"):
             deserialize(text)
 
     @pytest.mark.parametrize("column", [0, 1])
