@@ -33,7 +33,8 @@ import numpy as np
 
 from .arraymath import (AngleInterval, _check_finite, _check_integer,
                         steering_vector, wrap_angle)
-from .metrics import GdpConfig, _check_gamma_per, _gdp_values
+from .metrics import (GdpConfig, _ResponseTable, _check_gamma_per,
+                      _gdp_values)
 
 __all__ = [
     "GeometryError",
@@ -96,19 +97,14 @@ class SubArrayPlan:
         return self.m_rf * self.m_s
 
 
-def _smallest_divisor_at_least(n: int, lo: int) -> int | None:
-    for d in range(max(1, lo), n + 1):
-        if n % d == 0:
-            return d
-    return None
-
-
 def subarray_plan(n: int, m_rf: int, interval: AngleInterval) -> SubArrayPlan:
     """Choose the sub-array split for coverage width B = interval.width.
 
     The minimal split is ceil(sqrt(B*N / (2*m_rf))); because N = m_s * n_s
     must hold exactly, m_s is promoted to the smallest divisor of N at or
     above that ceiling (e.g. N=32, B=1 gives ceiling 3, promoted to 4).
+    B <= 2 puts the ceiling at or below sqrt(N / m_rf) <= N, and N divides
+    itself, so such a divisor always exists.
     """
     _check_integer("n", n, 1)
     _check_integer("m_rf", m_rf, 1)
@@ -116,11 +112,7 @@ def subarray_plan(n: int, m_rf: int, interval: AngleInterval) -> SubArrayPlan:
         raise GeometryError(f"need n >= m_rf >= 1, got n={n}, m_rf={m_rf}")
     b = interval.width
     m_s_min = math.ceil(math.sqrt(b * n / (2.0 * m_rf)) - 1e-9)
-    m_s = _smallest_divisor_at_least(n, m_s_min)
-    if m_s is None:
-        raise GeometryError(
-            f"no divisor of n={n} reaches the required {m_s_min} sub-arrays"
-        )
+    m_s = next(d for d in range(max(1, m_s_min), n + 1) if n % d == 0)
     n_s = n // m_s
     dt = b / (m_rf * m_s)
     if dt > 2.0 / n_s + 1e-12:
@@ -197,54 +189,80 @@ def _argmax_with_ties(values: np.ndarray) -> int:
     return int(np.argmax(values >= vmax - tol))
 
 
-def _best_candidate(u_cols: np.ndarray, coeffs: np.ndarray,
-                    interval: AngleInterval, cfg: GdpConfig,
-                    labels: np.ndarray | None = None) -> int:
-    """Index `_argmax_with_ties` picks over the full-resolution GDP values.
+# The screens of `_best_candidates`, coarsest first: each scores at 1/d of
+# the full resolution and, nested in the same pass, at 1/(2d).
+_RUNGS = (16, 4)
 
-    `labels` partitions the candidates into classes that share one GDP:
-    labels[c] is the lowest index of c's class (None: every candidate is
-    its own class).  The callers certify each class from the weight
-    vectors (`_lcs_classes`, `_one_pattern`), never from GDP values.
 
-    One coarse pass scores each class's lowest member on the grid of 1/16
-    the full resolution, v16, and on its even samples, v32.  The
-    Richardson-style estimate e_c = |v16_c - v32_c| (about three times the
-    error of v16_c while the trapezoid error falls with the square of the
+def _best_candidates(searches, cfg: GdpConfig) -> list[int]:
+    """Per search, the index `_argmax_with_ties` picks over its
+    full-resolution GDP values.
+
+    Each search is (u_cols, coeffs, interval, labels); `labels` partitions
+    its candidates into classes that share one GDP: labels[c] is the
+    lowest index of c's class (None: every candidate is its own class).
+    The callers certify each class from the weight vectors
+    (`_lcs_classes`, `_one_pattern`), never from GDP values.
+
+    A ladder of screens narrows each search's classes.  Rung d scores the
+    lowest member of every class still in the running on the grid of 1/d
+    the full resolution, v_c, and on its even samples, v2_c, in one pass;
+    the ladder runs d = 16, then d = 4 on the survivors.  The
+    Richardson-style estimate e_c = |v_c - v2_c| (about three times the
+    error of v_c while the trapezoid error falls with the square of the
     spacing) bounds each candidate with its own margin.  Candidate c can
-    win or tie at full resolution only if v16_c + 2*e_c reaches
-    max_j(v16_j - 2*e_j) less the tie slack; the screen asks only for
-    twice the slack.  A class member's coarse values differ from its
+    win or tie at full resolution only if v_c + 2*e_c reaches
+    max_j(v_j - 2*e_j) less the tie slack; each rung asks only for twice
+    the slack.  A class member's coarse values differ from its
     representative's by rounding alone (a mirror pair's by about 1e-15,
     through the mirrored grid samples), and that shift, at most five times
-    it in the test, sits inside the spare slack, so a class survives
-    whenever one of its members could win.  Every member of every
-    surviving class is rescored, in index order, so the lexicographic
-    tie-break, across classes within `_TIE_RTOL` too, is the exhaustive
-    one by construction.
+    it in the test, sits inside the spare slack, so a class survives a
+    rung whenever one of its members could win.  Every member of every
+    class that survives the last rung is rescored, in index order, so the
+    lexicographic tie-break, across classes within `_TIE_RTOL` too, is the
+    exhaustive one by construction.
 
-    When only one class survives (or exists), no candidate of another
-    class can tie, and its members' full-resolution values differ by
-    rounding alone (at most 3.3e-15 over every class of the builders'
-    layers, far inside `_TIE_RTOL`), so its lowest index is the
-    exhaustive choice and it is returned unscored.
+    When only one class survives a rung (or exists), no candidate of
+    another class can tie, and its members' full-resolution values differ
+    by rounding alone (at most 3.3e-15 over every class of the builders'
+    layers, far inside `_TIE_RTOL`), so its lowest index is the exhaustive
+    choice and it is returned unscored.
+
+    The searches run together, one level at a time: every search's first
+    rung, then every second rung, then every rescore.  Each level shares
+    one `_ResponseTable`, dropped before the next level, so a level builds
+    its response table once when its searches' grids share their offsets
+    (as layers that all start at -1 and differ in width by powers of two
+    do), and no more than one table is live.
     """
-    fine = cfg.points_for(u_cols.shape[0])
-    if labels is None:
-        labels = np.arange(coeffs.shape[1])
-    reps = np.flatnonzero(labels == np.arange(labels.size))
-    if reps.size == 1:
-        return int(reps[0])
-    v16, v32 = _gdp_values(u_cols, coeffs[:, reps], interval, cfg,
-                           fine // 16, nested=True)
-    margin = 2.0 * np.abs(v16 - v32)
-    tol = _TIE_RTOL * max(1.0, abs(float(np.max(v16))))
-    alive = reps[v16 + margin >= np.max(v16 - margin) - 2.0 * tol]
-    if alive.size == 1:
-        return int(alive[0])
-    keep = np.flatnonzero(np.isin(labels, alive))
-    values = _gdp_values(u_cols, coeffs[:, keep], interval, cfg, fine)
-    return int(keep[_argmax_with_ties(values)])
+    classes, alive, fine = [], [], []
+    for u_cols, coeffs, _, labels in searches:
+        labels = np.arange(coeffs.shape[1]) if labels is None else labels
+        classes.append(labels)
+        alive.append(np.flatnonzero(labels == np.arange(labels.size)))
+        fine.append(cfg.points_for(u_cols.shape[0]))
+    for d in _RUNGS:
+        tables = _ResponseTable()
+        for s, (u_cols, coeffs, interval, _) in enumerate(searches):
+            if alive[s].size > 1:
+                v, v2 = _gdp_values(u_cols, coeffs[:, alive[s]], interval,
+                                    cfg, fine[s] // d, nested=True,
+                                    tables=tables)
+                margin = 2.0 * np.abs(v - v2)
+                tol = _TIE_RTOL * max(1.0, abs(float(np.max(v))))
+                alive[s] = alive[s][v + margin
+                                    >= np.max(v - margin) - 2.0 * tol]
+    tables = _ResponseTable()
+    best = []
+    for s, (u_cols, coeffs, interval, _) in enumerate(searches):
+        if alive[s].size == 1:
+            best.append(int(alive[s][0]))
+            continue
+        keep = np.flatnonzero(np.isin(classes[s], alive[s]))
+        values = _gdp_values(u_cols, coeffs[:, keep], interval, cfg, fine[s],
+                             tables=tables)
+        best.append(int(keep[_argmax_with_ties(values)]))
+    return best
 
 
 # Relative residual up to which a certified weight identity counts as
@@ -313,7 +331,7 @@ def _mirror_offsets(plan: SubArrayPlan,
 def _lcs_classes(plan: SubArrayPlan, interval: AngleInterval,
                  u_cols: np.ndarray, exp_m: np.ndarray,
                  exp_i: np.ndarray) -> np.ndarray:
-    """Certified GDP classes of the LCS candidates, as `_best_candidate` takes.
+    """Certified GDP classes of the LCS candidates, as search labels.
 
     Candidate (a, b) has the coefficients exp_i[i, b] * exp_m[m, a] on
     sub-array (i, m).  It joins (a', b) for every a' when m_s = 1 (phi1 is
@@ -385,7 +403,7 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     coeff = (exp_i[:, None, None, :] * exp_m[None, :, :, None]).reshape(
         plan.n_subarrays, grid_size * grid_size)
     labels = _lcs_classes(plan, interval, u_cols, exp_m, exp_i)
-    best = _best_candidate(u_cols, coeff, interval, cfg, labels=labels)
+    best, = _best_candidates([(u_cols, coeff, interval, labels)], cfg)
     phi1 = float(phis[best // grid_size])
     phi2 = float(phis[best % grid_size])
     theta = m_idx[None, :] * phi1 + i_idx[:, None] * phi2
@@ -660,25 +678,27 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
     to pure steering vectors.
     """
     depth = _check_sizes(n, branching, grid_size, names=("n", "branching"))
-    layers = []
+    phis = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    # every layer's chains are the first of the N bin-centre vectors
+    bins = np.stack([steering_vector(n, -1.0 + (2.0 * i - 1.0) / n)
+                     for i in range(1, n + 1)], axis=1)
+    searches = []
     for k in range(depth + 1):
         m_k = n // branching ** k
-        interval = coverage_interval(k, 1, branching)
-        chains = np.stack(
-            [steering_vector(n, -1.0 + (2.0 * i - 1.0) / n)
-             for i in range(1, m_k + 1)], axis=1)
-        steps = np.arange(1, m_k + 1)
-        phis = 2.0 * np.pi * np.arange(grid_size) / grid_size
-        coeff = np.exp(1j * np.outer(steps, phis))
+        chains = bins[:, :m_k]
+        coeff = np.exp(1j * np.outer(np.arange(1, m_k + 1), phis))
         # the bottom layer's candidates are global phases of one steering
         # vector, and when grid_size divides N every layer-0 candidate is
         # one-hot: either way one class, whose members share |A|^2
         one = ((m_k == 1 or (k == 0 and n % grid_size == 0))
                and _one_pattern(chains, coeff))
-        best = _best_candidate(
-            chains, coeff, interval, cfg,
-            labels=np.zeros(grid_size, dtype=int) if one else None)
-        phi = float(phis[best])
+        searches.append((chains, coeff, coverage_interval(k, 1, branching),
+                         np.zeros(grid_size, dtype=int) if one else None))
+    best = _best_candidates(searches, cfg)
+    layers = []
+    for k, (chains, *_) in enumerate(searches):
+        phi = float(phis[best[k]])
+        steps = np.arange(1, chains.shape[1] + 1)
         cols = chains * np.exp(1j * phi * steps)[None, :]
         scale = 1.0 / np.linalg.norm(cols.sum(axis=1))
         layers.append(_rotated_layer(k, branching, cols, f_bb_scale=scale))

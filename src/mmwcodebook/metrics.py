@@ -66,7 +66,9 @@ class GdpConfig:
 
     gamma_per is the linear per-antenna SNR (1.0 = 0 dB).  The quadrature
     takes `points_for(N)` samples per unit cosine angle for an N-antenna
-    codeword, and the phase searches screen at 1/16 and 1/32 of that.
+    codeword.  The phase searches narrow through a ladder of screens, at
+    1/16 of that (with 1/32 nested in the same pass) and then at 1/4 (with
+    1/8), before they rescore their last candidates at full resolution.
     """
 
     gamma_per: float = 1.0
@@ -100,11 +102,35 @@ _BLOCK_BYTES = 1 << 22
 _CHUNK = 128
 
 
+class _ResponseTable:
+    """The response table of `_gdp_values`, shared by the calls it is given to.
+
+    `rows(offsets, n)` returns `response_matrix(offsets, n)`.  It keeps the
+    last table it built and hands out its first rows again only when the
+    asked offsets are a bit-equal prefix of the ones that table was built
+    from; otherwise it drops that table and builds the asked one.  A row
+    depends on its own offset alone, so a shared table gives every call
+    the bits its own table would, and one table is live at a time.
+    """
+
+    def __init__(self):
+        self._offsets = np.empty(0)
+        self._table = None
+
+    def rows(self, offsets: np.ndarray, n: int) -> np.ndarray:
+        if (self._table is None or self._table.shape[1] != n
+                or self._offsets[:offsets.size].tobytes() != offsets.tobytes()):
+            self._table = None  # dropped before the next is built
+            self._offsets, self._table = offsets, response_matrix(offsets, n)
+        return self._table[:offsets.size]
+
+
 # gamma_per * |A|^2 may overflow to inf, where the integrand is exactly 1
 @np.errstate(over="ignore")
 def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
                 interval: AngleInterval, cfg: GdpConfig,
-                points_per_unit: int, *, nested: bool = False
+                points_per_unit: int, *, nested: bool = False,
+                tables: _ResponseTable | None = None
                 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """GDP of unit-normalized sum(coeffs[c] * u_cols[:, c]) per candidate.
 
@@ -112,17 +138,23 @@ def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
     samples per unit cosine angle; the only array as long as the grid is
     the grid itself.  The grid is walked in row blocks sized by
     `_BLOCK_BYTES`, and candidates in chunks of `_CHUNK` within each block;
-    each chunk's weighted integrand sums are accumulated per candidate.
+    each chunk's weighted integrand sums are accumulated per candidate,
+    block by block in grid order.
 
     The grid is uniform, so the response rows of a block starting at psi_s
     are one table of the first block's offsets times r(psi_s) =
-    exp(-j*pi*k*psi_s).  The table is built once per call, and each block
-    scales the rows of its narrow operand by r(psi_s) instead.  Which
-    operand that is follows from the shapes alone: when N * candidates is
-    at most columns * (N + candidates), the block is contracted against
-    the combined weights w = u_cols @ coeffs directly (few candidates over
+    exp(-j*pi*k*psi_s).  The table comes from `tables` (a fresh
+    `_ResponseTable` when None), and each block scales the rows of its
+    narrow operand by r(psi_s) instead.  Which operand that is follows
+    from the shapes alone: when N * candidates is at most
+    columns * (N + candidates), the block is contracted against the
+    combined weights w = u_cols @ coeffs directly (few candidates over
     many columns); otherwise the block's per-column gain basis is formed
-    once and every candidate chunk is applied to it.
+    once and every candidate chunk is applied to it.  On the direct path,
+    two or more candidates take `_CHUNK // candidates` blocks per product:
+    the table meets the shifted weights of every block of the batch at
+    once, instead of being read again per block.  One candidate keeps one
+    product per block, which numpy runs as a matrix-vector product.
 
     With `nested`, the call returns two value arrays: the one above and
     the trapezoid rule on the grid of twice the spacing, summed in the same
@@ -141,27 +173,46 @@ def _gdp_values(u_cols: np.ndarray, coeffs: np.ndarray,
     norm_sq = np.sum(w_sq, axis=0)
     c_inf = np.max(w_sq, axis=0) / norm_sq
     direct = n * n_cand <= n_cols * (n + n_cand)
+    batch = max(1, _CHUNK // n_cand) if direct and n_cand > 1 else 1
+    # column c of a batched product is candidate c % n_cand of its block
+    norm_sq, c_inf = np.tile(norm_sq, batch), np.tile(c_inf, batch)
     rows = min(psi.size,
                max(1, _BLOCK_BYTES // (16 * max(n, n_cols, _CHUNK))))
-    table = response_matrix(psi[:rows] - psi[0], n)
+    if tables is None:
+        tables = _ResponseTable()
+    table = tables.rows(psi[:rows] - psi[0], n)
     ramp = -1j * np.pi * np.arange(n)
     acc = np.zeros((2, n_cand) if nested else n_cand)
-    for b in range(0, psi.size, rows):
-        r = min(rows, psi.size - b)
-        j = np.arange(b, b + r)
-        tw = np.where((j == 0) | (j == psi.size - 1), h / 2.0, h)
-        if nested:
-            tw = np.stack([tw, np.where(j % 2, 0.0, 2.0 * tw)])
-        shift = np.exp(ramp * psi[b])[:, None]
+    for b in range(0, psi.size, rows * batch):
+        starts = np.arange(b, min(b + rows * batch, psi.size), rows)
+        tws = []
+        for start in starts:
+            j = np.arange(start, min(start + rows, psi.size))
+            tw = np.where((j == 0) | (j == psi.size - 1), h / 2.0, h)
+            if nested:
+                tw = np.stack([tw, np.where(j % 2, 0.0, 2.0 * tw)])
+            tws.append(tw)
+        shift = np.exp(ramp[:, None] * psi[starts])
+        left = table[:min(rows, psi.size - b)]
         if direct:
-            left, right = table[:r], shift * w
+            right = (shift[:, :, None] * w[:, None, :]).reshape(n, -1)
         else:
-            left, right = table[:r] @ (shift * u_cols), coeffs
-        for s in range(0, n_cand, _CHUNK):
-            cut = slice(s, s + _CHUNK)
-            g = left @ right[:, cut]
-            g2 = (g.real ** 2 + g.imag ** 2) / norm_sq[cut]
-            acc[..., cut] += tw @ gdp_integrand(c_inf[cut], g2, cfg.gamma_per)
+            left, right = left @ (shift * u_cols), coeffs
+        # a batch of blocks is one chunk, and then `cut` spans every
+        # candidate of `acc`
+        for s in range(0, right.shape[1], _CHUNK):
+            cut = slice(s, min(s + _CHUNK, right.shape[1]))
+            # |g|^2 as re^2 + im^2, squared in g's own memory, which goes
+            # before the integrand's temporaries are made
+            sq = (left @ right[:, cut]).view(np.float64)
+            np.square(sq, out=sq)
+            g2 = sq[:, ::2] + sq[:, 1::2]
+            del sq
+            g2 /= norm_sq[cut]
+            f = gdp_integrand(c_inf[cut], g2, cfg.gamma_per)
+            for i, tw in enumerate(tws):
+                acc[..., cut] += (
+                    tw @ f[:tw.shape[-1], i * n_cand:(i + 1) * n_cand])
     values = acc / interval.width
     return tuple(values) if nested else values
 

@@ -1,47 +1,56 @@
 """The coarse-to-fine GDP candidate search picks the exhaustive winner.
 
-`codebooks._best_candidate` screens one phase candidate per certified
-GDP class in one coarse pass, which scores it on a 1/16 grid and on that
-grid's even samples, and rescores at full resolution every member of the
-classes that survive their own error margin (a lone surviving class gives
-its lowest index unscored).  These tests replay each
-layer's search against `_argmax_with_ties` over the full-resolution values
-of every candidate, which is what the codebook builders computed before
-the screen existed, and check that every class shares one value.
+`codebooks._best_candidates` narrows each search through a ladder of
+screens: one phase candidate per certified GDP class is scored on a 1/16
+grid and on that grid's even samples, the classes that survive their own
+error margin again on a 1/4 grid and its even samples, and every member
+of the classes that survive that is rescored at full resolution (a rung
+that leaves one class gives its lowest index unscored).  These tests
+replay each layer's search against `_argmax_with_ties` over the
+full-resolution values of every candidate, which is what the codebook
+builders computed before the screens existed, check that every class
+shares one value, and pin the ladder's passes.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mmwcodebook import AngleInterval, GdpConfig, build_codebook, db_to_linear
-from mmwcodebook import codebooks
+from mmwcodebook import codebooks, metrics
+from mmwcodebook.arraymath import response_matrix
 from mmwcodebook.codebooks import _argmax_with_ties
 from mmwcodebook.metrics import _gdp_values
 
 
 @pytest.fixture
 def checked_searches(monkeypatch):
-    """Run every candidate search both ways; return the checked count."""
-    screened_search = codebooks._best_candidate
+    """Run every candidate search both ways; return the checked widths.
+
+    The searches that one call runs together (every layer of a ps-dft
+    build) are each checked on their own.
+    """
+    screened_searches = codebooks._best_candidates
     checked = []
 
-    def search(u_cols, coeffs, interval, cfg, **classes):
-        chosen = screened_search(u_cols, coeffs, interval, cfg, **classes)
-        full = _gdp_values(u_cols, coeffs, interval, cfg,
-                           cfg.points_for(u_cols.shape[0]))
-        assert chosen == _argmax_with_ties(full), (
-            f"width {interval.width}: screened {chosen}, "
-            f"exhaustive {_argmax_with_ties(full)}")
-        labels = classes.get("labels")
-        if labels is not None:
-            # every certified class shares one full-resolution value
-            assert np.max(np.abs(full - full[labels])) <= 1e-13
-        checked.append(interval.width)
+    def searches(batch, cfg):
+        chosen = screened_searches(batch, cfg)
+        assert len(chosen) == len(batch)
+        for best, (u_cols, coeffs, interval, labels) in zip(chosen, batch):
+            full = _gdp_values(u_cols, coeffs, interval, cfg,
+                               cfg.points_for(u_cols.shape[0]))
+            assert best == _argmax_with_ties(full), (
+                f"width {interval.width}: screened {best}, "
+                f"exhaustive {_argmax_with_ties(full)}")
+            if labels is not None:
+                # every certified class shares one full-resolution value
+                assert np.max(np.abs(full - full[labels])) <= 1e-13
+            checked.append(interval.width)
         return chosen
 
-    monkeypatch.setattr(codebooks, "_best_candidate", search)
+    monkeypatch.setattr(codebooks, "_best_candidates", searches)
     return checked
 
 
@@ -62,13 +71,16 @@ def test_odd_screen_interval_count_matches_exhaustive(checked_searches,
                                                       kernel_passes):
     # bmw-ms-lcs N=9, m_rf=3 screens at 4096 // 16 = 256 points per unit:
     # the grids of layers 1 and 2 (widths 2/3 and 2/9) have 171 and 57
-    # intervals, and each takes one more to nest the half grid
+    # intervals, and each takes one more to nest the half grid.  Only
+    # layer 2 reaches the rung at 4096 // 4 = 1024 points per unit, whose
+    # 228 intervals nest as they are
     cb = build_codebook("bmw-ms-lcs", 9, 3)
     assert len(checked_searches) == cb.depth + 1
     screens = [(width, points) for width, points, _, nested in kernel_passes
                if nested]
-    assert [math.ceil(points * width) for width, points in screens] == [
-        512, 171, 57]
+    assert [(points, math.ceil(points * width))
+            for width, points in screens] == [
+        (256, 512), (256, 171), (256, 57), (1024, 228)]
 
 
 @pytest.fixture
@@ -91,75 +103,94 @@ def searches(monkeypatch):
     """Per candidate search, its labels and the passes it ran.
 
     Each pass is (width, points per unit, scored candidate indices, nested);
-    a scored column is traced back to its index by its exact bytes.
+    a pass is traced to its search by its basis columns, which each search
+    passes to every pass as they are, and a scored column back to its
+    index by its exact bytes.  Labels of None read as one class per
+    candidate.
     """
-    search, kernel = codebooks._best_candidate, codebooks._gdp_values
-    record, index = [], {}
+    run, kernel = codebooks._best_candidates, codebooks._gdp_values
+    record, active = [], []
 
-    def recording_search(u_cols, coeffs, interval, cfg, labels=None):
-        index.clear()
-        index.update((col.tobytes(), j) for j, col in enumerate(coeffs.T))
-        assert len(index) == coeffs.shape[1]
-        record.append((labels, []))
-        return search(u_cols, coeffs, interval, cfg, labels=labels)
+    def recording_searches(batch, cfg):
+        active.clear()
+        for u_cols, coeffs, _, labels in batch:
+            index = {col.tobytes(): j for j, col in enumerate(coeffs.T)}
+            assert len(index) == coeffs.shape[1]
+            if labels is None:
+                labels = np.arange(coeffs.shape[1])
+            record.append((labels, []))
+            active.append((u_cols, index, record[-1][1]))
+        return run(batch, cfg)
 
     def recording_kernel(u_cols, coeffs, interval, cfg, points_per_unit,
                          **kw):
+        (index, passes), = [(index, passes) for cols, index, passes in active
+                            if cols is u_cols]
         scored = np.array([index[col.tobytes()] for col in coeffs.T])
-        record[-1][1].append((interval.width, points_per_unit, scored,
-                              kw.get("nested", False)))
+        passes.append((interval.width, points_per_unit, scored,
+                       kw.get("nested", False)))
         return kernel(u_cols, coeffs, interval, cfg, points_per_unit, **kw)
 
-    monkeypatch.setattr(codebooks, "_best_candidate", recording_search)
+    monkeypatch.setattr(codebooks, "_best_candidates", recording_searches)
     monkeypatch.setattr(codebooks, "_gdp_values", recording_kernel)
     return record
 
 
-def _surviving_classes(labels, passes, fine):
-    """Classes the screen kept, read from the passes; check their shape.
+def _ladder(labels, passes, fine):
+    """Classes each rung of one search kept, read from its passes.
 
-    The screen scores every class representative once on the coarse
-    grids.  A screen with no pass after it kept one class, returned
-    unscored; otherwise one full-resolution pass rescores, in index
-    order, every member of the classes it kept, and of no other class.
+    Checks the ladder's shape.  The rung at 1/16 of the full resolution
+    scores, nested, every class representative; the rung at 1/4 scores,
+    nested, the representatives the first rung kept; one full-resolution
+    pass then rescores, in index order, every member of the classes the
+    second rung kept, and of no other class.  A rung that keeps one class
+    ends the search with no further pass, and a search of one class runs
+    none.
     """
-    (_, points, screened, nested), *rescores = passes
-    assert nested and points == fine // 16
-    assert np.array_equal(screened,
-                          np.flatnonzero(labels == np.arange(labels.size)))
-    if not rescores:
-        return 1
-    (_, points, rescored, nested), = rescores
-    assert points == fine and not nested
-    kept = np.unique(labels[rescored])
-    assert np.array_equal(rescored, np.flatnonzero(np.isin(labels, kept)))
-    assert kept.size > 1
-    return kept.size
+    alive = np.flatnonzero(labels == np.arange(labels.size))
+    kept = []
+    for rung, (_, points, scored, nested) in enumerate(passes):
+        if rung < 2:
+            assert nested and points == fine // (16, 4)[rung]
+            assert scored.size > 1 and np.all(np.diff(scored) > 0)
+            assert np.all(np.isin(scored, alive))
+            assert rung or np.array_equal(scored, alive)
+            if rung:
+                kept.append(scored.size)
+            alive = scored
+        else:
+            assert rung == 2 and points == fine and not nested
+            classes = np.unique(labels[scored])
+            assert classes.size > 1 and np.all(np.isin(classes, alive))
+            assert np.array_equal(scored,
+                                  np.flatnonzero(np.isin(labels, classes)))
+            kept.append(classes.size)
+    return kept + [1] if 0 < len(passes) < 3 else kept
 
 
 def test_screen_rescores_few_candidates(searches):
-    # the 64 * 64 candidates of N=32 layer 0 form 2050 mirror classes
+    # the 64 * 64 candidates of N=32 layer 0 form 2050 mirror classes,
+    # and the first rung leaves one
     iv = AngleInterval(-1.0, 2.0)
     codebooks.lcs_phases(codebooks.subarray_plan(32, 2, iv), iv)
     (labels, passes), = searches
     assert np.unique(labels).size == 2050
-    assert 1 <= _surviving_classes(labels, passes,
-                                   GdpConfig().points_for(32)) < 32
+    assert _ladder(labels, passes, GdpConfig().points_for(32)) == [1]
     assert all(scored.size < 64 for _, _, scored, _ in passes[1:])
 
 
 def test_per_candidate_margins_keep_few_survivors(searches):
     # bmw-ms-lcs N=64, m_rf=4: one global margin kept 3584 of the 4096
     # candidates of the layer of width 1/8, where m_s = 1 and the mirror
-    # leave 32 classes of 128 candidates
+    # leave 32 classes of 128 candidates; the 1/16 rung keeps 2 of them
+    # and the 1/4 rung one
     build_codebook("bmw-ms-lcs", 64, 4)
     fine = GdpConfig().points_for(64)
     assert [passes[0][0] for _, passes in searches] == [2.0, 0.5, 0.125,
                                                         2 / 64]
     assert np.unique(searches[2][0]).size == 32
-    kept = [_surviving_classes(labels, passes, fine)
-            for labels, passes in searches]
-    assert kept[2] < 4
+    kept = [_ladder(labels, passes, fine) for labels, passes in searches]
+    assert kept == [[1], [3, 1], [2, 1], [2, 1]]
     assert all(scored.size < 512
                for _, passes in searches for _, _, scored, _ in passes[1:])
 
@@ -169,11 +200,11 @@ def search_classes(monkeypatch):
     """Record the labels of every candidate search, scoring nothing."""
     seen = []
 
-    def search(u_cols, coeffs, interval, cfg, labels=None):
-        seen.append(labels)
-        return 0
+    def searches(batch, cfg):
+        seen.extend(labels for *_, labels in batch)
+        return [0] * len(batch)
 
-    monkeypatch.setattr(codebooks, "_best_candidate", search)
+    monkeypatch.setattr(codebooks, "_best_candidates", searches)
     return seen
 
 
@@ -229,15 +260,71 @@ def test_certificate_refuses_wrong_offsets(search_classes, monkeypatch,
         assert np.array_equal(search_classes[-1], np.arange(64 * 64))
 
 
-@pytest.mark.parametrize("n, grid", [(16, 16), (64, 64), (256, 64),
-                                     (32, 64)])
-def test_ps_dft_one_class_layers(checked_searches, kernel_passes, n, grid):
+# per ps-dft layer, the classes each rung kept (`_ladder`); [] is a layer
+# of one class, which runs no pass
+PS_DFT_LADDERS = {
+    (16, 16): [[], [4, 4], [2, 2], [2, 2], []],
+    (32, 64): [[2, 2], [2, 2], [4, 2], [6, 2], [6, 4], []],
+    (64, 64): [[], [12, 4], [6, 2], [6, 2], [4, 2], [8, 4], []],
+    (256, 64): [[], [12, 2], [12, 4], [6, 2], [3, 1], [3, 1], [4, 2],
+                [7, 2], []],
+}
+
+
+@pytest.mark.parametrize("n, grid", sorted(PS_DFT_LADDERS))
+def test_ps_dft_one_class_layers(checked_searches, searches, n, grid):
     # layer 0 (width 2) is one class of one-hot candidates when grid
     # divides n, and the bottom layer is one class of global phases: both
-    # skip every pass and still pick the exhaustive index
+    # skip every pass and still pick the exhaustive index.  The other
+    # layers climb the ladder: at N=256, layer 1 keeps 12 of its 64
+    # candidates at 1/16 and 2 at 1/4
     cb = build_codebook("ps-dft", n, 2, grid_size=grid)
-    assert len(checked_searches) == cb.depth + 1
-    scored = [width for width, *_ in kernel_passes]
-    assert (2.0 in scored) == (n % grid != 0)
-    assert 2.0 / n not in scored
-    assert len(scored) == 2 * (cb.depth - (n % grid == 0))
+    assert checked_searches == [2.0 / 2 ** k for k in range(cb.depth + 1)]
+    fine = GdpConfig().points_for(n)
+    assert [_ladder(labels, passes, fine)
+            for labels, passes in searches] == PS_DFT_LADDERS[(n, grid)]
+
+
+@pytest.mark.parametrize("n, m_rf, tables", [
+    # every layer's grid starts at -1 and halves in width, so each of the
+    # three levels (1/16, 1/4, rescore) builds one table for all layers
+    (256, 2, 3),
+    (64, 2, 3),
+    # widths 2/5^k: at the 1/16 level the grid of width 2/25 does not
+    # share the offsets of widths 2 and 2/5 bit for bit, so that level
+    # builds a second table after the first is dropped
+    (125, 5, 4),
+])
+def test_each_ps_dft_level_builds_its_table_once(monkeypatch, n, m_rf,
+                                                 tables):
+    built = []
+
+    def counting(offsets, n_antennas):
+        built.append(offsets.size)
+        return response_matrix(offsets, n_antennas)
+
+    monkeypatch.setattr(metrics, "response_matrix", counting)
+    build_codebook("ps-dft", n, m_rf)
+    assert len(built) == tables
+
+
+# tracemalloc peaks of two builds, in MiB, before the ladder, when every
+# pass built its own table and took one product per row block.  The slack
+# is one batched product of the N=256 kernel, 1024 rows x 128 candidate
+# columns of complex128: a second live table (4 MiB at N=256) or a table
+# kept for the whole build does not fit in it
+@pytest.mark.parametrize("design, before_mib", [
+    (("ps-dft", 256, 2), 10.55),
+    (("bmw-ms-lcs", 64, 2), 17.27),
+])
+def test_build_peak_memory_holds(design, before_mib):
+    rows = metrics._BLOCK_BYTES // (16 * 256)
+    slack = rows * metrics._CHUNK * 16
+    assert slack == 2 * 2 ** 20
+    tracemalloc.start()
+    try:
+        build_codebook(*design)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= before_mib * 2 ** 20 + slack

@@ -93,6 +93,18 @@ class TestDesignCommand:
         cb = deserialize(out.read_text())
         assert cb.n_antennas == 32
 
+    def test_ps_dft_reports_chains_per_layer(self, capsys):
+        # ps-dft's report gives each layer's virtual RF chains, N / 2^k
+        assert run(["design", "--scheme", "ps-dft", "--n", "16"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "scheme=ps-dft n=16 branching=2 layers=5",
+            "  layer 0: width=2 chains=16 gdp=0.745209",
+            "  layer 1: width=1 chains=8 gdp=0.839172",
+            "  layer 2: width=0.5 chains=4 gdp=0.939765",
+            "  layer 3: width=0.25 chains=2 gdp=0.981773",
+            "  layer 4: width=0.125 chains=1 gdp=0.994639",
+        ]
+
     def test_rejects_non_power(self, capsys):
         assert run(["design", "--n", "12"]) == 2
 

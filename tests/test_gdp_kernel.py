@@ -24,6 +24,7 @@ from mmwcodebook import (
     steering_vector,
 )
 from mmwcodebook import metrics
+from mmwcodebook.arraymath import response_matrix
 from mmwcodebook.metrics import _gdp_values
 
 
@@ -146,3 +147,60 @@ def test_gdp_matches_reference_on_layer_codewords(gdp_reference, scheme, n):
         for cw in [first] if first is last else [first, last]:
             got = gdp(cw.unit_awv, cw.coverage)
             assert abs(got - gdp_reference(cw.unit_awv, cw.coverage)) <= 1e-12
+
+
+# float.hex of gdp(codeword(k, 1)) at N=256, layer by layer, recorded
+# before the direct path took several row blocks per product.  gdp scores
+# one candidate, which keeps one matrix-vector product per block, so its
+# bits must not move; at 65,536 points per unit these walk 1,024-row
+# blocks, 129 of them at layer 0
+GDP_BITS_N256 = {
+    "ps-dft": [
+        "0x1.368b2fc6f9603p-1", "0x1.a2feb05ca0cdfp-1",
+        "0x1.e28cd0f345a77p-1", "0x1.f810a180146bdp-1",
+        "0x1.fdf372bc6ed56p-1", "0x1.ff78872bdc2a5p-1",
+        "0x1.ffdc3befad270p-1", "0x1.fff64f3bb2ab8p-1",
+        "0x1.fffd3a3e0107cp-1",
+    ],
+    "bmw-ms-cf": [
+        "0x1.fd3e0a4f78879p-1", "0x1.fda5d4df4053ep-1",
+        "0x1.ff53be0ee9a90p-1", "0x1.ff63eed394cd4p-1",
+        "0x1.ffd24b4688dfep-1", "0x1.ffd66575fcdabp-1",
+        "0x1.fff2e98fd72f1p-1", "0x1.fff3c0816ba08p-1",
+        "0x1.fffcb2716cb67p-1",
+    ],
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(GDP_BITS_N256))
+def test_gdp_bits_of_first_codewords_at_n256(scheme):
+    cb = build_codebook(scheme, 256, 2)
+    got = []
+    for k in range(cb.depth + 1):
+        cw = cb.codeword(k, 1)
+        got.append(gdp(cw.unit_awv, cw.coverage).hex())
+    assert got == GDP_BITS_N256[scheme]
+
+
+def test_shared_table_rebuilds_only_for_other_offsets(monkeypatch):
+    # grids from -1 of widths 1 and 1/4 at 4096 points per unit share their
+    # offsets, so the second call reuses the first rows of the first call's
+    # table; the width 2/3 grid's spacing differs, so it gets its own
+    built = []
+
+    def counting(offsets, n):
+        built.append(offsets.size)
+        return response_matrix(offsets, n)
+
+    monkeypatch.setattr(metrics, "response_matrix", counting)
+    u_cols, coeffs = random_problem(16, 16, 4, seed=5)
+    tables = metrics._ResponseTable()
+    cfg = GdpConfig()
+    for width, table_rows in [(1.0, 2048), (0.25, None), (2 / 3, 2048)]:
+        interval = AngleInterval(-1.0, width)
+        before = len(built)
+        shared = _gdp_values(u_cols, coeffs, interval, cfg, 4096,
+                             tables=tables)
+        assert built[before:] == ([] if table_rows is None else [table_rows])
+        alone = _gdp_values(u_cols, coeffs, interval, cfg, 4096)
+        assert shared.tobytes() == alone.tobytes()
