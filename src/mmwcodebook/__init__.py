@@ -25,7 +25,6 @@ from .codebooks import (
     CodebookLayer,
     Codeword,
     CompositeCodeword,
-    GeometryError,
     HierarchicalCodebook,
     SubArrayPlan,
     assemble_codeword,
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleInterval", "ChannelRealization", "CodebookFormatError",
     "CodebookLayer", "Codeword",
-    "CompositeCodeword", "GdpConfig", "GeometryError", "HierarchicalCodebook",
+    "CompositeCodeword", "GdpConfig", "HierarchicalCodebook",
     "LinkBudget", "SCHEMES", "SCHEME_BMW_CF", "SCHEME_BMW_LCS",
     "SCHEME_PS_DFT", "SearchResult", "SimConfig", "SubArrayPlan",
     "assemble_codeword", "beam_gain", "beam_gains", "beam_pattern",

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: design, beampattern, gdp, cdf, simulate, linkbudget.
-Exit codes: 0 success, 2 validation error, 3 infeasible geometry,
-4 I/O error.
+Exit codes: 0 success, 2 validation error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .codebooks import GeometryError
 from .experiments import (
     COMMAND_KEYS,
     COMMANDS,
@@ -21,7 +19,6 @@ from .experiments import (
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_GEOMETRY = 3
 EXIT_IO = 4
 
 
@@ -63,9 +60,6 @@ def main(argv=None) -> int:
         file_values = load_config_file(args.config) if args.config else {}
         cfg = resolve_config(args.command, file_values, overrides)
         COMMANDS[args.command](cfg)
-    except GeometryError as exc:
-        print(f"error: infeasible geometry: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -37,7 +37,6 @@ from .metrics import (GdpConfig, _ResponseTable, _check_gamma_per,
                       _gdp_values)
 
 __all__ = [
-    "GeometryError",
     "SCHEME_BMW_CF",
     "SCHEME_BMW_LCS",
     "SCHEME_PS_DFT",
@@ -65,10 +64,6 @@ SCHEMES = (SCHEME_BMW_CF, SCHEME_BMW_LCS, SCHEME_PS_DFT)
 # candidates can differ by a few ulps, and the lexicographic tie-break must
 # survive that.
 _TIE_RTOL = 1e-12
-
-
-class GeometryError(ValueError):
-    """No feasible sub-array split exists for the requested geometry."""
 
 
 @dataclass(frozen=True)
@@ -104,21 +99,17 @@ def subarray_plan(n: int, m_rf: int, interval: AngleInterval) -> SubArrayPlan:
     must hold exactly, m_s is promoted to the smallest divisor of N at or
     above that ceiling (e.g. N=32, B=1 gives ceiling 3, promoted to 4).
     B <= 2 puts the ceiling at or below sqrt(N / m_rf) <= N, and N divides
-    itself, so such a divisor always exists.
+    itself, so such a divisor always exists.  Any m_s at or above the
+    ceiling gives delta_theta * n_s = B*N / (m_rf * m_s^2) <= 2, so the gap
+    stays within the sub-array beamwidth.  Requires n >= m_rf >= 1.
     """
-    _check_integer("n", n, 1)
     _check_integer("m_rf", m_rf, 1)
-    if n < m_rf:
-        raise GeometryError(f"need n >= m_rf >= 1, got n={n}, m_rf={m_rf}")
+    _check_integer("n", n, m_rf)
     b = interval.width
     m_s_min = math.ceil(math.sqrt(b * n / (2.0 * m_rf)) - 1e-9)
     m_s = next(d for d in range(max(1, m_s_min), n + 1) if n % d == 0)
     n_s = n // m_s
     dt = b / (m_rf * m_s)
-    if dt > 2.0 / n_s + 1e-12:
-        raise GeometryError(
-            f"sub-array gap {dt} exceeds the sub-array beamwidth {2.0 / n_s}"
-        )
     i_idx = np.arange(1, m_rf + 1)[:, None]
     m_idx = np.arange(1, m_s + 1)[None, :]
     omega = interval.start + (i_idx - 0.5) * dt + (m_idx - 1) * m_rf * dt
@@ -207,26 +198,32 @@ def _best_candidates(searches, cfg: GdpConfig) -> list[int]:
     A ladder of screens narrows each search's classes.  Rung d scores the
     lowest member of every class still in the running on the grid of 1/d
     the full resolution, v_c, and on its even samples, v2_c, in one pass;
-    the ladder runs d = 16, then d = 4 on the survivors.  The
-    Richardson-style estimate e_c = |v_c - v2_c| (about three times the
-    error of v_c while the trapezoid error falls with the square of the
-    spacing) bounds each candidate with its own margin.  Candidate c can
-    win or tie at full resolution only if v_c + 2*e_c reaches
-    max_j(v_j - 2*e_j) less the tie slack; each rung asks only for twice
-    the slack.  A class member's coarse values differ from its
-    representative's by rounding alone (a mirror pair's by about 1e-15,
-    through the mirrored grid samples), and that shift, at most five times
-    it in the test, sits inside the spare slack, so a class survives a
-    rung whenever one of its members could win.  Every member of every
-    class that survives the last rung is rescored, in index order, so the
-    lexicographic tie-break, across classes within `_TIE_RTOL` too, is the
-    exhaustive one by construction.
+    the ladder runs d = 16, then d = 4 on the survivors.  A class stays
+    when v_c + 2*e_c reaches max_j(v_j - 2*e_j) less twice the tie slack,
+    with e_c = |v_c - v2_c|.  A class member's coarse values differ from
+    its representative's by rounding alone (a mirror pair's by about
+    1e-15, through the mirrored grid samples), inside the spare slack.
+    Every member of every class that survives the last rung is rescored,
+    in index order, so the lexicographic tie-break, across classes within
+    `_TIE_RTOL` too, is the exhaustive one among the survivors.
 
-    When only one class survives a rung (or exists), no candidate of
-    another class can tie, and its members' full-resolution values differ
-    by rounding alone (at most 3.3e-15 over every class of the builders'
-    layers, far inside `_TIE_RTOL`), so its lowest index is the exhaustive
-    choice and it is returned unscored.
+    What is proved: the classes (each shares one GDP, certified from the
+    weight vectors, so one member scores for all), and the one-class
+    shortcut.  When only one class survives a rung (or exists), no
+    candidate of another class is left to tie, and its members'
+    full-resolution values differ by rounding alone (at most 3.3e-15 over
+    every class of the builders' layers, far inside `_TIE_RTOL`), so its
+    lowest index is the choice among the survivors and it is returned
+    unscored.
+
+    What is only estimated: the margin.  e_c is a Richardson-style
+    estimate, about three times the error of v_c while the trapezoid error
+    falls with the square of the spacing, not a bound, so nothing proves
+    that the exhaustive winner's class survives every rung.  A probe of
+    ps-dft and bmw-ms-lcs for m_rf in {2, 3, 4, 5, 8}, N = m_rf^d <= 64,
+    gamma in {-10, -3, 0, 5, 15} dB and grid_size in {8, 16, 64} matched
+    the exhaustive full-resolution argmax on all 1,510 searches it ran;
+    tier-1 checks a drawn sample of that space.
 
     The searches run together, one level at a time: every search's first
     rung, then every second rung, then every rescore.  Each level shares

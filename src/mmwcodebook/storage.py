@@ -40,8 +40,6 @@ def _fmt_float(x: float) -> str:
 
 
 def _fmt_number(x) -> str:
-    if isinstance(x, bool):
-        raise TypeError("booleans have no place in this format")
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return _fmt_float(x)

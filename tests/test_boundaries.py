@@ -135,7 +135,6 @@ CONTRACT = {
     "GdpConfig": (
         lambda gamma_per=1.0: gdp(W, IV, GdpConfig(gamma_per)),
         {"gamma_per": POSITIVE}),
-    "GeometryError": (None, {}),
     "HierarchicalCodebook": (
         lambda n_antennas=8, branching=2, grid_size=8, gamma_per=1.0:
         HierarchicalCodebook(CB.scheme, n_antennas, branching, CB.layers,

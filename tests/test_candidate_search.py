@@ -13,6 +13,7 @@ shares one value, and pin the ladder's passes.
 """
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ import pytest
 from mmwcodebook import AngleInterval, GdpConfig, build_codebook, db_to_linear
 from mmwcodebook import codebooks, metrics
 from mmwcodebook.arraymath import response_matrix
-from mmwcodebook.codebooks import _argmax_with_ties
+from mmwcodebook.codebooks import _TIE_RTOL, _argmax_with_ties
 from mmwcodebook.metrics import _gdp_values
 
 
@@ -102,7 +103,8 @@ def kernel_passes(monkeypatch):
 def searches(monkeypatch):
     """Per candidate search, its labels and the passes it ran.
 
-    Each pass is (width, points per unit, scored candidate indices, nested);
+    Each pass is (width, points per unit, scored candidate indices, nested,
+    the values the kernel returned);
     a pass is traced to its search by its basis columns, which each search
     passes to every pass as they are, and a scored column back to its
     index by its exact bytes.  Labels of None read as one class per
@@ -127,9 +129,10 @@ def searches(monkeypatch):
         (index, passes), = [(index, passes) for cols, index, passes in active
                             if cols is u_cols]
         scored = np.array([index[col.tobytes()] for col in coeffs.T])
+        values = kernel(u_cols, coeffs, interval, cfg, points_per_unit, **kw)
         passes.append((interval.width, points_per_unit, scored,
-                       kw.get("nested", False)))
-        return kernel(u_cols, coeffs, interval, cfg, points_per_unit, **kw)
+                       kw.get("nested", False), values))
+        return values
 
     monkeypatch.setattr(codebooks, "_best_candidates", recording_searches)
     monkeypatch.setattr(codebooks, "_gdp_values", recording_kernel)
@@ -145,11 +148,13 @@ def _ladder(labels, passes, fine):
     pass then rescores, in index order, every member of the classes the
     second rung kept, and of no other class.  A rung that keeps one class
     ends the search with no further pass, and a search of one class runs
-    none.
+    none.  Each rung keeps at least every class c whose v_c + 2|v_c - v2_c|
+    reaches the best v_j - 2|v_j - v2_j| less twice the tie slack, the
+    rule `_best_candidates` states.
     """
     alive = np.flatnonzero(labels == np.arange(labels.size))
     kept = []
-    for rung, (_, points, scored, nested) in enumerate(passes):
+    for rung, (_, points, scored, nested, _) in enumerate(passes):
         if rung < 2:
             assert nested and points == fine // (16, 4)[rung]
             assert scored.size > 1 and np.all(np.diff(scored) > 0)
@@ -165,6 +170,15 @@ def _ladder(labels, passes, fine):
             assert np.array_equal(scored,
                                   np.flatnonzero(np.isin(labels, classes)))
             kept.append(classes.size)
+    # each rung keeps every class whose margin reaches the best lower end
+    for rung, (_, _, scored, _, (v, v2)) in enumerate(passes[:2]):
+        margin = 2.0 * np.abs(v - v2)
+        tol = _TIE_RTOL * max(1.0, abs(float(np.max(v))))
+        must = scored[v + margin >= np.max(v - margin) - 2.0 * tol]
+        if rung + 1 < len(passes):
+            assert np.all(np.isin(must, labels[passes[rung + 1][2]]))
+        else:
+            assert must.size == 1
     return kept + [1] if 0 < len(passes) < 3 else kept
 
 
@@ -176,7 +190,7 @@ def test_screen_rescores_few_candidates(searches):
     (labels, passes), = searches
     assert np.unique(labels).size == 2050
     assert _ladder(labels, passes, GdpConfig().points_for(32)) == [1]
-    assert all(scored.size < 64 for _, _, scored, _ in passes[1:])
+    assert all(scored.size < 64 for _, _, scored, *_ in passes[1:])
 
 
 def test_per_candidate_margins_keep_few_survivors(searches):
@@ -192,7 +206,44 @@ def test_per_candidate_margins_keep_few_survivors(searches):
     kept = [_ladder(labels, passes, fine) for labels, passes in searches]
     assert kept == [[1], [3, 1], [2, 1], [2, 1]]
     assert all(scored.size < 512
-               for _, passes in searches for _, _, scored, _ in passes[1:])
+               for _, passes in searches for _, _, scored, *_ in passes[1:])
+
+
+def _design_space():
+    """(scheme, m_rf, n, gamma_db, grid_size) of every screened design
+    `check_design` accepts with N = m_rf^d <= 64, by (scheme, m_rf)."""
+    space = {}
+    for scheme in ("ps-dft", "bmw-ms-lcs"):
+        for m_rf in (2, 3, 4, 5, 8):
+            sizes = [m_rf ** d for d in range(1, 7) if m_rf ** d <= 64]
+            space[scheme, m_rf] = [
+                (scheme, m_rf, n, gamma_db, grid)
+                for n in sizes for gamma_db in (-10.0, -3.0, 0.0, 5.0, 15.0)
+                for grid in (8, 16, 64)]
+    return space
+
+
+def _ladder_sample(seed=26):
+    """A fixed draw of the design space, stratified by (scheme, m_rf): six
+    designs per ps-dft stratum and two per bmw-ms-lcs one, whose builds
+    cost about 20 times more."""
+    rng = random.Random(seed)
+    return [design for (scheme, _), designs in _design_space().items()
+            for design in rng.sample(designs, 6 if scheme == "ps-dft" else 2)]
+
+
+@pytest.mark.parametrize("scheme, m_rf, n, gamma_db, grid", _ladder_sample())
+def test_drawn_designs_match_exhaustive(checked_searches, searches, scheme,
+                                        m_rf, n, gamma_db, grid):
+    # the margin 2|v - v2| is an estimate, so the ladder is checked on a
+    # sample of the whole accepted space, not only on hand-picked builds:
+    # each search picks the exhaustive winner, and each rung keeps every
+    # class its margin cannot rule out (`_ladder`)
+    cfg = GdpConfig(gamma_per=db_to_linear(gamma_db))
+    cb = build_codebook(scheme, n, m_rf, grid, cfg)
+    assert len(checked_searches) == cb.depth + 1
+    for labels, passes in searches:
+        _ladder(labels, passes, cfg.points_for(n))
 
 
 @pytest.fixture

@@ -60,6 +60,18 @@ class TestConfigHandling:
                            match=f"bad value for '{key}': expected at least"):
             resolve_config(command, values)
 
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("# a sweep\n\n   \nn = 8\n  # trials = 3\n")
+        assert load_config_file(cfgfile) == {"n": "8"}
+
+    def test_bad_boolean_in_file_exits_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "exp.cfg"
+        cfgfile.write_text("papc = maybe\n")
+        assert main(["simulate", "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad value for 'papc': expected a boolean, got 'maybe'\n")
+
     def test_workers_is_unknown(self, tmp_path, capsys):
         cfgfile = tmp_path / "exp.cfg"
         cfgfile.write_text("workers = 2\n")
@@ -108,6 +120,11 @@ class TestDesignCommand:
     def test_rejects_non_power(self, capsys):
         assert run(["design", "--n", "12"]) == 2
 
+    def test_rejects_non_numeric_size(self, capsys):
+        # the key's own parser (int) refuses the text
+        assert run(["design", "--n", "abc"]) == 2
+        assert capsys.readouterr().err == "error: bad value for 'n': 'abc'\n"
+
     def test_rejects_non_finite_gamma(self, tmp_path, capsys):
         out = tmp_path / "cb.txt"
         assert run(["design", "--n", "8", "--gamma-per-db=inf",
@@ -138,6 +155,13 @@ class TestBeampatternCommand:
         assert run(["design", "--scheme", "bmw-ms-cf", "--n", "16",
                     "--out", str(path)]) == 0
         return path
+
+    def test_missing_codebook_key_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["beampattern", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: a codebook file is required (--codebook)\n")
+        assert not out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert run(["beampattern", "--codebook", str(tmp_path / "nope.txt"),

@@ -28,7 +28,6 @@ from mmwcodebook import (
 )
 from mmwcodebook.codebooks import (
     CodebookLayer,
-    GeometryError,
     HierarchicalCodebook,
     check_design,
 )
@@ -63,14 +62,21 @@ class TestSubarrayPlan:
         assert plan.delta_theta <= 2.0 / plan.n_s
 
     def test_gap_never_exceeds_subarray_beamwidth(self):
-        for n in (8, 16, 32, 64, 128):
-            for k in range(int(math.log2(n)) + 1):
-                plan = subarray_plan(n, 2, AngleInterval(-1.0, 2.0 / 2 ** k))
-                assert plan.m_s * plan.n_s == n
-                assert plan.delta_theta <= 2.0 / plan.n_s + 1e-12
+        # the only guard of this invariant: every builder width 2/m_rf^k
+        # of every N = m_rf^d up to 4096
+        for m_rf in (2, 3, 4, 5, 8):
+            n, depth = m_rf, 1
+            while n <= 4096:
+                for k in range(depth + 1):
+                    plan = subarray_plan(n, m_rf,
+                                         AngleInterval(-1.0, 2.0 / m_rf ** k))
+                    assert plan.m_s * plan.n_s == n
+                    assert plan.delta_theta <= 2.0 / plan.n_s + 1e-12
+                n, depth = n * m_rf, depth + 1
 
     def test_invalid_geometry(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ValueError,
+                           match=r"^n must be an integer >= 8, got 4$"):
             subarray_plan(4, 8, AngleInterval(-1.0, 1.0))
 
 

@@ -1,5 +1,7 @@
+import functools
 import inspect
 import math
+import random
 import resource
 import tracemalloc
 
@@ -574,14 +576,17 @@ def sweep_book(spec):
     return build_codebook(scheme, n, m_rf)
 
 
-def oracle_search(tx_cb, rx_cb, h, power, cfg, rng):
-    """(j_t, i_r, rho*) of a search from measure + select_best, layer by layer."""
+def oracle_search(tx_cb, rx_cb, h, power, cfg, rng, rhos=None):
+    """(j_t, i_r, rho*) of a search from measure + select_best, layer by
+    layer; each layer's rho is appended to `rhos` when one is given."""
     j_t = i_r = 1
     for k in range(1, max(tx_cb.depth, rx_cb.depth) + 1):
         tx_on, rx_on = k <= tx_cb.depth, k <= rx_cb.depth
         tx = tx_cb.composite(k, j_t) if tx_on else held_bottom(tx_cb, j_t)
         rx = rx_cb.composite(k, i_r) if rx_on else held_bottom(rx_cb, i_r)
         rho = measure(tx, rx, h, cfg, rng, power)
+        if rhos is not None:
+            rhos.append(rho)
         j_s, i_s = select_best(rho)
         if tx_on:
             j_t = tx_cb.branching * (j_t - 1) + j_s
@@ -590,8 +595,12 @@ def oracle_search(tx_cb, rx_cb, h, power, cfg, rng):
     return j_t, i_r, complex(rho[i_s - 1, j_s - 1])
 
 
-def oracle_sweep(schemes, snr_db, cfg):
-    """run_monte_carlo rows from measure + select_best, one cell at a time."""
+def oracle_sweep(schemes, snr_db, cfg, searches=None):
+    """run_monte_carlo rows from measure + select_best, one cell at a time.
+
+    Given a dict, `searches[(trial, snr index, scheme index)]` receives the
+    cell's 0-based final (j_t, i_r) and the rho of every layer.
+    """
     m_an, n_an = schemes[0][1].n_antennas, schemes[0][2].n_antennas
     succ = np.zeros((cfg.trials, len(snr_db), len(schemes)))
     rate = np.zeros_like(succ)
@@ -604,7 +613,11 @@ def oracle_sweep(schemes, snr_db, cfg):
             power = 10.0 ** (snr / 10.0) * (cfg.n0 if cfg.n0 > 0 else 1.0)
             for ci, (_, tx_cb, rx_cb) in enumerate(schemes):
                 rng = np.random.default_rng([cfg.seed, t, si, ci])
-                j_t, i_r, _ = oracle_search(tx_cb, rx_cb, h, power, cfg, rng)
+                rhos = []
+                j_t, i_r, _ = oracle_search(tx_cb, rx_cb, h, power, cfg, rng,
+                                            rhos)
+                if searches is not None:
+                    searches[t, si, ci] = (j_t - 1, i_r - 1, rhos)
                 w_t = tx_cb.codeword(tx_cb.depth, j_t).unit_awv
                 w_r = rx_cb.codeword(rx_cb.depth, i_r).unit_awv
                 succ[t, si, ci] = float(
@@ -751,6 +764,95 @@ class TestBatchedSweep:
                                   np.random.default_rng([seed, t]))
             assert np.array_equal(h[row], chan.matrix())
             assert (aoa[row], aod[row]) == chan.strongest_path()[1:]
+
+
+SWEEP_SCHEMES = ("bmw-ms-cf", "bmw-ms-lcs", "ps-dft")
+# each size with the branchings it is a power of
+SWEEP_SIZES = {8: (2, 8), 16: (2, 4), 27: (3,), 32: (2,), 64: (2, 4, 8)}
+
+
+@functools.lru_cache(maxsize=None)
+def drawn_book(scheme, n, m_rf):
+    return build_codebook(scheme, n, m_rf, grid_size=16)
+
+
+def _sweep_sample(seed=26, count=12):
+    """A fixed draw of sweeps.  Each draws N_t and N_r, one to three
+    schemes with a (scheme, m_rf) per side, so that depths are equal or
+    mixed, l_paths, papc, n0 (0 in a third of the draws), the seed, one
+    to three SNRs, a trial count and the trials per sub-block, which the
+    sweep's results must not depend on."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        sizes = [rng.choice(sorted(SWEEP_SIZES)) for _ in "tr"]
+        cases.append(dict(
+            pairs=[tuple((rng.choice(SWEEP_SCHEMES), n,
+                          rng.choice(SWEEP_SIZES[n])) for n in sizes)
+                   for _ in range(rng.randint(1, 3))],
+            l_paths=rng.randint(1, 3), papc=rng.random() < 0.5,
+            n0=rng.choice([0.0, 0.5, 1.0]), seed=rng.choice([0, 29, 2 ** 40]),
+            snr_db=sorted(rng.sample([-35.0, -25.0, -15.0, -5.0],
+                                     rng.randint(1, 3))),
+            trials=rng.randint(1, 24), block=rng.choice([1, 2, 3, 5, 8, 16])))
+    return cases
+
+
+SWEEP_SAMPLE = _sweep_sample()
+
+
+def test_sweep_sample_spans_the_cases():
+    pairs = [(drawn_book(*tx), drawn_book(*rx))
+             for case in SWEEP_SAMPLE for tx, rx in case["pairs"]]
+    assert {tx.scheme for tx, _ in pairs} == set(SWEEP_SCHEMES)
+    assert {rx.scheme for _, rx in pairs} == set(SWEEP_SCHEMES)
+    assert {np.sign(tx.depth - rx.depth) for tx, rx in pairs} == {-1, 0, 1}
+    assert {case["n0"] > 0 for case in SWEEP_SAMPLE} == {True, False}
+    assert {case["papc"] for case in SWEEP_SAMPLE} == {True, False}
+    assert {case["l_paths"] > 1 for case in SWEEP_SAMPLE} == {True, False}
+    assert any(case["trials"] > case["block"]
+               and case["trials"] % case["block"] for case in SWEEP_SAMPLE)
+
+
+@pytest.mark.parametrize("case", SWEEP_SAMPLE,
+                         ids=[f"case{c}" for c in range(len(SWEEP_SAMPLE))])
+def test_drawn_sweeps_match_per_cell_searches(monkeypatch, case):
+    # rows against the per-cell oracle, and each cell's final codewords
+    # and last-layer rho against `measure`'s, bit for bit: a change of the
+    # product's last bit rarely moves a row
+    schemes = [(f"s{ci}", drawn_book(*tx), drawn_book(*rx))
+               for ci, (tx, rx) in enumerate(case["pairs"])]
+    n_t, n_r = schemes[0][1].n_antennas, schemes[0][2].n_antennas
+    monkeypatch.setattr(simulate, "_SUB_BLOCK_BYTES",
+                        case["block"] * 16 * n_t * n_r)
+    blocks, search_cells = [], simulate._search_cells
+
+    def recording(*args):
+        found = search_cells(*args)
+        blocks.append([(j.copy(), i.copy(), rho.copy())
+                       for j, i, rho, _ in found])
+        return found
+
+    monkeypatch.setattr(simulate, "_search_cells", recording)
+    cfg = SimConfig(l_paths=case["l_paths"], l_s=16, n0=case["n0"],
+                    papc=case["papc"], seed=case["seed"],
+                    trials=case["trials"])
+    rows = run_monte_carlo(schemes, case["snr_db"], cfg)
+    searches = {}
+    assert [(r["snr_db"], r["scheme"], r["success_rate"], r["rate_bps_hz"])
+            for r in rows] == oracle_sweep(schemes, case["snr_db"], cfg,
+                                           searches)
+    assert len(blocks) == -(-cfg.trials // case["block"])
+    t = 0
+    for block in blocks:
+        for row in range(block[0][0].shape[0]):
+            for si, ci in np.ndindex(len(case["snr_db"]), len(schemes)):
+                j, i, rho = block[ci]
+                j_t, i_r, rhos = searches[t, si, ci]
+                assert (j[row, si], i[row, si]) == (j_t, i_r)
+                assert rho[row, si].tobytes() == rhos[-1].tobytes()
+            t += 1
+    assert t == cfg.trials
 
 
 # a key is (seed, trial) for a channel and (seed, trial, snr, scheme) for

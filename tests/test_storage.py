@@ -139,6 +139,12 @@ class TestParseErrors:
         with pytest.raises(CodebookFormatError, match="branching"):
             deserialize(text)
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"mmw-hier-codebook"'])
+    def test_root_that_is_not_an_object(self, text):
+        with pytest.raises(CodebookFormatError,
+                           match="^document root must be an object$"):
+            deserialize(text)
+
     def test_wrong_format_tag(self):
         with pytest.raises(CodebookFormatError, match="format"):
             deserialize('{"format": "something-else"}')
@@ -330,6 +336,64 @@ class TestBoundaryChecks:
         with pytest.raises(CodebookFormatError, match=r"^field \$\.layers "
                            "must hold 4 layers for n_antennas=8, branching=2, "
                            "got 1100$"):
+            deserialize(text)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.__setitem__("version", 2),
+         "unsupported format version 2"),
+        (lambda d: d.__setitem__("scheme", 3), "field $.scheme must be str"),
+        (lambda d: d.__setitem__("gamma_per", "1.0"),
+         "field $.gamma_per must be a number"),
+        (lambda d: d["layers"].__setitem__(1, []),
+         "$.layers[1] must be an object"),
+        (lambda d: d["layers"][1].__setitem__("layer", 2),
+         "$.layers[1].layer must equal 1"),
+        (lambda d: d["layers"][1]["composites"].__setitem__(0, []),
+         "$.layers[1].composites[0] must be an object"),
+        (lambda d: d["layers"][1]["composites"][0].__setitem__("index", 2),
+         "$.layers[1].composites[0].index must equal 1"),
+        (lambda d: d["layers"][1]["composites"][0]["analog_columns"]
+         .__setitem__(0, "x"),
+         "$.layers[1].composites[0].analog_columns[0] must list 8 complex "
+         "entries"),
+        (lambda d: d["layers"][1]["composites"][0]["members"]
+         .__setitem__(0, []),
+         "$.layers[1].composites[0].members[1] must be an object"),
+        (lambda d: d["layers"][1]["composites"][0]["members"][0]
+         .__setitem__("index", 2),
+         "$.layers[1].composites[0].members[1].index must equal 1"),
+        (lambda d: d["layers"][1]["composites"][0]["members"][0]
+         .__setitem__("coverage_start", 0.5),
+         "$.layers[1].composites[0].members[1] coverage [0.5, 1.5] does not "
+         "match the layer-1 grid"),
+    ], ids=["version", "text", "number", "layer", "layer index", "composite",
+            "composite index", "column", "member", "member index",
+            "coverage"])
+    def test_misplaced_value_named(self, books, edit, message):
+        text = self.mutated(books[("bmw-ms-cf", 8)], edit)
+        with pytest.raises(CodebookFormatError,
+                           match=f"^{re.escape(message)}$"):
+            deserialize(text)
+
+    def test_integers_past_int64_parse_through_the_pair_loop(self, books):
+        # numpy holds 2**64 as a Python object, so the column takes the
+        # per-pair loop, which reads each integer with float()
+        cb = books[("bmw-ms-cf", 8)]
+
+        def edit(d):
+            cols = d["layers"][1]["composites"][0]["digital_columns"]
+            cols[0] = [[2 ** 64, 0] for _ in cols[0]]
+
+        got = deserialize(self.mutated(cb, edit)).layers[1].f_bb
+        assert np.all(got[0, :, 0] == 2.0 ** 64)
+        assert np.array_equal(got[0, :, 1], cb.layers[1].f_bb[0, :, 1])
+
+    def test_composite_without_analog_columns(self, books):
+        text = self.mutated(books[("bmw-ms-cf", 8)], lambda d: d["layers"][1]
+                            ["composites"][0].__setitem__("analog_columns",
+                                                          []))
+        with pytest.raises(CodebookFormatError, match=re.escape(
+                "$.layers[1].composites[0].analog_columns is empty")):
             deserialize(text)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
