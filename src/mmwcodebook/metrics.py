@@ -66,9 +66,8 @@ class GdpConfig:
 
     gamma_per is the linear per-antenna SNR (1.0 = 0 dB).  The quadrature
     takes `points_for(N)` samples per unit cosine angle for an N-antenna
-    codeword.  The phase searches narrow through a ladder of screens, at
-    1/16 of that (with 1/32 nested in the same pass) and then at 1/4 (with
-    1/8), before they rescore their last candidates at full resolution.
+    codeword; the phase searches screen at the fractions of that in
+    `codebooks._RUNGS` before they rescore at full resolution.
     """
 
     gamma_per: float = 1.0

@@ -1,9 +1,10 @@
 """Codebook file format: a JSON document with pinned numeric formatting.
 
-Field names are a public contract (see README).  Complex entries are stored
-as [re, im] pairs printed with 17 significant digits, which round-trips
-float64 exactly; serialization is deterministic, so identical codebooks
-yield byte-identical documents.
+Field names and layout are a public contract (see README).  `serialize`
+prints that one layout straight from the `CodebookLayer` arrays: two-space
+indents, one field or [re, im] pair per line, integers as such and every
+other number with 17 significant digits, which round-trips float64
+exactly.  Identical codebooks yield byte-identical documents.
 
 Member weights are not stored: `codebooks.CodebookLayer` re-derives them
 bit for bit.  The reader checks JSON types and shapes; the codebook types
@@ -34,54 +35,10 @@ class CodebookFormatError(ValueError):
     """Raised for malformed codebook documents, with a field/line diagnostic."""
 
 
-def _fmt_float(x: float) -> str:
-    # %.16e always prints 17 significant digits and parses back exactly
-    return "%.16e" % float(x)
-
-
-def _fmt_number(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return _fmt_float(x)
-
-
-def _emit(obj, lines: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        lines.append("{")
-        items = list(obj.items())
-        for pos, (key, val) in enumerate(items):
-            lines.append(f"\n{pad}  {json.dumps(key)}: ")
-            _emit(val, lines, indent + 1)
-            if pos < len(items) - 1:
-                lines.append(",")
-        lines.append(f"\n{pad}}}")
-    elif isinstance(obj, np.ndarray):
-        lines.append(_complex_text(obj, pad))
-    elif isinstance(obj, (list, tuple)):
-        flat = all(isinstance(v, (int, float, np.integer, np.floating))
-                   for v in obj)
-        if flat:
-            lines.append("[" + ", ".join(_fmt_number(v) for v in obj) + "]")
-        else:
-            lines.append("[")
-            for pos, val in enumerate(obj):
-                lines.append(f"\n{pad}  ")
-                _emit(val, lines, indent + 1)
-                if pos < len(obj) - 1:
-                    lines.append(",")
-            lines.append(f"\n{pad}]")
-    elif isinstance(obj, str):
-        lines.append(json.dumps(obj))
-    else:
-        lines.append(_fmt_number(obj))
-
-
 def _complex_text(v: np.ndarray, pad: str) -> str:
-    """A complex vector as `_emit` prints a list of [re, im] pairs.
-
-    One format string for the whole vector, so a column costs its text and
-    no Python list or float per entry.
+    """A complex vector as a JSON list of [re, im] pairs, one per line two
+    spaces in from `pad`.  One format string for the whole vector, so a
+    column costs its text and no Python list or float per entry.
     """
     inner = f"\n{pad}  "
     template = "[" + inner + f",{inner}".join(["[%.16e, %.16e]"] * v.size)
@@ -89,43 +46,52 @@ def _complex_text(v: np.ndarray, pad: str) -> str:
     return template % tuple(parts) + f"\n{pad}]"
 
 
+def _columns_text(out: list[str], key: str, matrix: np.ndarray) -> None:
+    """Append a composite's field `key`: the columns of `matrix`."""
+    pad = " " * 12
+    out.append(f'\n          "{key}": [')
+    for j in range(matrix.shape[1]):
+        out.append(f",\n{pad}" if j else f"\n{pad}")
+        out.append(_complex_text(matrix[:, j], pad))
+    out.append("\n          ],")
+
+
+# a composite's member: separator, 1-based index and coverage
+_MEMBER = ('%s\n            {\n              "index": %d,\n'
+           '              "coverage_start": %.16e,\n'
+           '              "coverage_width": %.16e\n            }')
+
+
 def serialize(cb: HierarchicalCodebook) -> str:
-    """Render a codebook as the canonical text document."""
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "scheme": cb.scheme,
-        "n_antennas": cb.n_antennas,
-        "branching": cb.branching,
-        "grid_size": int(cb.grid_size),
-        "gamma_per": float(cb.gamma_per),
-        "layers": [
-            {
-                "layer": layer.layer,
-                "composites": [
-                    {
-                        "index": comp.index,
-                        "analog_columns": list(comp.f_rf.T),
-                        "digital_columns": list(comp.f_bb.T),
-                        "members": [
-                            {
-                                "index": cw.index,
-                                "coverage_start": cw.coverage.start,
-                                "coverage_width": cw.coverage.width,
-                            }
-                            for cw in comp.members
-                        ],
-                    }
-                    for comp in layer
-                ],
-            }
-            for layer in cb.layers
-        ],
-    }
-    lines: list[str] = []
-    _emit(doc, lines, 0)
-    lines.append("\n")
-    return "".join(lines)
+    """Render a codebook as the canonical text document, joined once from
+    one list of pieces (one per column), never copied per layer."""
+    out = ["{\n"
+           f'  "format": "{FORMAT_NAME}",\n'
+           f'  "version": {FORMAT_VERSION},\n'
+           f'  "scheme": {json.dumps(cb.scheme)},\n'
+           f'  "n_antennas": {int(cb.n_antennas)},\n'
+           f'  "branching": {int(cb.branching)},\n'
+           f'  "grid_size": {int(cb.grid_size)},\n'
+           f'  "gamma_per": {cb.gamma_per:.16e},\n'
+           '  "layers": [']
+    for k, layer in enumerate(cb.layers):
+        out.append(f'{"," if k else ""}\n    {{\n      "layer": {k},\n'
+                   '      "composites": [')
+        m = layer.f_bb.shape[2]
+        for c in range(len(layer)):
+            out.append(f'{"," if c else ""}\n        {{\n'
+                       f'          "index": {c + 1},')
+            _columns_text(out, "analog_columns", layer.f_rf[c])
+            _columns_text(out, "digital_columns", layer.f_bb[c])
+            out.append('\n          "members": [')
+            for j, index in enumerate(range(c * m + 1, c * m + m + 1)):
+                cov = coverage_interval(k, index, layer.branching)
+                out.append(_MEMBER % ("," if j else "", index, cov.start,
+                                      cov.width))
+            out.append("\n          ]\n        }")
+        out.append("\n      ]\n    }")
+    out.append("\n  ]\n}\n")
+    return "".join(out)
 
 
 def _to_float(val, path: str) -> float:

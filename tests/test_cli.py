@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +349,16 @@ class TestLinkbudgetCommand:
         assert values["spreading_gain_db"] == pytest.approx(21.0, abs=0.1)
         assert values["received_dbm"] == pytest.approx(-87.0, abs=0.5)
         assert values["noise_dbm"] == pytest.approx(-74.0, abs=0.5)
+
+    def test_module_entry_point_exits_with_main_status(self, monkeypatch,
+                                                       capsys):
+        # `python -m mmwcodebook.cli`; runpy warns if the module is loaded
+        monkeypatch.delitem(sys.modules, "mmwcodebook.cli")
+        monkeypatch.setattr(sys, "argv", ["mmwcodebook", "linkbudget"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("mmwcodebook.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert "no --out given" in capsys.readouterr().out
 
 
 # one valid, non-default text value per configuration key

@@ -24,10 +24,18 @@ and two exact nulls at -1 and +1 (floored at -300 dB) now read about
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from mmwcodebook import build_codebook, serialize
+from mmwcodebook import (
+    CodebookLayer,
+    GdpConfig,
+    HierarchicalCodebook,
+    build_codebook,
+    serialize,
+)
 from mmwcodebook.cli import main
+from mmwcodebook.metrics import db_to_linear
 
 GOLDEN_SHA256 = {
     ("bmw-ms-cf", 16, 2):
@@ -58,6 +66,44 @@ def test_codebook_file_hash(scheme, n, m_rf):
     text = serialize(build_codebook(scheme, n, m_rf))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN_SHA256[(scheme, n, m_rf)]
+
+
+# (scheme, n, m_rf, grid_size, gamma_per_db) outside the defaults above:
+# three-way branching, the smallest phase grid and a non-unit SNR, recorded
+# before the writer printed the layout directly instead of walking a dict
+VARIANT_SHA256 = {
+    ("bmw-ms-cf", 27, 3, 64, 0.0):
+        "ff13819850befd3bc34d57539709967550b1ba1ea51a437caec561ae0d587dd7",
+    ("ps-dft", 27, 3, 16, 0.0):
+        "8be3156fa03b34441802aa9e6f02a81f7b9e7e52458a9d46dc6e3511ed463692",
+    ("bmw-ms-lcs", 16, 2, 64, 5.0):
+        "2de49463855857a7c4e3ab19b07783e0956e4fc2c596dd9c7af56a4d457ce35e",
+}
+
+
+@pytest.mark.parametrize("scheme, n, m_rf, grid_size, gamma_per_db",
+                         sorted(VARIANT_SHA256))
+def test_codebook_file_hash_off_defaults(scheme, n, m_rf, grid_size,
+                                         gamma_per_db):
+    cfg = GdpConfig(gamma_per=db_to_linear(gamma_per_db))
+    text = serialize(build_codebook(scheme, n, m_rf, grid_size, cfg))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == VARIANT_SHA256[
+        (scheme, n, m_rf, grid_size, gamma_per_db)]
+
+
+def test_numpy_integer_fields_serialize_as_plain_ints():
+    # the constructors accept numpy integers and an int gamma_per; the file
+    # must not tell them from Python ints and floats
+    cb = build_codebook("bmw-ms-cf", 16, 2, grid_size=16)
+    i64 = np.int64
+    layers = [CodebookLayer(i64(layer.layer), i64(layer.branching),
+                            layer.f_rf, layer.f_bb) for layer in cb.layers]
+    numpy_cb = HierarchicalCodebook(cb.scheme, i64(cb.n_antennas),
+                                    i64(cb.branching), layers,
+                                    i64(cb.grid_size), 1)
+    assert cb.gamma_per == 1.0
+    assert serialize(numpy_cb) == serialize(cb)
 
 
 SIMULATE_SHA256 = \
