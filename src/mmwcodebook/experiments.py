@@ -31,7 +31,7 @@ from .simulate import (
     run_monte_carlo,
     snr_powers,
 )
-from .storage import deserialize, serialize
+from .storage import deserialize, write_codebook
 
 __all__ = [
     "ConfigError",
@@ -306,7 +306,7 @@ def cmd_design(cfg: dict, echo=print) -> None:
                  f"n_s={plan.n_s} delta_theta={plan.delta_theta:g} "
                  f"gdp={quality:.6f}")
     if cfg["out"]:
-        Path(cfg["out"]).write_text(serialize(cb))
+        write_codebook(cb, cfg["out"])
         echo(f"wrote {cfg['out']}")
 
 

@@ -5,15 +5,18 @@ prints that one layout straight from the `CodebookLayer` arrays: two-space
 indents, one field or [re, im] pair per line, integers as such and every
 other number with 17 significant digits, which round-trips float64
 exactly.  Identical codebooks yield byte-identical documents.
+`write_codebook` writes the same pieces to a file one at a time.
 
 Member weights are not stored: `codebooks.CodebookLayer` re-derives them
-bit for bit.  The reader checks JSON types and shapes; the codebook types
+bit for bit.  The reader turns each composite's columns into arrays while
+the JSON is parsed and checks JSON types and shapes; the codebook types
 check the contents, and their ValueError becomes a CodebookFormatError.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -25,7 +28,8 @@ from .codebooks import (
 )
 from .metrics import _check_gamma_per
 
-__all__ = ["CodebookFormatError", "deserialize", "serialize"]
+__all__ = ["CodebookFormatError", "deserialize", "serialize",
+           "write_codebook"]
 
 FORMAT_NAME = "mmw-hier-codebook"
 FORMAT_VERSION = 1
@@ -46,14 +50,14 @@ def _complex_text(v: np.ndarray, pad: str) -> str:
     return template % tuple(parts) + f"\n{pad}]"
 
 
-def _columns_text(out: list[str], key: str, matrix: np.ndarray) -> None:
-    """Append a composite's field `key`: the columns of `matrix`."""
+def _columns_text(key: str, matrix: np.ndarray) -> Iterator[str]:
+    """A composite's field `key` in pieces: the columns of `matrix`."""
     pad = " " * 12
-    out.append(f'\n          "{key}": [')
+    yield f'\n          "{key}": ['
     for j in range(matrix.shape[1]):
-        out.append(f",\n{pad}" if j else f"\n{pad}")
-        out.append(_complex_text(matrix[:, j], pad))
-    out.append("\n          ],")
+        yield f",\n{pad}" if j else f"\n{pad}"
+        yield _complex_text(matrix[:, j], pad)
+    yield "\n          ],"
 
 
 # a composite's member: separator, 1-based index and coverage
@@ -62,10 +66,9 @@ _MEMBER = ('%s\n            {\n              "index": %d,\n'
            '              "coverage_width": %.16e\n            }')
 
 
-def serialize(cb: HierarchicalCodebook) -> str:
-    """Render a codebook as the canonical text document, joined once from
-    one list of pieces (one per column), never copied per layer."""
-    out = ["{\n"
+def _document(cb: HierarchicalCodebook) -> Iterator[str]:
+    """The canonical text document of `cb` in pieces, one per column."""
+    yield ("{\n"
            f'  "format": "{FORMAT_NAME}",\n'
            f'  "version": {FORMAT_VERSION},\n'
            f'  "scheme": {json.dumps(cb.scheme)},\n'
@@ -73,25 +76,34 @@ def serialize(cb: HierarchicalCodebook) -> str:
            f'  "branching": {int(cb.branching)},\n'
            f'  "grid_size": {int(cb.grid_size)},\n'
            f'  "gamma_per": {cb.gamma_per:.16e},\n'
-           '  "layers": [']
+           '  "layers": [')
     for k, layer in enumerate(cb.layers):
-        out.append(f'{"," if k else ""}\n    {{\n      "layer": {k},\n'
-                   '      "composites": [')
+        yield (f'{"," if k else ""}\n    {{\n      "layer": {k},\n'
+               '      "composites": [')
         m = layer.f_bb.shape[2]
         for c in range(len(layer)):
-            out.append(f'{"," if c else ""}\n        {{\n'
-                       f'          "index": {c + 1},')
-            _columns_text(out, "analog_columns", layer.f_rf[c])
-            _columns_text(out, "digital_columns", layer.f_bb[c])
-            out.append('\n          "members": [')
+            yield f'{"," if c else ""}\n        {{\n          "index": {c + 1},'
+            yield from _columns_text("analog_columns", layer.f_rf[c])
+            yield from _columns_text("digital_columns", layer.f_bb[c])
+            yield '\n          "members": ['
             for j, index in enumerate(range(c * m + 1, c * m + m + 1)):
                 cov = coverage_interval(k, index, layer.branching)
-                out.append(_MEMBER % ("," if j else "", index, cov.start,
-                                      cov.width))
-            out.append("\n          ]\n        }")
-        out.append("\n      ]\n    }")
-    out.append("\n  ]\n}\n")
-    return "".join(out)
+                yield _MEMBER % ("," if j else "", index, cov.start, cov.width)
+            yield "\n          ]\n        }"
+        yield "\n      ]\n    }"
+    yield "\n  ]\n}\n"
+
+
+def serialize(cb: HierarchicalCodebook) -> str:
+    """Render a codebook as the canonical text document, joined once."""
+    return "".join(_document(cb))
+
+
+def write_codebook(cb: HierarchicalCodebook, path) -> None:
+    """Write `serialize(cb)` to the file `path` piece by piece, so that
+    the document never exists whole as one string or one bytes object."""
+    with open(path, "w") as f:
+        f.writelines(_document(cb))
 
 
 def _to_float(val, path: str) -> float:
@@ -117,30 +129,48 @@ def _expect(doc: dict, key: str, kind, path: str):
     return val
 
 
-def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
-    """A list of n finite [re, im] number pairs as a complex vector.
-
-    A well-formed column converts in one `np.array` call.  Anything else
-    (strings, null, booleans, integers past int64, ragged or non-finite
-    entries) takes the per-pair loop, which names the first bad entry.
-    `np.array` reads a JSON true or false as a number, so the fast path
-    looks for them first: the writer never prints one.
+def _column_array(raw) -> np.ndarray | None:
+    """A list of finite [re, im] number pairs as a complex vector in one
+    `np.array` call, else None.  `np.array` reads a JSON true or false as
+    a number, so they are looked for first: the writer never prints one.
     """
-    if not isinstance(raw, list) or len(raw) != n:
-        raise CodebookFormatError(f"{path} must list {n} complex entries")
     try:
         pairs = np.array(raw)
     except (ValueError, OverflowError, TypeError):
-        pairs = None
+        return None
+    if (pairs.dtype.kind not in "fi" or pairs.shape[1:] != (2,)
+            or not np.all(np.isfinite(pairs))
+            or any(type(re) is bool or type(im) is bool for re, im in raw)):
+        return None
+    out = np.empty(len(raw), dtype=np.complex128)
+    # filled part by part: re + 1j*im would turn -0.0 into +0.0
+    out.real = pairs[:, 0]
+    out.imag = pairs[:, 1]
+    return out
+
+
+def _pack_columns(obj: dict) -> dict:
+    """JSON object hook: a composite's well-formed columns become complex
+    vectors as soon as it is parsed, so that the pairs of a document never
+    all exist at once as Python lists and floats."""
+    for key in ("analog_columns", "digital_columns"):
+        cols = obj.get(key)
+        for j, raw in enumerate(cols if isinstance(cols, list) else ()):
+            if (vec := _column_array(raw)) is not None:
+                cols[j] = vec
+    return obj
+
+
+def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
+    """n finite [re, im] number pairs as a complex vector.  A well-formed
+    column arrives converted by `_pack_columns`; any other list (strings,
+    null, booleans, integers past int64, ragged or non-finite entries)
+    takes the per-pair loop, which names the first bad entry."""
+    if not isinstance(raw, (list, np.ndarray)) or len(raw) != n:
+        raise CodebookFormatError(f"{path} must list {n} complex entries")
+    if isinstance(raw, np.ndarray):
+        return raw
     out = np.empty(n, dtype=np.complex128)
-    if (pairs is not None and pairs.dtype.kind in "fi"
-            and pairs.shape == (n, 2) and np.all(np.isfinite(pairs))
-            and not any(type(re) is bool or type(im) is bool
-                        for re, im in raw)):
-        # filled part by part: re + 1j*im would turn -0.0 into +0.0
-        out.real = pairs[:, 0]
-        out.imag = pairs[:, 1]
-        return out
     for p, pair in enumerate(raw):
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(type(v) in (int, float) for v in pair)):
@@ -156,7 +186,7 @@ def _parse_complex_vector(raw, n: int, path: str) -> np.ndarray:
 def deserialize(text: str) -> HierarchicalCodebook:
     """Parse a codebook document; the codebook constructors check it."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_pack_columns)
     except json.JSONDecodeError as exc:
         raise CodebookFormatError(
             f"malformed document at line {exc.lineno}, column {exc.colno}: "

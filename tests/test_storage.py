@@ -72,6 +72,13 @@ class TestRoundTrip:
         rebuilt = build_codebook("bmw-ms-lcs", 8, 2, grid_size=16)
         assert serialize(rebuilt) == serialize(cb)
 
+    def test_written_file_is_the_document(self, books, tmp_path):
+        from mmwcodebook.storage import write_codebook
+        for (scheme, n), cb in books.items():
+            path = tmp_path / f"{scheme}-{n}.json"
+            write_codebook(cb, path)
+            assert path.read_bytes() == serialize(cb).encode()
+
     def test_seventeen_significant_digits(self, books):
         text = serialize(books[("bmw-ms-cf", 8)])
         pairs = re.findall(r"-?\d\.\d{16}e[+-]\d\d", text)
@@ -104,11 +111,30 @@ class TestRoundTrip:
     ])
     def test_bulk_column_parse_matches_pair_loop(self, raw):
         # a well-formed column converts in one call; its bits must be those
-        # of converting each [re, im] pair with float()
-        from mmwcodebook.storage import _parse_complex_vector
-        got = _parse_complex_vector(raw, len(raw), "$.col")
+        # of converting each [re, im] pair with float(), as the per-pair
+        # loop does
+        from mmwcodebook.storage import _column_array, _parse_complex_vector
         ref = np.array([complex(float(re), float(im)) for re, im in raw])
-        assert got.tobytes() == ref.tobytes()
+        assert _column_array(raw).tobytes() == ref.tobytes()
+        loop = _parse_complex_vector(raw, len(raw), "$.col")
+        assert loop.tobytes() == ref.tobytes()
+
+    def test_parser_converts_columns_composite_by_composite(self, books):
+        # each composite's well-formed columns are complex vectors as soon
+        # as the composite is parsed; a malformed one stays a list for the
+        # per-pair loop to name
+        from mmwcodebook.storage import _pack_columns
+        cb = books[("ps-dft", 8)]
+        doc = json.loads(serialize(cb))
+        doc["layers"][1]["composites"][0]["analog_columns"][0][1] = ["x", 0]
+        doc = json.loads(json.dumps(doc), object_hook=_pack_columns)
+        comps = [c for layer in doc["layers"] for c in layer["composites"]]
+        cols = [col for c in comps
+                for col in c["analog_columns"] + c["digital_columns"]]
+        assert sum(isinstance(col, list) for col in cols) == 1
+        first = comps[0]["analog_columns"][0]
+        assert first.dtype == np.complex128
+        assert first.tobytes() == cb.layers[0].f_rf[0, :, 0].tobytes()
 
     @pytest.mark.parametrize("raw, message", [
         ([[1.0, 2.0], ["3", 4.0]], r"\$\.col\[1\] must be a \[re, im\] pair"),
@@ -125,6 +151,29 @@ class TestRoundTrip:
         from mmwcodebook.storage import _parse_complex_vector
         with pytest.raises(CodebookFormatError, match=message):
             _parse_complex_vector(raw, len(raw), "$.col")
+
+
+# tracemalloc peaks relative to the document's length (1.1 MB, ps-dft
+# N=64).  Parsing peaked at 2.79x while every pair of the document was a
+# Python list of floats at once; writing peaked at 2x with the document
+# whole as a string and as bytes.  Now a parse holds one composite's lists
+# (0.93x) and a write one column of text (0.03x).
+def test_storage_peak_memory(tmp_path):
+    import tracemalloc
+
+    from mmwcodebook.storage import write_codebook
+    cb = build_codebook("ps-dft", 64, 2, grid_size=16)
+    text = serialize(cb)
+    peaks = []
+    for run in (lambda: deserialize(text),
+                lambda: write_codebook(cb, tmp_path / "cb.json")):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / len(text))
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.5 and peaks[1] <= 0.25
 
 
 class TestParseErrors:
@@ -390,6 +439,8 @@ class TestBoundaryChecks:
             cols = d["layers"][1]["composites"][0]["digital_columns"]
             cols[0] = [[2 ** 64, 0] for _ in cols[0]]
 
+        from mmwcodebook.storage import _column_array
+        assert _column_array([[2 ** 64, 0], [1, 0]]) is None
         got = deserialize(self.mutated(cb, edit)).layers[1].f_bb
         assert np.all(got[0, :, 0] == 2.0 ** 64)
         assert np.array_equal(got[0, :, 1], cb.layers[1].f_bb[0, :, 1])
