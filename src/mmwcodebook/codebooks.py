@@ -180,12 +180,20 @@ def _argmax_with_ties(values: np.ndarray) -> int:
     return int(np.argmax(values >= vmax - tol))
 
 
-# The screens of `_best_candidates`, coarsest first: each scores at 1/d of
-# the full resolution and, nested in the same pass, at 1/(2d).
-_RUNGS = (16, 4)
+# The ladders of `_best_candidates`, coarsest rung first: rung d scores at
+# 1/d of the full resolution and, nested in the same pass, at 1/(2d).
+# LCS opens at 1/32, 8N points per unit (4N nested): at bmw-ms-lcs N=81,
+# m_rf=3, layer 0 the five best candidates' errors there are at most 0.07
+# times their |v - v2|, while at 1/64 they reach 3.6 times it and a
+# (64, 16, 4) ladder picks candidate 310 over the exhaustive 311.
+_LCS_RUNGS = (32, 4)
+# ps-dft's 64 candidates per layer have close GDPs, so a coarse rung
+# prunes little: at N=256 a 1/32 rung keeps 159 of 448 scored candidates
+# where 1/16 keeps 47, and the build takes about 1.1 times the CPU.
+_PS_DFT_RUNGS = (16, 4)
 
 
-def _best_candidates(searches, cfg: GdpConfig) -> list[int]:
+def _best_candidates(searches, cfg: GdpConfig, rungs) -> list[int]:
     """Per search, the index `_argmax_with_ties` picks over its
     full-resolution GDP values.
 
@@ -198,7 +206,8 @@ def _best_candidates(searches, cfg: GdpConfig) -> list[int]:
     A ladder of screens narrows each search's classes.  Rung d scores the
     lowest member of every class still in the running on the grid of 1/d
     the full resolution, v_c, and on its even samples, v2_c, in one pass;
-    the ladder runs d = 16, then d = 4 on the survivors.  A class stays
+    `rungs` lists the d, coarsest first (`_LCS_RUNGS`, `_PS_DFT_RUNGS`),
+    each rung scoring the survivors of the one before.  A class stays
     when v_c + 2*e_c reaches max_j(v_j - 2*e_j) less twice the tie slack,
     with e_c = |v_c - v2_c|.  A class member's coarse values differ from
     its representative's by rounding alone (a mirror pair's by about
@@ -219,11 +228,17 @@ def _best_candidates(searches, cfg: GdpConfig) -> list[int]:
     What is only estimated: the margin.  e_c is a Richardson-style
     estimate, about three times the error of v_c while the trapezoid error
     falls with the square of the spacing, not a bound, so nothing proves
-    that the exhaustive winner's class survives every rung.  A probe of
-    ps-dft and bmw-ms-lcs for m_rf in {2, 3, 4, 5, 8}, N = m_rf^d <= 64,
-    gamma in {-10, -3, 0, 5, 15} dB and grid_size in {8, 16, 64} matched
-    the exhaustive full-resolution argmax on all 1,510 searches it ran;
-    tier-1 checks a drawn sample of that space.
+    that the exhaustive winner's class survives every rung.
+    `tools/ladder_probe.py` runs ps-dft and bmw-ms-lcs for m_rf in
+    {2, 3, 4, 5, 8}, N = m_rf^d <= 64, gamma in {-10, -3, 0, 5, 15} dB
+    and grid_size in {8, 16, 64} (64 only at N=64 for bmw-ms-lcs), plus
+    bmw-ms-lcs at N = 81, 125, 128, 243 and 256: all 1,556 searches
+    matched the exhaustive full-resolution argmax, yet the error of a
+    first-rung score exceeded its margin for 11,235 of 356,151 LCS scores
+    at 1/32 (3.2%) and 779 of 15,400 ps-dft scores at 1/16 (5.1%), some
+    with v_c == v2_c and so no margin at all.  Tier-1 checks
+    a drawn sample of that space and the near tie at bmw-ms-lcs N=81,
+    m_rf=3, layer 0, which a ladder opening at 1/64 gets wrong.
 
     The searches run together, one level at a time: every search's first
     rung, then every second rung, then every rescore.  Each level shares
@@ -238,7 +253,7 @@ def _best_candidates(searches, cfg: GdpConfig) -> list[int]:
         classes.append(labels)
         alive.append(np.flatnonzero(labels == np.arange(labels.size)))
         fine.append(cfg.points_for(u_cols.shape[0]))
-    for d in _RUNGS:
+    for d in rungs:
         tables = _ResponseTable()
         for s, (u_cols, coeffs, interval, _) in enumerate(searches):
             if alive[s].size > 1:
@@ -400,7 +415,8 @@ def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
     coeff = (exp_i[:, None, None, :] * exp_m[None, :, :, None]).reshape(
         plan.n_subarrays, grid_size * grid_size)
     labels = _lcs_classes(plan, interval, u_cols, exp_m, exp_i)
-    best, = _best_candidates([(u_cols, coeff, interval, labels)], cfg)
+    best, = _best_candidates([(u_cols, coeff, interval, labels)], cfg,
+                             _LCS_RUNGS)
     phi1 = float(phis[best // grid_size])
     phi2 = float(phis[best % grid_size])
     theta = m_idx[None, :] * phi1 + i_idx[:, None] * phi2
@@ -691,7 +707,7 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
                and _one_pattern(chains, coeff))
         searches.append((chains, coeff, coverage_interval(k, 1, branching),
                          np.zeros(grid_size, dtype=int) if one else None))
-    best = _best_candidates(searches, cfg)
+    best = _best_candidates(searches, cfg, _PS_DFT_RUNGS)
     layers = []
     for k, (chains, *_) in enumerate(searches):
         phi = float(phis[best[k]])

@@ -67,7 +67,8 @@ class GdpConfig:
     gamma_per is the linear per-antenna SNR (1.0 = 0 dB).  The quadrature
     takes `points_for(N)` samples per unit cosine angle for an N-antenna
     codeword; the phase searches screen at the fractions of that in
-    `codebooks._RUNGS` before they rescore at full resolution.
+    `codebooks._LCS_RUNGS` and `codebooks._PS_DFT_RUNGS` before they
+    rescore at full resolution.
     """
 
     gamma_per: float = 1.0

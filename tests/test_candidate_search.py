@@ -1,11 +1,13 @@
 """The coarse-to-fine GDP candidate search picks the exhaustive winner.
 
-`codebooks._best_candidates` narrows each search through a ladder of
-screens: one phase candidate per certified GDP class is scored on a 1/16
-grid and on that grid's even samples, the classes that survive their own
-error margin again on a 1/4 grid and its even samples, and every member
-of the classes that survive that is rescored at full resolution (a rung
-that leaves one class gives its lowest index unscored).  These tests
+`codebooks._best_candidates` narrows each search through the ladder of
+screens its builder passes (`codebooks._LCS_RUNGS` for bmw-ms-lcs,
+`codebooks._PS_DFT_RUNGS` for ps-dft): one phase candidate per certified
+GDP class is scored on the first rung's coarse grid and on that grid's
+even samples, the classes that survive their own error margin again on
+the next rung's grid, and every member of the classes that survive the
+last rung is rescored at full resolution (a rung that leaves one class
+gives its lowest index unscored).  These tests
 replay each layer's search against `_argmax_with_ties` over the
 full-resolution values of every candidate, which is what the codebook
 builders computed before the screens existed, check that every class
@@ -36,8 +38,8 @@ def checked_searches(monkeypatch):
     screened_searches = codebooks._best_candidates
     checked = []
 
-    def searches(batch, cfg):
-        chosen = screened_searches(batch, cfg)
+    def searches(batch, cfg, rungs):
+        chosen = screened_searches(batch, cfg, rungs)
         assert len(chosen) == len(batch)
         for best, (u_cols, coeffs, interval, labels) in zip(chosen, batch):
             full = _gdp_values(u_cols, coeffs, interval, cfg,
@@ -70,18 +72,18 @@ def test_every_layer_matches_exhaustive(checked_searches, scheme, n, m_rf,
 
 def test_odd_screen_interval_count_matches_exhaustive(checked_searches,
                                                       kernel_passes):
-    # bmw-ms-lcs N=9, m_rf=3 screens at 4096 // 16 = 256 points per unit:
-    # the grids of layers 1 and 2 (widths 2/3 and 2/9) have 171 and 57
-    # intervals, and each takes one more to nest the half grid.  Only
-    # layer 2 reaches the rung at 4096 // 4 = 1024 points per unit, whose
-    # 228 intervals nest as they are
+    # bmw-ms-lcs N=9, m_rf=3 screens at 4096 // 32 = 128 points per unit
+    # and then at 4096 // 4 = 1024, layer by layer.  Layer 1 (width 2/3)
+    # has 86 intervals at 128 and 683 at 1024; layer 2 (width 2/9) has 29
+    # at 128 and 228 at 1024.  The odd counts, 683 and 29, each take one
+    # more interval to nest the half grid
     cb = build_codebook("bmw-ms-lcs", 9, 3)
     assert len(checked_searches) == cb.depth + 1
     screens = [(width, points) for width, points, _, nested in kernel_passes
                if nested]
     assert [(points, math.ceil(points * width))
             for width, points in screens] == [
-        (256, 512), (256, 171), (256, 57), (1024, 228)]
+        (128, 256), (128, 86), (1024, 683), (128, 29), (1024, 228)]
 
 
 @pytest.fixture
@@ -101,10 +103,11 @@ def kernel_passes(monkeypatch):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """Per candidate search, its labels and the passes it ran.
+    """Per candidate search, its labels, the passes it ran and its ladder.
 
-    Each pass is (width, points per unit, scored candidate indices, nested,
-    the values the kernel returned);
+    Each search is recorded as (labels, passes, rungs), where each pass is
+    (width, points per unit, scored candidate indices, nested, the values
+    the kernel returned) and rungs is the ladder its builder passed;
     a pass is traced to its search by its basis columns, which each search
     passes to every pass as they are, and a scored column back to its
     index by its exact bytes.  Labels of None read as one class per
@@ -113,16 +116,16 @@ def searches(monkeypatch):
     run, kernel = codebooks._best_candidates, codebooks._gdp_values
     record, active = [], []
 
-    def recording_searches(batch, cfg):
+    def recording_searches(batch, cfg, rungs):
         active.clear()
         for u_cols, coeffs, _, labels in batch:
             index = {col.tobytes(): j for j, col in enumerate(coeffs.T)}
             assert len(index) == coeffs.shape[1]
             if labels is None:
                 labels = np.arange(coeffs.shape[1])
-            record.append((labels, []))
+            record.append((labels, [], rungs))
             active.append((u_cols, index, record[-1][1]))
-        return run(batch, cfg)
+        return run(batch, cfg, rungs)
 
     def recording_kernel(u_cols, coeffs, interval, cfg, points_per_unit,
                          **kw):
@@ -139,14 +142,15 @@ def searches(monkeypatch):
     return record
 
 
-def _ladder(labels, passes, fine):
+def _ladder(labels, passes, rungs, fine):
     """Classes each rung of one search kept, read from its passes.
 
-    Checks the ladder's shape.  The rung at 1/16 of the full resolution
-    scores, nested, every class representative; the rung at 1/4 scores,
-    nested, the representatives the first rung kept; one full-resolution
-    pass then rescores, in index order, every member of the classes the
-    second rung kept, and of no other class.  A rung that keeps one class
+    Checks the ladder's shape against the search's own ladder `rungs`.
+    The first rung, at 1/rungs[0] of the full resolution, scores, nested,
+    every class representative; each later rung scores, nested, the
+    representatives the rung before kept; one full-resolution pass then
+    rescores, in index order, every member of the classes the last rung
+    kept, and of no other class.  A rung that keeps one class
     ends the search with no further pass, and a search of one class runs
     none.  Each rung keeps at least every class c whose v_c + 2|v_c - v2_c|
     reaches the best v_j - 2|v_j - v2_j| less twice the tie slack, the
@@ -155,8 +159,8 @@ def _ladder(labels, passes, fine):
     alive = np.flatnonzero(labels == np.arange(labels.size))
     kept = []
     for rung, (_, points, scored, nested, _) in enumerate(passes):
-        if rung < 2:
-            assert nested and points == fine // (16, 4)[rung]
+        if rung < len(rungs):
+            assert nested and points == fine // rungs[rung]
             assert scored.size > 1 and np.all(np.diff(scored) > 0)
             assert np.all(np.isin(scored, alive))
             assert rung or np.array_equal(scored, alive)
@@ -164,14 +168,14 @@ def _ladder(labels, passes, fine):
                 kept.append(scored.size)
             alive = scored
         else:
-            assert rung == 2 and points == fine and not nested
+            assert rung == len(rungs) and points == fine and not nested
             classes = np.unique(labels[scored])
             assert classes.size > 1 and np.all(np.isin(classes, alive))
             assert np.array_equal(scored,
                                   np.flatnonzero(np.isin(labels, classes)))
             kept.append(classes.size)
     # each rung keeps every class whose margin reaches the best lower end
-    for rung, (_, _, scored, _, (v, v2)) in enumerate(passes[:2]):
+    for rung, (_, _, scored, _, (v, v2)) in enumerate(passes[:len(rungs)]):
         margin = 2.0 * np.abs(v - v2)
         tol = _TIE_RTOL * max(1.0, abs(float(np.max(v))))
         must = scored[v + margin >= np.max(v - margin) - 2.0 * tol]
@@ -179,34 +183,36 @@ def _ladder(labels, passes, fine):
             assert np.all(np.isin(must, labels[passes[rung + 1][2]]))
         else:
             assert must.size == 1
-    return kept + [1] if 0 < len(passes) < 3 else kept
+    return kept + [1] if 0 < len(passes) <= len(rungs) else kept
 
 
 def test_screen_rescores_few_candidates(searches):
-    # the 64 * 64 candidates of N=32 layer 0 form 2050 mirror classes,
-    # and the first rung leaves one
+    # the 64 * 64 candidates of N=32 layer 0 form 2050 mirror classes;
+    # the first rung leaves two and the second one
     iv = AngleInterval(-1.0, 2.0)
     codebooks.lcs_phases(codebooks.subarray_plan(32, 2, iv), iv)
-    (labels, passes), = searches
+    (labels, passes, rungs), = searches
     assert np.unique(labels).size == 2050
-    assert _ladder(labels, passes, GdpConfig().points_for(32)) == [1]
+    assert _ladder(labels, passes, rungs,
+                   GdpConfig().points_for(32)) == [2, 1]
     assert all(scored.size < 64 for _, _, scored, *_ in passes[1:])
 
 
 def test_per_candidate_margins_keep_few_survivors(searches):
     # bmw-ms-lcs N=64, m_rf=4: one global margin kept 3584 of the 4096
     # candidates of the layer of width 1/8, where m_s = 1 and the mirror
-    # leave 32 classes of 128 candidates; the 1/16 rung keeps 2 of them
+    # leave 32 classes of 128 candidates; the 1/32 rung keeps 11 of them
     # and the 1/4 rung one
     build_codebook("bmw-ms-lcs", 64, 4)
     fine = GdpConfig().points_for(64)
-    assert [passes[0][0] for _, passes in searches] == [2.0, 0.5, 0.125,
-                                                        2 / 64]
+    assert [passes[0][0] for _, passes, _ in searches] == [
+        2.0, 0.5, 0.125, 2 / 64]
     assert np.unique(searches[2][0]).size == 32
-    kept = [_ladder(labels, passes, fine) for labels, passes in searches]
-    assert kept == [[1], [3, 1], [2, 1], [2, 1]]
+    kept = [_ladder(*search, fine) for search in searches]
+    assert kept == [[1], [19, 1], [11, 1], [6, 1]]
     assert all(scored.size < 512
-               for _, passes in searches for _, _, scored, *_ in passes[1:])
+               for _, passes, _ in searches
+               for _, _, scored, *_ in passes[1:])
 
 
 def _design_space():
@@ -242,8 +248,35 @@ def test_drawn_designs_match_exhaustive(checked_searches, searches, scheme,
     cfg = GdpConfig(gamma_per=db_to_linear(gamma_db))
     cb = build_codebook(scheme, n, m_rf, grid, cfg)
     assert len(checked_searches) == cb.depth + 1
-    for labels, passes in searches:
-        _ladder(labels, passes, cfg.points_for(n))
+    for search in searches:
+        _ladder(*search, cfg.points_for(n))
+
+
+def test_lcs_ladder_keeps_the_near_tie(monkeypatch):
+    # bmw-ms-lcs N=81, m_rf=3, layer 0: candidate 311 (phi1 = phis[4],
+    # phi2 = phis[55]) beats 310 by 4e-6 in GDP.  A ladder opening at 1/64
+    # underestimates the coarse errors there and keeps 310, so this fails
+    # if `_LCS_RUNGS` opens coarser than 1/32
+    run, batches = codebooks._best_candidates, []
+
+    def recording(batch, cfg, rungs):
+        batches.append(batch)
+        return run(batch, cfg, rungs)
+
+    monkeypatch.setattr(codebooks, "_best_candidates", recording)
+    iv = codebooks.coverage_interval(0, 1, 3)
+    phi1, phi2, _ = codebooks.lcs_phases(codebooks.subarray_plan(81, 3, iv),
+                                         iv)
+    phis = 2.0 * np.pi * np.arange(64) / 64
+    assert (phi1, phi2) == (phis[4], phis[55])
+    (batch,) = batches
+    cfg = GdpConfig()
+    assert run(batch, cfg, (64, 16, 4)) == [310]
+    # at full resolution 311 beats 310 and 247, its closest contenders
+    (u_cols, coeffs, interval, _), = batch
+    full = _gdp_values(u_cols, coeffs[:, [247, 310, 311]], interval, cfg,
+                       cfg.points_for(81))
+    assert _argmax_with_ties(full) == 2
 
 
 @pytest.fixture
@@ -251,7 +284,7 @@ def search_classes(monkeypatch):
     """Record the labels of every candidate search, scoring nothing."""
     seen = []
 
-    def searches(batch, cfg):
+    def searches(batch, cfg, rungs):
         seen.extend(labels for *_, labels in batch)
         return [0] * len(batch)
 
@@ -332,8 +365,8 @@ def test_ps_dft_one_class_layers(checked_searches, searches, n, grid):
     cb = build_codebook("ps-dft", n, 2, grid_size=grid)
     assert checked_searches == [2.0 / 2 ** k for k in range(cb.depth + 1)]
     fine = GdpConfig().points_for(n)
-    assert [_ladder(labels, passes, fine)
-            for labels, passes in searches] == PS_DFT_LADDERS[(n, grid)]
+    assert [_ladder(*search, fine)
+            for search in searches] == PS_DFT_LADDERS[(n, grid)]
 
 
 @pytest.mark.parametrize("n, m_rf, tables", [
@@ -359,14 +392,17 @@ def test_each_ps_dft_level_builds_its_table_once(monkeypatch, n, m_rf,
     assert len(built) == tables
 
 
-# tracemalloc peaks of two builds, in MiB, before the ladder, when every
-# pass built its own table and took one product per row block.  The slack
-# is one batched product of the N=256 kernel, 1024 rows x 128 candidate
-# columns of complex128: a second live table (4 MiB at N=256) or a table
-# kept for the whole build does not fit in it
+# tracemalloc peaks of builds, in MiB: the first two before the ladder,
+# when every pass built its own table and took one product per row block,
+# the third with the LCS ladder opening at 1/32 (17.2 MiB when it opened
+# at 1/16).  The slack is one batched product of the N=256 kernel, 1024
+# rows x 128 candidate columns of complex128: a second live table (4 MiB
+# at N=256), a table kept for the whole build or an LCS first rung back
+# at 1/16 does not fit in it
 @pytest.mark.parametrize("design, before_mib", [
     (("ps-dft", 256, 2), 10.55),
     (("bmw-ms-lcs", 64, 2), 17.27),
+    (("bmw-ms-lcs", 64, 2), 10.94),
 ])
 def test_build_peak_memory_holds(design, before_mib):
     rows = metrics._BLOCK_BYTES // (16 * 256)

@@ -6,11 +6,12 @@ A `sys.settrace` probe, limited to frames whose code lives under
 `src/mmwcodebook`, records every line that runs during `pytest.main` (on
 `tests/` unless arguments are given) and during one `cli.main` call of
 each command with its defaults (`beampattern` reads the file that
-`design` wrote).  Each module is compiled from its source, and every line
-that a code object's `co_lines()` maps an instruction to, and the probe
-never saw, is printed per file as ranges.  It needs the stdlib and
-pytest only, and takes a few minutes, since every traced line costs a
-Python call.
+`design` wrote).  Each module is compiled from its source before the
+tests start, so a source edited during the run does not shift the lines,
+and every line that a code object's `co_lines()` maps an instruction to,
+and the probe never saw, is printed per file as ranges.  It needs the
+stdlib and pytest only, and takes a few minutes, since every traced line
+costs a Python call.
 
 The exit status is pytest's if the tests fail, else 1 if any line went
 unreached and 0 if none did, so the probe can serve as a gate.
@@ -94,6 +95,7 @@ def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv) or [
         str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"]
     sys.path.insert(0, str(ROOT / "src"))
+    sources = {path: code_lines(path) for path in sorted(PACKAGE.glob("*.py"))}
     probe = LineProbe(str(PACKAGE) + "/")
     with probe.tracing():
         status = pytest.main(args)
@@ -105,9 +107,9 @@ def main(argv=None) -> int:
                 print(f"cli {call[0]}: exit {code}")
     print(f"pytest exit status: {int(status)}")
     missed = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path, lines in sources.items():
         hit = {line for name, line in probe.hits if name == str(path)}
-        unreached = code_lines(path) - hit
+        unreached = lines - hit
         missed += len(unreached)
         if unreached:
             print(f"{path.relative_to(ROOT)}: {ranges(unreached)}")
