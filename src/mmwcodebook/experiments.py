@@ -255,8 +255,9 @@ def _validate(command: str, cfg: dict) -> None:
 
 
 def _fmt_cell(v) -> str:
+    # a float subclass such as numpy's float64 prints as the equal float
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return str(v)
 
 

@@ -21,13 +21,17 @@ Tx/Rx composite pair per layer and descending into the winning pair's
 children; `run_monte_carlo` wraps it into a seeded, bit-reproducible
 sweep.  Sweeps run the same search over blocks of (trial, snr) cells at
 once and over all schemes in lockstep, one layer at a time as stacked
-matrix products, and write the same bytes as a search per cell.  At each
-layer, the Rx member rows of every scheme that measures two or more
-members meet each trial's channel in one matrix product: a row of a gemm
-product has the bits of that row computed alone.  A side that measures
-one member keeps its own product, which numpy runs as gemv with other
-bits.  Both gather their operands straight from the codebooks'
-`CodebookLayer` arrays, so a search stacks no codebook layer itself.
+matrix products, and write the same bytes as a search per cell.  A block
+holds about 1 MiB of channel matrices but never fewer than 8 trials, so
+that each layer's bookkeeping is shared by several trials at N = 256 too;
+its channels are built in chunks of about 1 MiB, which stay in cache
+between the per-path passes.  At each layer, the Rx member rows of every
+scheme that measures two or more members meet each trial's channel in one
+matrix product: a row of a gemm product has the bits of that row computed
+alone.  A side that measures one member keeps its own product, which
+numpy runs as gemv with other bits.  Both gather their operands straight
+from the codebooks' `CodebookLayer` arrays, so a search stacks no
+codebook layer itself.
 Sweep substreams are seeded in bulk: each block's SeedSequence mixing
 runs as one numpy pass over its keys, and one reused PCG64 takes each
 key's state in turn, so every cell draws the same bytes as
@@ -545,7 +549,11 @@ def _channel_block(cfg: SimConfig, streams,
     Each trial draws from its (seed, trial) stream in `sample_channel`'s
     order and builds its matrix with `ChannelRealization.matrix`'s
     per-path sum, so each matrix has the same bits as the per-trial
-    objects.
+    objects.  The sum runs over chunks of trials whose one-path term
+    stays within `_SUB_BLOCK_BYTES` (one trial at N = 256, the whole block
+    at N <= 64): each path's pass over a chunk then reads what the last
+    pass left in cache, where one pass over a block of 8 N = 256 matrices
+    waits on memory.
     """
     trials, n_an, m_an = h.shape
     draws = np.empty((trials, 4, cfg.l_paths))
@@ -559,15 +567,21 @@ def _channel_block(cfg: SimConfig, streams,
     aoa, aod = -1.0 + 2.0 * draws[:, 2], -1.0 + 2.0 * draws[:, 3]
     a_r = steering_vector(n_an, aoa)
     a_t = steering_vector(m_an, aod).conj()
-    # numpy's complex products need not commute bit for bit, so every
-    # product keeps `matrix`'s operand order
-    h.fill(0.0)
-    term = np.empty_like(h)
-    for path in range(cfg.l_paths):
-        np.multiply(a_r[:, path, :, None], a_t[:, path, None, :], out=term)
-        np.multiply(gains[:, path, None, None], term, out=term)
-        h += term
-    np.multiply(math.sqrt(m_an * n_an), h, out=h)
+    chunk = min(trials, max(1, _SUB_BLOCK_BYTES // (16 * n_an * m_an)))
+    term = np.empty((chunk, n_an, m_an), dtype=np.complex128)
+    for first in range(0, trials, chunk):
+        rows = slice(first, first + chunk)
+        part = h[rows]
+        tmp = term[:part.shape[0]]
+        # numpy's complex products need not commute bit for bit, so every
+        # product keeps `matrix`'s operand order
+        part.fill(0.0)
+        for path in range(cfg.l_paths):
+            np.multiply(a_r[rows, path, :, None], a_t[rows, path, None, :],
+                        out=tmp)
+            np.multiply(gains[rows, path, None, None], tmp, out=tmp)
+            part += tmp
+        np.multiply(math.sqrt(m_an * n_an), part, out=part)
     strongest = np.argmax(np.abs(gains), axis=1)[:, None]
     return (np.take_along_axis(aoa, strongest, axis=1)[:, 0],
             np.take_along_axis(aod, strongest, axis=1)[:, 0])
@@ -575,8 +589,17 @@ def _channel_block(cfg: SimConfig, streams,
 
 # trials per sub-block are capped so that their stacked channel matrices
 # stay under this many bytes; each layer reads a trial's channel once, in
-# one product with every scheme's Rx rows (`_rx_stack`)
+# one product with every scheme's Rx rows (`_rx_stack`).  `_channel_block`
+# builds the matrices in chunks of at most this many bytes too
 _SUB_BLOCK_BYTES = 1 << 20
+# but a sub-block holds at least this many trials, since each layer's
+# bookkeeping (`_rx_stack`, `_distinct_per_row`, the gathers) costs about
+# the same per call whatever its trial count: at N = 256 the byte cap
+# alone leaves one trial per sub-block, and the sweep then spends most of
+# its time on that bookkeeping rather than on the products.  A floor of 16
+# ran about 2% faster than 8 at N = 256 for twice the sweep's memory
+# (BENCH_sweep_blocks.json)
+_SUB_BLOCK_TRIALS = 8
 
 
 def _trial_block(schemes, powers: list[float],
@@ -587,7 +610,11 @@ def _trial_block(schemes, powers: list[float],
     (seed, trial, snr index, scheme index) for measurement noise, making
     each cell independent of how trials are grouped.  Trials run in
     sub-blocks, and every scheme's cells of a sub-block are searched
-    together, layer by layer in lockstep.
+    together, layer by layer in lockstep.  A sub-block holds as many
+    trials as `_SUB_BLOCK_BYTES` of channel matrices, and at least
+    `_SUB_BLOCK_TRIALS`, so that each layer's per-call bookkeeping is
+    shared by several trials even at N = 256 (for N_t = N_r = N: 64
+    trials at N = 32, 16 at N = 64 and 8 at N >= 128).
     """
     pairs = [(tx, rx) for _, tx, rx in schemes]
     m_an, n_an = pairs[0][0].n_antennas, pairs[0][1].n_antennas
@@ -595,7 +622,8 @@ def _trial_block(schemes, powers: list[float],
     sqrt_p = np.array([math.sqrt(p) for p in powers])
     succ = np.zeros((cfg.trials, snrs, len(schemes)))
     rate = np.zeros_like(succ)
-    step = min(cfg.trials, max(1, _SUB_BLOCK_BYTES // (16 * m_an * n_an)))
+    step = min(cfg.trials, max(_SUB_BLOCK_TRIALS,
+                               _SUB_BLOCK_BYTES // (16 * m_an * n_an)))
     # every sub-block takes its trials' keys from these streams in turn
     # and fills the channel buffer and each scheme's noise buffer anew
     trial_keys = np.arange(cfg.trials)

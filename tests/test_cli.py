@@ -517,3 +517,16 @@ def test_pyproject_version_matches_package():
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     found = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', text, re.MULTILINE)
     assert found == [__version__]
+
+
+def test_numpy_float_cells_print_as_floats(tmp_path):
+    # a caller may hand write_csv numpy scalars; float64 subclasses float,
+    # and its cell must read as the equal Python float's, not its repr
+    row = [np.float64(0.1), np.float64(-1e-300), np.float64(np.inf),
+           np.float64(2.0), np.int64(3), "cf"]
+    plain = [float(v) if isinstance(v, float) else v for v in row]
+    experiments.write_csv(tmp_path / "np.csv", ["a"], [row], "# c")
+    experiments.write_csv(tmp_path / "py.csv", ["a"], [plain], "# c")
+    text = (tmp_path / "np.csv").read_text()
+    assert text == (tmp_path / "py.csv").read_text()
+    assert text.splitlines()[2] == "0.1,-1e-300,inf,2.0,3,cf"

@@ -657,8 +657,9 @@ class TestBatchedSweep:
              l_paths=2, trials=12),
         # three members per side: odd row counts in the stacked product
         dict(sizes=(27, 27), m_rf=3, l_paths=2, trials=10),
-        # one trial per sub-block at N = 256, as in a large-array sweep
-        dict(sizes=(256, 256), m_rf=2, l_paths=3, trials=3),
+        # at least 8 trials per sub-block at N = 256, as in a large-array
+        # sweep, so 11 trials run as 8 + 3, each built one trial per chunk
+        dict(sizes=(256, 256), m_rf=2, l_paths=3, trials=11),
     ])
     def test_matches_per_cell_oracle(self, case):
         if "schemes" in case:
@@ -729,6 +730,49 @@ class TestBatchedSweep:
         # its products; the stack may add its buffers and nothing more
         assert peak < 4.8e6 + stack
 
+    @pytest.mark.parametrize("n, trials, blocks", [
+        (32, 70, [64, 6]), (64, 20, [16, 4]), (128, 11, [8, 3]),
+        (256, 11, [8, 3])])
+    def test_sub_blocks_hold_the_floor(self, monkeypatch, n, trials, blocks):
+        # 1 MiB of channels per sub-block, but never fewer than 8 trials
+        cb = build_codebook("bmw-ms-cf", n, 2)
+        sizes, search_cells = [], simulate._search_cells
+
+        def recording(pairs, h, *args):
+            sizes.append(h.shape[0])
+            return search_cells(pairs, h, *args)
+
+        monkeypatch.setattr(simulate, "_search_cells", recording)
+        run_monte_carlo([("cf", cb, cb)], [-10.0],
+                        SimConfig(l_s=8, n0=0.0, trials=trials))
+        assert sizes == blocks
+
+    def test_large_array_sweep_memory_is_its_buffers(self):
+        # two schemes at N = 256 with 3 paths, seven SNRs and two full
+        # sub-blocks of the 8-trial floor
+        cf = build_codebook("bmw-ms-cf", 256, 2)
+        ps = build_codebook("ps-dft", 256, 2)
+        cfg = SimConfig(l_paths=3, l_s=32, seed=3, trials=16)
+        snr_db = [-40.0, -35.0, -30.0, -25.0, -20.0, -15.0, -10.0]
+        tracemalloc.start()
+        try:
+            run_monte_carlo([("cf", cf, cf), ("ps", ps, ps)], snr_db, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entry = 16  # bytes of one complex128
+        channels = 8 * 256 * 256 * entry
+        chunk = 256 * 256 * entry
+        # row and product buffers: one row of 256 entries per cell (8
+        # trials x 7 SNRs) and Rx member (2 + 2) each; and 2 x 2 x 2
+        # normals per layer of 8, per cell and scheme
+        stack = 2 * 8 * 7 * (2 + 2) * 256 * entry
+        noise = 2 * 8 * 7 * 8 * (2 * 2 * 2) * 8
+        # the peak read 0.43-1.41 MB above these buffers over seeds 3-5 and
+        # n0 = 0 and 1 (the first sweep of an interpreter the highest); a
+        # 16-trial block, or channels built in one pass, adds 8 MiB more
+        assert peak < channels + chunk + stack + noise + 2e6
+
     @pytest.mark.parametrize("sizes", [(32, 8), (8, 32)])
     @pytest.mark.parametrize("papc", [True, False])
     def test_single_search_matches_oracle(self, sizes, papc):
@@ -753,7 +797,12 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("l_paths", [1, 3])
     @pytest.mark.parametrize("sizes", [(16, 8), (8, 32)])
     @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64 - 1])
-    def test_channel_block_matches_sample_channel(self, l_paths, sizes, seed):
+    def test_channel_block_matches_sample_channel(self, monkeypatch, l_paths,
+                                                  sizes, seed):
+        # the 7 matrices are built in chunks of 3, 3 and 1 trials, so the
+        # last chunk is short
+        monkeypatch.setattr(simulate, "_SUB_BLOCK_BYTES",
+                            3 * 16 * sizes[0] * sizes[1])
         cfg = SimConfig(l_paths=l_paths, seed=seed, trials=9)
         streams = simulate._substreams(seed, np.arange(2, 9))
         # a reused buffer holds the last sub-block's matrices
@@ -825,6 +874,7 @@ def test_drawn_sweeps_match_per_cell_searches(monkeypatch, case):
     n_t, n_r = schemes[0][1].n_antennas, schemes[0][2].n_antennas
     monkeypatch.setattr(simulate, "_SUB_BLOCK_BYTES",
                         case["block"] * 16 * n_t * n_r)
+    monkeypatch.setattr(simulate, "_SUB_BLOCK_TRIALS", case["block"])
     blocks, search_cells = [], simulate._search_cells
 
     def recording(*args):
