@@ -27,11 +27,12 @@ that each layer's bookkeeping is shared by several trials at N = 256 too;
 its channels are built in chunks of about 1 MiB, which stay in cache
 between the per-path passes.  At each layer, the Rx member rows of every
 scheme that measures two or more members meet each trial's channel in one
-matrix product: a row of a gemm product has the bits of that row computed
-alone.  A side that measures one member keeps its own product, which
-numpy runs as gemv with other bits.  Both gather their operands straight
-from the codebooks' `CodebookLayer` arrays, so a search stacks no
-codebook layer itself.
+matrix product, in a stack allocated once per searched block (a single
+search is a block of one cell): a row of a gemm product has the bits of
+that row computed alone.  A side that measures one member keeps its own
+product, which numpy runs as gemv with other bits.  Both gather their
+operands straight from the codebooks' `CodebookLayer` arrays, so a search
+stacks no codebook layer itself.
 Sweep substreams are seeded in bulk: each block's SeedSequence mixing
 runs as one numpy pass over its keys, and one reused PCG64 takes each
 key's state in turn, so every cell draws the same bytes as
@@ -210,8 +211,9 @@ def select_best(rho: np.ndarray) -> tuple[int, int]:
     Ties resolve to the smallest (j, i) pair in lexicographic order.
     """
     rho = _check_finite("rho", rho)
-    if rho.size == 0:
-        raise ValueError("empty measurement matrix")
+    if rho.ndim != 2 or rho.size == 0:
+        raise ValueError(f"rho must be a non-empty 2-D measurement matrix, "
+                         f"got shape {rho.shape}")
     j, i = divmod(int(_best_flat(rho)), rho.shape[0])
     return j + 1, i + 1
 
@@ -265,16 +267,6 @@ def _rx_products(cb, k: int, idx: np.ndarray, h: np.ndarray) -> np.ndarray:
     return wh[np.arange(idx.shape[0])[:, None], pos]
 
 
-def _stack_buffers(pairs, cells: int, n_r: int,
-                   n_t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat row and product buffers for `_rx_stack`: room for one
-    conjugated member row w_i^H, and its w_i^H H, per cell and Rx member of
-    every (tx, rx) pair."""
-    rows = cells * sum(rx.branching for _, rx in pairs)
-    return (np.empty(rows * n_r, dtype=np.complex128),
-            np.empty(rows * n_t, dtype=np.complex128))
-
-
 def _rx_stack(sides, k: int, h: np.ndarray, buffers):
     """Yield w^H H (trials, snrs, M, N_t) at search layer k of each side
     (rx, i) in turn, where i (trials, snrs) holds the side's Rx entries and
@@ -289,27 +281,32 @@ def _rx_stack(sides, k: int, h: np.ndarray, buffers):
     as gemv, whose bits differ from a gemm row's.
     """
     trials, n_r, n_t = h.shape
-    stacked = {s: _distinct_per_row(i) for s, (rx, i) in enumerate(sides)
-               if _members(rx, k) > 1}
-    total = sum(values.shape[1] * sides[s][0].branching
-                for s, (values, _) in stacked.items())
+    # per side: None when it measures one member, else its distinct
+    # entries, their positions, and its rows of the stack and their shape
+    parts, total = [], 0
+    for rx, i in sides:
+        if _members(rx, k) == 1:
+            parts.append(None)
+            continue
+        values, pos = _distinct_per_row(i)
+        span = slice(total, total + values.shape[1] * rx.branching)
+        parts.append((values, pos, span, values.shape + (rx.branching, -1)))
+        total = span.stop
     rows = buffers[0][:trials * total * n_r].reshape(trials, total, n_r)
     prod = buffers[1][:trials * total * n_t].reshape(trials, total, n_t)
-    blocks, start = {}, 0
-    for s, (values, _) in stacked.items():
-        rx = sides[s][0]
-        stop = start + values.shape[1] * rx.branching
-        # (trials, width, M, N) views of this side's rows of the stack
-        shape = values.shape + (rx.branching, -1)
-        np.conjugate(_gather(rx, k, values)[0].swapaxes(-1, -2),
-                     out=rows[:, start:stop].reshape(shape))
-        blocks[s] = prod[:, start:stop].reshape(shape)
-        start = stop
+    for (rx, _), part in zip(sides, parts):
+        if part is not None:
+            values, _, span, shape = part
+            np.conjugate(_gather(rx, k, values)[0].swapaxes(-1, -2),
+                         out=rows[:, span].reshape(shape))
     np.matmul(rows, h, out=prod)
     trial = np.arange(trials)[:, None]
-    for s, (rx, i) in enumerate(sides):
-        yield (blocks[s][trial, stacked[s][1]] if s in stacked
-               else _rx_products(rx, k, i, h))
+    for (rx, i), part in zip(sides, parts):
+        if part is None:
+            yield _rx_products(rx, k, i, h)
+        else:
+            _, pos, span, shape = part
+            yield prod[:, span].reshape(shape)[trial, pos]
 
 
 def _covers(cb, idx: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -327,42 +324,42 @@ def _noise_size(tx, rx) -> int:
 
 
 def _distinct_per_row(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of each row of `idx` and where each entry sits.
-
-    Returns (values, pos): values (rows, width) lists each row's distinct
-    values, padded with repeats to the widest row, and
-    values[r, pos[r, c]] == idx[r, c].
-    """
+    """The distinct values of each row of the non-negative `idx` and where
+    each entry sits: values (rows, width) lists each row's distinct values
+    in ascending order, padded with its smallest to the widest row, and
+    values[r, pos[r, c]] == idx[r, c]."""
     rows = np.arange(idx.shape[0])[:, None]
-    order = np.argsort(idx, axis=1)
-    ranked = idx[rows, order]
-    starts = np.ones(ranked.shape, dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    rank = np.cumsum(starts, axis=1) - 1
-    pos = np.empty_like(rank)
-    pos[rows, order] = rank
-    values = np.repeat(ranked[:, :1], rank[:, -1].max() + 1, axis=1)
-    values[np.nonzero(starts)[0], rank[starts]] = ranked[starts]
-    return values, pos
+    seen = np.zeros((idx.shape[0], idx.max() + 1), dtype=bool)
+    seen[rows, idx] = True
+    rank = np.cumsum(seen, axis=1) - 1
+    row, value = np.nonzero(seen)
+    values = np.repeat(idx.min(axis=1, keepdims=True), rank[:, -1].max() + 1,
+                       axis=1)
+    values[row, rank[row, value]] = value
+    return values, rank[rows, idx]
 
 
 def _search_cells(pairs, h: np.ndarray, sqrt_p: np.ndarray, cfg: SimConfig,
-                  noises: list, buffers) -> list[tuple]:
+                  noises: list) -> list[tuple]:
     """Layer-by-layer beam search of a block of (trial, snr) cells at once,
     for every (tx, rx) codebook pair of `pairs` in lockstep.
 
     `h` (trials, N_r, N_t) holds each trial's channel and `sqrt_p` (trials,
     snrs) each cell's stream amplitude; `noises[n]` (trials, snrs, total)
     holds pair n's standard normals per cell, laid out re, im of layer 1,
-    re, im of layer 2, ... (None when n0 = 0), and `buffers` comes from
-    `_stack_buffers`.  Each layer gathers the cells' composites, forms
-    w^H H of every pair's distinct Rx composites of a trial in one product
-    (`_rx_stack`), measures all cells as stacked matrix products and
-    descends into the winners; a pair whose layers have run out drops out.
+    re, im of layer 2, ... (None when n0 = 0).  Each layer gathers the
+    cells' composites, forms w^H H of every pair's distinct Rx composites
+    of a trial in one product (`_rx_stack`, in buffers allocated here with
+    a row per cell and Rx member of every pair), measures all cells as
+    stacked matrix products and descends into the winners; a pair whose
+    layers have run out drops out.
     Returns, per pair, each cell's final 0-based Tx and Rx bottom codeword
     positions, and the last layer's rho and `_best_flat` winner.
     """
     shape = sqrt_p.shape
+    stack = sqrt_p.size * sum(rx.branching for _, rx in pairs)
+    buffers = (np.empty(stack * h.shape[1], dtype=np.complex128),
+               np.empty(stack * h.shape[2], dtype=np.complex128))
     j = [np.zeros(shape, dtype=np.intp) for _ in pairs]
     i = [np.zeros(shape, dtype=np.intp) for _ in pairs]
     last = [None] * len(pairs)
@@ -419,10 +416,8 @@ def hierarchical_search(tx_cb: HierarchicalCodebook,
     _check_channel(h, rx_cb.n_antennas, tx_cb.n_antennas)
     _check_real("p", p, 0, above=True)
     noise = _normals(rng, cfg.n0, (1, 1, _noise_size(tx_cb, rx_cb)))
-    pairs = [(tx_cb, rx_cb)]
     [(j, i, rho, best)] = _search_cells(
-        pairs, h[None], np.full((1, 1), math.sqrt(p)), cfg, [noise],
-        _stack_buffers(pairs, 1, *h.shape))
+        [(tx_cb, rx_cb)], h[None], np.full((1, 1), math.sqrt(p)), cfg, [noise])
     j_t, i_r = int(j[0, 0]) + 1, int(i[0, 0]) + 1
     j_star, i_star = divmod(int(best[0, 0]), rho.shape[-2])
     return SearchResult(
@@ -629,7 +624,6 @@ def _trial_block(schemes, powers: list[float],
     trial_keys = np.arange(cfg.trials)
     channels = _substreams(cfg.seed, trial_keys)
     h_buf = np.empty((step, n_an, m_an), dtype=np.complex128)
-    buffers = _stack_buffers(pairs, step * snrs, n_an, m_an)
     noise_draws = [
         (np.empty((step, snrs, _noise_size(tx, rx))),
          _substreams(cfg.seed, trial_keys[:, None], np.arange(snrs), ci))
@@ -645,7 +639,7 @@ def _trial_block(schemes, powers: list[float],
                                   streams):
                 gen.standard_normal(out=draws)
         found = _search_cells(pairs, h, np.broadcast_to(
-            sqrt_p, (len(trials), snrs)), cfg, noises, buffers)
+            sqrt_p, (len(trials), snrs)), cfg, noises)
         rows = slice(trials.start, trials.stop)
         for ci, ((tx, rx), (j_t, i_r, _, _)) in enumerate(zip(pairs, found)):
             succ[rows, :, ci], rate[rows, :, ci] = _score_cells(
@@ -724,6 +718,8 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
                            for cb in (tx, rx)])
     _check_integer("workers", workers, 1)
     snr_db = [_check_real("snr_db", x) for x in snr_db]
+    if not snr_db:
+        raise ValueError("snr_db must hold at least one SNR")
     succ, rate = _trial_block(schemes, snr_powers(snr_db, cfg.n0), cfg)
     overflow = ~np.isfinite(rate).all(axis=(0, 2))
     if cfg.n0 > 0.0 and overflow.any():

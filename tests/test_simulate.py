@@ -272,6 +272,12 @@ class TestSelectBest:
         with pytest.raises(ValueError):
             select_best(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("rho", [np.ones(3), np.ones((2, 2, 2))],
+                             ids=["1-D", "3-D"])
+    def test_non_matrix_rejected(self, rho):
+        with pytest.raises(ValueError, match="rho must be a non-empty 2-D"):
+            select_best(rho)
+
 
 class TestHierarchicalSearch:
     def test_noise_free_bin_centers(self):
@@ -409,6 +415,12 @@ class TestMonteCarlo:
     def test_no_scheme_rejected(self):
         with pytest.raises(ValueError, match="at least one scheme"):
             run_monte_carlo([], [0.0], SimConfig(l_s=8))
+
+    @pytest.mark.parametrize("n0", [1.0, 0.0])
+    def test_no_snr_rejected(self, n0):
+        cb = build_codebook("bmw-ms-cf", 8, 2)
+        with pytest.raises(ValueError, match="snr_db must hold at least one"):
+            run_monte_carlo([("cf", cb, cb)], [], SimConfig(l_s=8, n0=n0))
 
     def test_schemes_of_other_array_sizes_rejected(self):
         small = build_codebook("bmw-ms-cf", 8, 2)
@@ -692,11 +704,11 @@ class TestBatchedSweep:
         rng = np.random.default_rng(3)
         h = rng.standard_normal((3, 16, 8)) + 1j * rng.standard_normal(
             (3, 16, 8))
-        # stale entries in the buffers must never be read
-        buffers = simulate._stack_buffers([(None, cb) for cb in books],
-                                          3 * 5, 16, 8)
-        for buf in buffers:
-            buf.fill(np.nan)
+        # stale entries in the buffers must never be read: room for one
+        # row per cell (3 trials x 5) and Rx member of every side
+        rows = 3 * 5 * sum(cb.branching for cb in books)
+        buffers = (np.full(rows * 16, np.nan + 0j),
+                   np.full(rows * 8, np.nan + 0j))
         for k in range(1, 5):
             # composites of layer k, or bottom codewords past the depth
             sides = [(cb, rng.integers(
@@ -709,6 +721,31 @@ class TestBatchedSweep:
                             else held_bottom(cb, i[t, s] + 1))
                     ref = simulate._rx_product(comp.member_matrix, h[t])
                     assert wh[t, s].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("idx", [
+        np.array([[3]]),
+        # rows that are all equal, and rows that are all distinct
+        np.full((3, 7), 5),
+        np.arange(21).reshape(3, 7)[:, ::-1],
+        # a sweep sub-block's rows at 8 and 64 trials of 7 SNRs
+        np.random.default_rng(1).integers(0, 4, (8, 7)),
+        np.random.default_rng(2).integers(0, 64, (64, 7)),
+        # bottom codewords up to N - 1, as a one-member side past its depth
+        # and the scoring measure them
+        np.concatenate([[[255, 0, 255, 128, 0, 1, 254]],
+                        np.random.default_rng(3).integers(0, 256, (7, 7))]),
+    ], ids=["1x1", "equal", "distinct", "8x7", "64x7", "to-N-1"])
+    def test_distinct_per_row_matches_unique(self, idx):
+        values, pos = simulate._distinct_per_row(idx)
+        uniques = [np.unique(row) for row in idx]
+        assert values.shape == (len(idx), max(map(len, uniques)))
+        for row, unique, got, at in zip(idx, uniques, values, pos):
+            # each row's distinct values in ascending order, then padding
+            # that only repeats one of them
+            assert np.array_equal(got[:len(unique)], unique)
+            assert np.isin(got[len(unique):], unique).all()
+            assert (at < len(unique)).all()
+            assert np.array_equal(got[at], row)
 
     def test_sweep_memory_is_its_buffers(self):
         # two schemes at N = 32, seven SNRs and two full sub-blocks of 64
@@ -813,6 +850,46 @@ class TestBatchedSweep:
                                   np.random.default_rng([seed, t]))
             assert np.array_equal(h[row], chan.matrix())
             assert (aoa[row], aod[row]) == chan.strongest_path()[1:]
+
+
+@pytest.fixture(scope="module")
+def headline_schemes():
+    books = [(s, build_codebook(s, 32, 2))
+             for s in ("bmw-ms-cf", "bmw-ms-lcs", "ps-dft")]
+    return [(s, cb, cb) for s, cb in books]
+
+
+@pytest.mark.parametrize("papc", [True, False], ids=["papc", "total-power"])
+def test_paper_headline_comparison(headline_schemes, papc):
+    # PAPER.md: BMW-MS/LCS and BMW-MS/CF perform very closely, and both
+    # beat the other codebooks under the per-antenna power constraint
+    cfg = SimConfig(l_paths=1, l_s=32, papc=papc, seed=7, trials=2000)
+    rows = run_monte_carlo(headline_schemes, [-35.0, -30.0, -25.0, -20.0],
+                           cfg)
+    for snr in range(4):
+        cf, lcs, ps = rows[3 * snr:3 * snr + 3]
+        for bmw in (cf, lcs):
+            # sigma of a difference of two rates, as if independent: the
+            # schemes share each trial's channel, which correlates their
+            # successes positively and only narrows the true spread
+            sigma = math.hypot(bmw["stderr"], ps["stderr"])
+            gap = bmw["success_rate"] - ps["success_rate"]
+            if papc:
+                # each reads 13.8 sigma or more here, and 9 or more over
+                # the PAPC setups probed at N = 32 and 64; 5 sigma leaves
+                # room for the draw and cannot pass on a lost advantage
+                assert gap > 5.0 * sigma, (bmw, ps)
+            else:
+                # no advantage without the PAPC: -3.6 to +0.1 sigma here
+                assert gap <= 3.5 * sigma, (bmw, ps)
+        if papc:
+            # at most 1.4 sigma here, and 2.3 over 12 probed PAPC cells.
+            # 3.5 sigma keeps the chance that any of these 4 two-sided
+            # comparisons, or the 8 one-sided ones of the total-power case,
+            # fails on honest data under 0.4%
+            sigma = math.hypot(cf["stderr"], lcs["stderr"])
+            assert abs(lcs["success_rate"] - cf["success_rate"]) <= (
+                3.5 * sigma), (cf, lcs)
 
 
 SWEEP_SCHEMES = ("bmw-ms-cf", "bmw-ms-lcs", "ps-dft")
