@@ -64,10 +64,11 @@ def _check_real(name: str, value, lo: float | None = None,
 
 
 def _check_finite(name: str, values, dtype=np.complex128) -> np.ndarray:
-    """`values` as an array of `dtype`; refuse one with a non-finite entry."""
+    """`values` as an array of `dtype`; refuse one with a non-finite entry
+    and one that is not numbers."""
     try:
         arr = np.asarray(values, dtype=dtype)
-    except OverflowError:
+    except (OverflowError, TypeError, ValueError):
         arr = np.array(math.nan)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
@@ -151,7 +152,7 @@ def beam_gain(w, omega: float) -> complex:
 
 def beam_pattern(w, grid) -> np.ndarray:
     """|A(w, omega)|^2 sampled over a grid of cosine angles."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    grid = np.atleast_1d(_check_finite("cosine angles", grid, float))
     if grid.size == 0:
         raise ValueError("angle grid must be non-empty")
     g = beam_gains(w, grid)
@@ -166,8 +167,10 @@ def phase_rotate(w, delta: float) -> np.ndarray:
     |A(w, omega - delta)|.
     """
     w = as_weights(w)
-    d = float(wrap_angle(delta))
-    return _freeze(w * np.exp(1j * np.pi * np.arange(w.size) * d))
+    d = wrap_angle(delta)
+    if d.ndim:
+        raise ValueError(f"delta must be one cosine angle, got {d.shape}")
+    return _freeze(w * np.exp(1j * np.pi * np.arange(w.size) * float(d)))
 
 
 def inf_norm_sq(w) -> float:
@@ -203,7 +206,8 @@ class AngleInterval:
     width: float
 
     def __post_init__(self):
-        if not (-1.0 <= self.start < 1.0):
+        if not (isinstance(self.start, numbers.Real)
+                and -1.0 <= self.start < 1.0):
             raise ValueError(f"interval start must be in [-1, 1), got {self.start}")
         _check_real("interval width", self.width, 0, 2.0, above=True)
         if self.start + self.width > 1.0 + 1e-12:

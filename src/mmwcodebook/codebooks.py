@@ -200,8 +200,9 @@ def _best_candidates(searches, cfg: GdpConfig, rungs) -> list[int]:
     Each search is (u_cols, coeffs, interval, labels); `labels` partitions
     its candidates into classes that share one GDP: labels[c] is the
     lowest index of c's class (None: every candidate is its own class).
-    The callers certify each class from the weight vectors
-    (`_lcs_classes`, `_one_pattern`), never from GDP values.
+    Classes never come from GDP values: whole-codeword phases and ps-dft's
+    one-hot layer 0 are classes by construction, and LCS's mirror pairs are
+    certified from the weight vectors (`_lcs_classes`, `build_ps_dft`).
 
     A ladder of screens narrows each search's classes.  Rung d scores the
     lowest member of every class still in the running on the grid of 1/d
@@ -216,8 +217,8 @@ def _best_candidates(searches, cfg: GdpConfig, rungs) -> list[int]:
     in index order, so the lexicographic tie-break, across classes within
     `_TIE_RTOL` too, is the exhaustive one among the survivors.
 
-    What is proved: the classes (each shares one GDP, certified from the
-    weight vectors, so one member scores for all), and the one-class
+    What is proved: the classes (each shares one GDP, by construction or
+    by certificate, so one member scores for all), and the one-class
     shortcut.  When only one class survives a rung (or exists), no
     candidate of another class is left to tie, and its members'
     full-resolution values differ by rounding alone (at most 3.3e-15 over
@@ -375,22 +376,6 @@ def _lcs_classes(plan: SubArrayPlan, interval: AngleInterval,
     return np.minimum(labels, labels[np.ix_(ia, ib)]).ravel()
 
 
-def _one_pattern(u_cols: np.ndarray, coeffs: np.ndarray) -> bool:
-    """Whether all candidates provably share one |A|^2 and entry peak.
-
-    True when every coefficient column is a unit multiple of the first
-    (global phases of one codeword) or when every weight vector is one-hot
-    with one peak modulus, so that |A|^2 is that modulus squared at every
-    angle.
-    """
-    if _unit_factors(coeffs, coeffs[:, :1]) is not None:
-        return True
-    mag = np.abs(u_cols @ coeffs)
-    peak = np.max(mag, axis=0)
-    return bool(np.all(np.sum(mag, axis=0) - peak <= _CERT_TOL * peak)
-                and np.ptp(peak) <= _CERT_TOL * np.max(peak))
-
-
 def lcs_phases(plan: SubArrayPlan, interval: AngleInterval,
                cfg: GdpConfig = GdpConfig(),
                grid_size: int = 64) -> tuple[float, float, np.ndarray]:
@@ -518,6 +503,12 @@ class CodebookLayer:
     def __post_init__(self):
         _check_integer("layer", self.layer, 0)
         _check_integer("branching", self.branching, 2)
+        for name in ("f_rf", "f_bb"):
+            try:
+                value = np.asarray(getattr(self, name), dtype=np.complex128)
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a numeric array") from None
+            object.__setattr__(self, name, value)
         f_rf, f_bb = self.f_rf, self.f_bb
         if not (f_rf.ndim == f_bb.ndim == 3 and f_rf.size and f_bb.size
                 and f_bb.shape[:2] == f_rf.shape[::2]
@@ -700,11 +691,11 @@ def build_ps_dft(n: int, branching: int = 2, grid_size: int = 64,
         m_k = n // branching ** k
         chains = bins[:, :m_k]
         coeff = np.exp(1j * np.outer(np.arange(1, m_k + 1), phis))
-        # the bottom layer's candidates are global phases of one steering
-        # vector, and when grid_size divides N every layer-0 candidate is
-        # one-hot: either way one class, whose members share |A|^2
-        one = ((m_k == 1 or (k == 0 and n % grid_size == 0))
-               and _one_pattern(chains, coeff))
+        # one class by construction, its members sharing |A|^2.  Bottom
+        # layer: each candidate is a global phase of one steering vector.
+        # Layer 0 when grid_size divides N: entry n's geometric series over
+        # the N bins vanishes but at one n, so each candidate is one-hot.
+        one = m_k == 1 or (k == 0 and n % grid_size == 0)
         searches.append((chains, coeff, coverage_interval(k, 1, branching),
                          np.zeros(grid_size, dtype=int) if one else None))
     best = _best_candidates(searches, cfg, _PS_DFT_RUNGS)

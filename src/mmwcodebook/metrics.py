@@ -19,6 +19,7 @@ alarm but does not change codeword comparisons, so it is not a tunable.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -329,8 +330,10 @@ def link_budget_report(lb: LinkBudget,
     0 <= min <= max, or one whose gamma_per ends leave the float range,
     raises ValueError.
     """
-    lo, hi = excess_loss_range_db
-    if not 0.0 <= lo <= hi <= sys.float_info.max:
+    pair = excess_loss_range_db
+    lo, hi = pair if np.shape(pair) == (2,) else (None, None)
+    if not (all(isinstance(x, numbers.Real) for x in (lo, hi))
+            and 0.0 <= lo <= hi <= sys.float_info.max):
         raise ValueError(f"excess_loss_range_db must be finite with "
                          f"0 <= min <= max, got {excess_loss_range_db!r}")
     gamma_db = lb.received_dbm - lb.noise_dbm + lb.spreading_gain_db

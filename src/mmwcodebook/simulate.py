@@ -169,12 +169,13 @@ def _best_flat(rho: np.ndarray) -> np.ndarray:
     return flat.argmax(axis=-1)
 
 
-def _check_channel(h: np.ndarray, n_rx: int, n_tx: int) -> None:
+def _check_channel(h, n_rx: int, n_tx: int) -> np.ndarray:
+    """`h` as a complex128 (n_rx, n_tx) array of finite entries."""
     if np.shape(h) != (n_rx, n_tx):
         raise ValueError(
-            f"channel shape {np.shape(h)} does not match Rx {n_rx} x "
+            f"channel shape {np.shape(h)} of h does not match Rx {n_rx} x "
             f"Tx {n_tx} antennas")
-    _check_finite("h", h)
+    return _check_finite("h", h)
 
 
 def _normals(rng: np.random.Generator | None, n0: float, shape):
@@ -198,7 +199,7 @@ def measure(tx: CompositeCodeword, rx: CompositeCodeword, h: np.ndarray,
     """
     check_search(cfg.l_s, (len(tx.members), len(rx.members)))
     _check_real("p", p, 0, above=True)
-    _check_channel(h, rx.f_rf.shape[0], tx.f_rf.shape[0])
+    h = _check_channel(h, rx.f_rf.shape[0], tx.f_rf.shape[0])
     rho = _correlate(_rx_product(rx.member_matrix, h), tx.member_matrix,
                      tx.member_inf_norms, math.sqrt(p), cfg.l_s, cfg.papc)
     noise = _normals(rng, cfg.n0, (2,) + rho.shape)
@@ -382,10 +383,8 @@ def _search_cells(pairs, h: np.ndarray, sqrt_p: np.ndarray, cfg: SimConfig,
                 offset[n] += 2 * size
             best = _best_flat(rho)
             j_star, i_star = np.divmod(best, rows)
-            if k <= tx.depth:
-                j[n] = tx.branching * j[n] + j_star
-            if k <= rx.depth:
-                i[n] = rx.branching * i[n] + i_star
+            j[n] = _members(tx, k) * j[n] + j_star
+            i[n] = _members(rx, k) * i[n] + i_star
             last[n] = rho, best
     return [(j[n], i[n], *last[n]) for n in range(len(pairs))]
 
@@ -413,7 +412,7 @@ def hierarchical_search(tx_cb: HierarchicalCodebook,
     is the one-cell case of the batched search that `run_monte_carlo` runs.
     """
     check_search(cfg.l_s, (tx_cb.branching, rx_cb.branching))
-    _check_channel(h, rx_cb.n_antennas, tx_cb.n_antennas)
+    h = _check_channel(h, rx_cb.n_antennas, tx_cb.n_antennas)
     _check_real("p", p, 0, above=True)
     noise = _normals(rng, cfg.n0, (1, 1, _noise_size(tx_cb, rx_cb)))
     [(j, i, rho, best)] = _search_cells(
@@ -717,6 +716,8 @@ def run_monte_carlo(schemes, snr_db, cfg: SimConfig,
     check_search(cfg.l_s, [cb.branching for _, tx, rx in schemes
                            for cb in (tx, rx)])
     _check_integer("workers", workers, 1)
+    if not np.iterable(snr_db):
+        raise ValueError(f"snr_db must be a sequence of SNRs, got {snr_db!r}")
     snr_db = [_check_real("snr_db", x) for x in snr_db]
     if not snr_db:
         raise ValueError("snr_db must hold at least one SNR")

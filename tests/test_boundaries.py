@@ -79,22 +79,28 @@ PROBES = {
     "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "0": 0, "-1": -1,
     "2.5": 2.5, "True": True, "np.float64": np.float64(1e308),
     "np.int64": np.int64(3), "1e308": 1e308, "10**400": 10 ** 400,
-    "1e200": 1e200,
+    "1e200": 1e200, "str": "x", "None": None,
 }
 NON_FINITE = {"nan", "inf", "-inf"}
+# probes that replace the whole value, of a scalar or an array parameter;
+# "list" wraps the valid default: [default] for a scalar, the default's
+# values as nested lists for an array
+NOT_NUMBERS = {"str", "None", "list"}
 # an array parameter is probed with one entry of each of these; a finite
 # entry near the float maximum may give finite values or a ValueError, but
 # no overflow warning
 ARRAY_PROBES = NON_FINITE | {"1e200"}
-SCALAR_PROBES = [label for label in PROBES if label != "1e200"]
+SCALAR_PROBES = [label for label in PROBES if label != "1e200"] + ["list"]
 # the probes each kind must refuse; any other probe may also give finite
-# values
+# values.  No kind takes a string or None, and only an angle (which some
+# callables take as an array by design) or an array takes a list
 REFUSED = {
-    INTEGER: NON_FINITE | {"2.5", "True", "np.float64", "1e308", "10**400"},
-    POSITIVE: NON_FINITE | {"0", "-1", "True", "10**400"},
-    NON_NEGATIVE: NON_FINITE | {"-1", "True", "10**400"},
-    REAL: NON_FINITE | {"True", "10**400"},
-    ANGLE: NON_FINITE | {"10**400"},
+    INTEGER: NON_FINITE | NOT_NUMBERS
+    | {"2.5", "True", "np.float64", "1e308", "10**400"},
+    POSITIVE: NON_FINITE | NOT_NUMBERS | {"0", "-1", "True", "10**400"},
+    NON_NEGATIVE: NON_FINITE | NOT_NUMBERS | {"-1", "True", "10**400"},
+    REAL: NON_FINITE | NOT_NUMBERS | {"True", "10**400"},
+    ANGLE: NON_FINITE | {"str", "None", "10**400"},
 }
 # the noun an owner check uses for a kind, whatever the parameter's name
 NOUNS = {WEIGHTS: "weights", ANGLE: "cosine angles",
@@ -189,7 +195,7 @@ CONTRACT = {
     "linear_to_db": (lambda x=1.0: linear_to_db(x), {"x": POSITIVE}),
     "link_budget_report": (
         lambda excess_loss_range_db=np.array([0.0, 15.0]): link_budget_report(
-            LinkBudget(), tuple(excess_loss_range_db)),
+            LinkBudget(), excess_loss_range_db),
         {"excess_loss_range_db": ARRAY}),
     # l_s and n0 reach a measurement through its SimConfig
     "measure": (
@@ -259,7 +265,9 @@ def _cases():
     for name, (call, kinds) in sorted(CONTRACT.items()):
         for param in kinds:
             array = isinstance(_default(call, param), np.ndarray)
-            for label in ARRAY_PROBES if array else SCALAR_PROBES:
+            labels = (sorted(ARRAY_PROBES | NOT_NUMBERS) if array
+                      else SCALAR_PROBES)
+            for label in labels:
                 yield pytest.param(name, param, label,
                                    id=f"{name}-{param}-{label}")
 
@@ -267,19 +275,21 @@ def _cases():
 @pytest.mark.parametrize("name, param, label", list(_cases()))
 def test_probe(name, param, label):
     call, kinds = CONTRACT[name]
-    kind, probe = kinds[param], PROBES[label]
+    kind, probe = kinds[param], PROBES.get(label)
     default = _default(call, param)
-    if isinstance(default, np.ndarray):
-        probe_value = default.copy()
-        probe_value.flat[0] = probe
-        probe = probe_value
+    if label == "list":
+        probe = (default.tolist() if isinstance(default, np.ndarray)
+                 else [default])
+    elif isinstance(default, np.ndarray) and label not in NOT_NUMBERS:
+        probe = default.copy()
+        probe.flat[0] = PROBES[label]
     try:
         result = call(**{param: probe})
     except ValueError as exc:
         assert (_names(param, str(exc))
                 or _names(NOUNS.get(kind, param), str(exc))), exc
         return
-    assert label not in REFUSED.get(kind, NON_FINITE), result
+    assert label not in REFUSED.get(kind, NON_FINITE | {"str", "None"}), result
     assert _finite(result), result
 
 

@@ -21,7 +21,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmwcodebook import AngleInterval, GdpConfig, build_codebook, db_to_linear
+from mmwcodebook import (AngleInterval, GdpConfig, build_codebook,
+                         build_ps_dft, db_to_linear)
 from mmwcodebook import codebooks, metrics
 from mmwcodebook.arraymath import response_matrix
 from mmwcodebook.codebooks import _TIE_RTOL, _argmax_with_ties
@@ -367,6 +368,48 @@ def test_ps_dft_one_class_layers(checked_searches, searches, n, grid):
     fine = GdpConfig().points_for(n)
     assert [_ladder(*search, fine)
             for search in searches] == PS_DFT_LADDERS[(n, grid)]
+
+
+@pytest.mark.parametrize("m_rf", [2, 3, 4, 5, 8])
+def test_ps_dft_one_class_layers_hold_by_construction(monkeypatch, m_rf):
+    # build_ps_dft labels its one-class layers from the design alone: the
+    # bottom layer always, and layer 0 when grid_size divides N.  Check
+    # from each labelled search's weight vectors u_cols @ coeffs that its
+    # candidates share one |A|^2, scoring nothing
+    batches = []
+
+    def searches(batch, cfg, rungs):
+        batches.append(batch)
+        return [0] * len(batch)
+
+    monkeypatch.setattr(codebooks, "_best_candidates", searches)
+    n = m_rf
+    while n <= 256:
+        for grid in (8, 16, 64, 128):
+            batches.clear()
+            build_ps_dft(n, m_rf, grid)
+            (batch,) = batches
+            depth = len(batch) - 1
+            assert [labels is not None for *_, labels in batch] == [
+                k == depth or (k == 0 and n % grid == 0)
+                for k in range(depth + 1)]
+            for k, (u_cols, coeffs, _, labels) in enumerate(batch):
+                if labels is None:
+                    continue
+                assert np.array_equal(labels, np.zeros(grid, dtype=int))
+                w = u_cols @ coeffs
+                if k == depth:
+                    # each candidate a unit multiple of the first
+                    ratio = w / w[:, :1]
+                    assert np.allclose(ratio, ratio[0], rtol=0, atol=1e-12)
+                    assert np.allclose(np.abs(ratio), 1, rtol=0, atol=1e-12)
+                if k == 0:
+                    # each candidate one-hot with modulus sqrt(N)
+                    mag = np.sort(np.abs(w), axis=0)
+                    assert np.allclose(mag[-1], math.sqrt(n), rtol=1e-12,
+                                       atol=0)
+                    assert np.all(mag[:-1] < 1e-12 * math.sqrt(n))
+        n *= m_rf
 
 
 @pytest.mark.parametrize("n, m_rf, tables", [

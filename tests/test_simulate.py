@@ -316,6 +316,15 @@ class TestHierarchicalSearch:
             i_r = 2 * (i_r - 1) + i_s
         assert (res.j_t, res.i_r) == (j_t, i_r)
 
+    def test_list_channel_searches_as_its_array(self):
+        # `measure` and the search take a channel as any array-like
+        cb = build_codebook("bmw-ms-cf", 16, 2)
+        cfg = SimConfig(l_s=8, n0=1.0)
+        h = sample_channel(2, 16, 16, np.random.default_rng(5)).matrix()
+        res = hierarchical_search(cb, cb, h, cfg, np.random.default_rng(3))
+        assert hierarchical_search(cb, cb, h.tolist(), cfg,
+                                   np.random.default_rng(3)) == res
+
     def test_nested_coverage_descent(self):
         tx_cb = rx_cb = build_codebook("bmw-ms-cf", 32, 2)
         cfg = SimConfig(l_s=8, n0=0.5)
